@@ -4,7 +4,8 @@ Subcommands
 -----------
 table1   ground states of the 1/r problem for D = 3..9 against the closed form
 solve    single ground-state search (exit 0 found, 3 certified not-found)
-scan     ground-state search per dimension over a range
+scan     ground-state search per dimension over a range (a dimension whose
+         search failed sets the exit code, as that failure would in solve)
 profile  CSV export of phi_+, F, G, the effective potential, or a mismatch scan
 selftest quick internal consistency battery
 
@@ -237,10 +238,8 @@ def _emit_results(command, config, settings, records, opts):
 def _cmd_table1(opts) -> int:
     settings = _settings(opts)
     workers = _threads(opts)
-    t0 = time.perf_counter()
     results = solver.dimension_scan((3, 9), Ansatz.ONE_OVER_R, settings,
                                     mass=opts["mass"], workers=workers)
-    wall_each = int(1000 * (time.perf_counter() - t0)) // len(results)
     records = []
     all_pass = True
     header = f"{'D':>2} {'E/M closed form':>20} {'E/M numeric':>20} " \
@@ -265,7 +264,7 @@ def _cmd_table1(opts) -> int:
             print(f"{d:>2} {level.energy_ratio:>20.15f} {'-':>20} "
                   f"{eps_ref:>16.3f} {'-':>17} {'FAIL':>8}  ({result.verdict_reason})")
         all_pass &= ok
-        records.append(manifest.result_record(d, result, wall_each))
+        records.append(manifest.result_record(d, result, int(1000 * result.wall_s)))
     config = PhysicalConfig(dimension=3, ell=0, mass=opts["mass"], ansatz=Ansatz.ONE_OVER_R)
     _emit_results("table1", config, settings, records, opts)
     return EXIT_OK if all_pass else EXIT_CONFIG
@@ -297,20 +296,24 @@ def _cmd_scan(opts) -> int:
         raise ConfigError(f"ansatz must be 1 or 2, got {opts['ansatz']!r}")
     settings = _settings(opts)
     workers = _threads(opts)
-    t0 = time.perf_counter()
     results = solver.dimension_scan((opts["d-min"], opts["d-max"]), ansatz, settings,
                                     ell=opts["ell"], mass=opts["mass"], workers=workers)
-    wall = int(1000 * (time.perf_counter() - t0))
     records = []
+    code = EXIT_OK
     for d, result in results:
-        records.append(manifest.result_record(d, result, wall // len(results)))
-        if result.found:
+        records.append(manifest.result_record(d, result, int(1000 * result.wall_s)))
+        if result.error is not None:
+            failure, label = _failure(result.error)
+            if code == EXIT_OK:  # the first failed dimension sets the exit code
+                code = failure
+            print(f"D = {d}: {label} ({result.verdict_reason})", file=sys.stderr)
+        elif result.found:
             print(f"D = {d}: eta* = {result.eta_star:.15f}, epsilon = {result.epsilon_ev:.4f} eV")
         else:
             print(f"D = {d}: no bound state ({result.verdict_reason})")
     config = _physical(opts, dimension=opts["d-min"])
     _emit_results("scan", config, settings, records, opts)
-    return EXIT_OK
+    return code
 
 
 def _ground_eta(config, settings):
@@ -445,6 +448,19 @@ def _cmd_selftest() -> int:
     return EXIT_OK if failures == 0 else EXIT_CONFIG
 
 
+def _failure(kind) -> tuple:
+    """(exit code, label) for a failure raised as an exception of class ``kind``.
+
+    EtaOutOfRange, UnsupportedDimension, etc. are ValueError subclasses: all
+    describe invalid problem statements, not numerical breakdowns. ``main``
+    passes only ValueError, ArithmeticError and RuntimeError here; a scan
+    records any exception, and counts the other classes as numerical too.
+    """
+    if issubclass(kind, ValueError):
+        return EXIT_CONFIG, "configuration error"
+    return EXIT_NUMERICAL, "numerical failure"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -461,14 +477,10 @@ def main(argv=None) -> int:
         if args.command == "profile":
             return _cmd_profile(opts)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
-        # EtaOutOfRange, UnsupportedDimension, etc. are ValueError subclasses:
-        # all describe invalid problem statements, not numerical breakdowns
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ArithmeticError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        code, label = _failure(type(exc))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def run() -> None:

@@ -244,7 +244,10 @@ class EigenResult:
     bound state (epsilon = -(M - E) in eV). ``scan_trace`` holds (eta, mismatch)
     pairs from the coarse scan; mismatch is None where no classically-allowed
     island exists. ``mismatch_residual`` is NaN when no mismatch was ever
-    evaluated.
+    evaluated. A dimension scan, which records each dimension's failure inline
+    rather than raising it, sets ``error`` to the exception class of a search
+    that failed instead of reaching a verdict, and ``wall_s`` to the seconds
+    that dimension took.
     """
 
     found: bool
@@ -254,3 +257,5 @@ class EigenResult:
     mismatch_residual: float
     scan_trace: list = field(default_factory=list)
     verdict_reason: str = ""
+    error: type | None = None
+    wall_s: float | None = None

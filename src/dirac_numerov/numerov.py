@@ -22,7 +22,28 @@ Two interchangeable discretizations are provided:
 
 Eigenvalue searches compare log-derivatives, which are invariant under the
 overall scale of a propagated solution, so seeds may be supplied in any
-convenient normalization. Magnitudes beyond 1e100 are renormalized by an
+convenient normalization, and they need each solution only at the match
+nodes m-1, m, m+1. ``match_samples`` therefore propagates without visiting
+the nodes one by one: writing each step A_i y[i-1] = B_i y[i] - C_i y[i+1]
+in the difference form
+
+    (y[i-1], y[i] - y[i-1]) = [[1 - S/A, -C/A], [S/A, C/A]] (y[i], y[i+1] - y[i]),
+    S_i = A_i - B_i + C_i = (h^2/12) (u[i-1] + 10 u[i] + u[i+1]),
+
+it multiplies the 2x2 transfer matrices pairwise in about log2(n) numpy
+levels (a tree reduction). S comes from the weight u directly (u = W,
+A = f[i-1], C = f[i+1] for the canonical scheme; u = w, A = p0, C = p2 for
+the generalized one, where p0 + p2 - p1 equals that sum exactly), so the
+small difference A - B + C is never formed by cancellation. In a forbidden
+region S < 0 and the matrices share a checkerboard sign pattern, so their
+products add terms of one sign. The outward direction is the same kernel on
+reversed arrays with A and C swapped. A level whose entries pass 1e100 is
+renormalized matrix by matrix by exact powers of two; that changes only the
+common scale of the three samples.
+
+Of the solver's paths only ``solver.eigenfunction`` needs every node; it,
+``propagate`` and ``scheme_report`` use the sequential sweeps below, which
+visit the nodes one by one. They renormalize magnitudes beyond 1e100 by an
 exact power of two, applied retroactively so the stored samples remain one
 globally-scaled solution.
 """
@@ -233,6 +254,90 @@ def _generalized_arrays(p, p_prime, w, delta):
     w_prev = np.concatenate(([w[0]], w[:-1]))
     w_next = np.concatenate((w[1:], [w[-1]]))
     return _generalized_p012(np.asarray(p, float), np.asarray(p_prime, float), w_prev, w, w_next, delta)
+
+
+# ---------------------------------------------------------------------------
+# match-node samples from a tree-reduced product of transfer matrices
+
+
+def _three_point_sum(u, delta):
+    """S_i = (delta^2/12) (u[i-1] + 10 u[i] + u[i+1]) at the interior nodes 1..n-2."""
+    u = np.asarray(u, dtype=float)
+    return (delta * delta / 12.0) * (u[:-2] + 10.0 * u[1:-1] + u[2:])
+
+
+def _transfer_product(lower, upper, s):
+    """Ordered product M_0 M_1 ... M_(k-1) of M_j = [[1 - g, -r], [g, r]].
+
+    g = s/lower and r = upper/lower, elementwise. Returns the product's
+    entries (row-major) up to a positive power-of-two scale. Neighbouring
+    pairs are multiplied level by level; an odd last matrix is carried to the
+    next level unchanged.
+    """
+    g = s / lower
+    r = upper / lower
+    t = np.stack((1.0 - g, -r, g, r))
+    while t.shape[1] > 1:
+        half = t.shape[1] // 2
+        x = t[:, 0 : 2 * half : 2]
+        y = t[:, 1 : 2 * half : 2]
+        nxt = np.empty((4, half + t.shape[1] % 2))
+        nxt[0, :half] = x[0] * y[0] + x[1] * y[2]
+        nxt[1, :half] = x[0] * y[1] + x[1] * y[3]
+        nxt[2, :half] = x[2] * y[0] + x[3] * y[2]
+        nxt[3, :half] = x[2] * y[1] + x[3] * y[3]
+        if nxt.shape[1] > half:
+            nxt[:, half] = t[:, -1]
+        peak = np.abs(nxt).max(axis=0)
+        if peak.max() > RESCALE_THRESHOLD:
+            nxt = np.ldexp(nxt, -np.frexp(peak)[1])
+        t = nxt
+    if t.shape[1] == 0:
+        return 1.0, 0.0, 0.0, 1.0
+    return tuple(float(v) for v in t[:, 0])
+
+
+def _inward_samples(lower, upper, s, k, y_end, y_next):
+    """(y[k-1], y[k], y[k+1]) of the solution seeded y[n-1] = y_end, y[n-2] = y_next.
+
+    ``lower``, ``upper`` and ``s`` hold A, C and S at the interior nodes
+    1..n-2 (array index = node - 1); A must not vanish at nodes k..n-2.
+    """
+    a, b, c, d = _transfer_product(lower[k:], upper[k:], s[k:])  # nodes k+1..n-2
+    diff = y_end - y_next
+    y_k = a * y_next + b * diff
+    d_k = c * y_next + d * diff
+    g = s[k - 1] / lower[k - 1]
+    r = upper[k - 1] / lower[k - 1]
+    return float((1.0 - g) * y_k - r * d_k), y_k, y_k + d_k
+
+
+def match_samples(lower, upper, s, m, inner, outer):
+    """Outward and inward solutions of the three-term recurrence at nodes m-1, m, m+1.
+
+    The recurrence is A_i y[i-1] = (A_i - S_i + C_i) y[i] - C_i y[i+1];
+    ``lower``, ``upper`` and ``s`` hold A, C and S at the interior nodes
+    1..n-2 (array index = node - 1). ``inner`` = (y[0], y[1]) seeds the
+    outward solution and ``outer`` = (y[n-1], y[n-2]) the inward one.
+
+    Returns (left, right), each (y[m-1], y[m], y[m+1]) up to its own
+    positive scale, which log-derivatives do not see.
+
+    Raises
+    ------
+    SingularCoefficient
+        If a divisor vanishes: A at nodes m..n-2 (inward) or C at nodes
+        1..m (outward), the nodes the sequential sweeps divide at.
+    """
+    for name, coeff, first in (("C", upper[:m], 1), ("A", lower[m - 1 :], m)):
+        zero = np.flatnonzero(coeff == 0.0)
+        if zero.size:
+            node = first + int(zero[0])
+            raise SingularCoefficient(f"step coefficient {name} vanishes at node {node}")
+    n = s.shape[0] + 2
+    right = _inward_samples(lower, upper, s, m, *outer)
+    left = _inward_samples(upper[::-1], lower[::-1], s[::-1], n - 1 - m, *inner)[::-1]
+    return left, right
 
 
 def propagate(

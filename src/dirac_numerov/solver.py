@@ -10,8 +10,12 @@ solver
    attached to the inner grid boundary is the fall-to-center funnel of the
    supersingular 1/r^(D-2) attraction (D >= 4), not a bound-state well, and
    certifies "no turning point" exactly as a dense evaluation of V does,
-3. integrates from both ends to the island's outer turning node and forms
-   the log-derivative mismatch Delta(eta),
+3. propagates from both ends to the island's outer turning node and forms
+   the log-derivative mismatch Delta(eta); the two solutions are needed only
+   at nodes m-1, m, m+1, so :func:`numerov.match_samples` obtains them from
+   a tree-reduced product of the recurrence's 2x2 transfer matrices instead
+   of a node-by-node sweep (only :func:`eigenfunction`, which needs every
+   node, sweeps),
 4. bisects every sign change of Delta, accepting a root only when the final
    |Delta| passes the mismatch tolerance (log-derivative poles also flip the
    sign but never pass).
@@ -25,8 +29,9 @@ binding (the ground state; excited states lie at larger eta).
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +56,8 @@ from .numerov import (
     _generalized_arrays,
     _numerov_sweep_lr,
     _numerov_sweep_rl,
+    _three_point_sum,
+    match_samples,
 )
 
 
@@ -267,55 +274,68 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
 # mismatch evaluation
 
 
-def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
-    """Sweep from both boundaries to the match node m.
+def _boundary_seeds(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
+    """Seeds y[1] (with y[0] = 0) and (y[n-1], y[n-2]) of the two propagations.
 
-    Returns (left, right) python lists: left holds nodes 0..m+1, right holds
-    nodes m-1..N-1 (entries outside each range are zero fillers). Values are
-    chi samples under the canonical scheme and phi samples under the
-    generalized one; the mismatch converts to phi where needed.
+    Values are chi samples under the canonical scheme and phi samples under
+    the generalized one.
     """
     nodes = grid.nodes()
     n = grid.n_points
     h = grid.step
     gamma = coeffs.indicial_exponent
-    seed_inner = h**gamma if gamma is not None else h
+    inner = h**gamma if gamma is not None else h
+    outer = (1.0, math.exp(h / 2.0))
+    if scheme is Scheme.CANONICAL:
+        factor = coeffs.integrating_factor_fn
+        inner /= float(factor(float(nodes[1])))
+        outer = (outer[0] / float(factor(float(nodes[n - 1]))),
+                 outer[1] / float(factor(float(nodes[n - 2]))))
+    return inner, outer
+
+
+def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
+    """Sweep from both boundaries to the match node m, node by node.
+
+    Returns (left, right) python lists: left holds nodes 0..m+1, right holds
+    nodes m-1..N-1 (entries outside each range are zero fillers). Values are
+    chi samples under the canonical scheme and phi samples under the
+    generalized one. Only :func:`eigenfunction` needs every node; the
+    mismatch uses :func:`numerov.match_samples`.
+    """
+    nodes = grid.nodes()
+    n = grid.n_points
+    h = grid.step
+    inner, outer = _boundary_seeds(coeffs, grid, scheme)
+    left = [0.0] * n
+    left[1] = inner
+    right = [0.0] * n
+    right[n - 1], right[n - 2] = outer
 
     if scheme is Scheme.CANONICAL:
         f = _canonical_factors(coeffs.weight_fn(nodes), h).tolist()
-        left = [0.0] * n
-        left[1] = seed_inner / float(coeffs.integrating_factor_fn(float(nodes[1])))
         _numerov_sweep_lr(f, left, 1, m + 1)
-        right = [0.0] * n
-        right[n - 1] = 1.0 / float(coeffs.integrating_factor_fn(float(nodes[n - 1])))
-        right[n - 2] = math.exp(h / 2.0) / float(coeffs.integrating_factor_fn(float(nodes[n - 2])))
         _numerov_sweep_rl(f, right, n - 2, m - 1)
     else:
         p0, p1, p2 = _generalized_arrays(
             coeffs.p_fn(nodes), coeffs.p_prime_fn(nodes), coeffs.w_fn(nodes), h
         )
         p0, p1, p2 = p0.tolist(), p1.tolist(), p2.tolist()
-        left = [0.0] * n
-        left[1] = seed_inner
         _general_sweep_lr(p0, p1, p2, left, 1, m + 1)
-        right = [0.0] * n
-        right[n - 1] = 1.0
-        right[n - 2] = math.exp(h / 2.0)
         _general_sweep_rl(p0, p1, p2, right, n - 2, m - 1)
     return left, right
 
 
-def _mismatch_at_match(coeffs, grid, m, scheme) -> float:
-    """Delta = [phi'/phi]_left - [phi'/phi]_right at the match node (3-point centered)."""
-    left, right = _propagate_halves(coeffs, grid, m, scheme)
-    nodes = grid.nodes()
+def _log_derivative_gap(left, right, coeffs, grid, m, scheme) -> float:
+    """[phi'/phi]_left - [phi'/phi]_right at node m, centered on the samples at m-1, m, m+1."""
     h = grid.step
     if scheme is Scheme.CANONICAL:
+        nodes = grid.nodes()
         factors = [float(coeffs.integrating_factor_fn(float(nodes[j]))) for j in (m - 1, m, m + 1)]
     else:
         factors = [1.0, 1.0, 1.0]
-    phi_l = [left[m - 1] * factors[0], left[m] * factors[1], left[m + 1] * factors[2]]
-    phi_r = [right[m - 1] * factors[0], right[m] * factors[1], right[m + 1] * factors[2]]
+    phi_l = [y * f for y, f in zip(left, factors)]
+    phi_r = [y * f for y, f in zip(right, factors)]
     for val in (*phi_l, *phi_r):
         if not math.isfinite(val):
             raise NonFiniteValue("non-finite samples at the match node")
@@ -324,6 +344,23 @@ def _mismatch_at_match(coeffs, grid, m, scheme) -> float:
     d_left = (phi_l[2] - phi_l[0]) / (2.0 * h * phi_l[1])
     d_right = (phi_r[2] - phi_r[0]) / (2.0 * h * phi_r[1])
     return d_left - d_right
+
+
+def _mismatch_at_match(coeffs, grid, m, scheme) -> float:
+    """Delta = [phi'/phi]_left - [phi'/phi]_right at the match node m, without a sweep."""
+    nodes = grid.nodes()
+    h = grid.step
+    if scheme is Scheme.CANONICAL:
+        u = np.asarray(coeffs.weight_fn(nodes), dtype=float)
+        f = _canonical_factors(u, h)
+        lower, upper = f[:-2], f[2:]
+    else:
+        u = np.asarray(coeffs.w_fn(nodes), dtype=float)
+        p0, _, p2 = _generalized_arrays(coeffs.p_fn(nodes), coeffs.p_prime_fn(nodes), u, h)
+        lower, upper = p0[1:-1], p2[1:-1]
+    inner, outer = _boundary_seeds(coeffs, grid, scheme)
+    left, right = match_samples(lower, upper, _three_point_sum(u, h), m, (0.0, inner), outer)
+    return _log_derivative_gap(left, right, coeffs, grid, m, scheme)
 
 
 def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings):
@@ -480,11 +517,12 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
 
 def _scan_one(payload):
     d, ansatz_value, ell, mass, settings = payload
+    t0 = time.perf_counter()
     config = PhysicalConfig(dimension=d, ell=ell, mass=mass, ansatz=Ansatz(ansatz_value))
     try:
-        return d, solve_ground_state(config, settings)
+        result = solve_ground_state(config, settings)
     except Exception as exc:  # per-dimension failures recorded inline
-        return d, EigenResult(
+        result = EigenResult(
             found=False,
             eta_star=None,
             epsilon_ev=None,
@@ -492,7 +530,9 @@ def _scan_one(payload):
             mismatch_residual=math.nan,
             scan_trace=[],
             verdict_reason=f"error: {exc!r}",
+            error=type(exc),
         )
+    return d, replace(result, wall_s=time.perf_counter() - t0)
 
 
 def dimension_scan(
@@ -505,9 +545,12 @@ def dimension_scan(
 ):
     """Ground-state search per dimension over an inclusive range.
 
-    Returns [(D, EigenResult), ...] ordered by D. Each dimension is an
-    independent computation; with workers > 1 they run in separate
-    processes, merged in D order so the output matches a serial run.
+    Returns [(D, EigenResult), ...] ordered by D, each result carrying the
+    seconds its own dimension took (``wall_s``). A dimension whose search
+    raised is recorded as not found with the exception class in ``error``.
+    Each dimension is an independent computation; with workers > 1 they run
+    in separate processes, merged in D order so the output matches a serial
+    run.
     """
     from .core import ELECTRON_MASS_EV
 

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
-from dirac_numerov.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, main
+from dirac_numerov import solver
+from dirac_numerov.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERICAL, EXIT_OK, main
+from dirac_numerov.errors import NonFiniteValue
 from dirac_numerov.manifest import RunManifest, format_float, render_csv
 
 
@@ -106,6 +109,40 @@ def test_scan_gauss_law_csv(tmp_path, capsys):
     assert header[0] == "dimension" and len(rows) == 3
     assert all(row[1] == "False" for row in rows)
     assert "no bound state" in capsys.readouterr().out
+
+
+def test_scan_errored_dimension_is_an_error_not_an_absence(capsys):
+    # the same inputs make solve exit with a configuration error
+    assert main(["scan", "--d-min", "2", "--d-max", "2", "--ansatz", "2"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "no bound state" not in captured.out
+    assert "D = 2: configuration error" in captured.err
+    assert "UnsupportedDimension" in captured.err
+
+
+def test_scan_numerical_failure_exit(monkeypatch, capsys):
+    def breaks(config, settings):
+        raise NonFiniteValue("non-finite samples at the match node")
+
+    monkeypatch.setattr(solver, "solve_ground_state", breaks)
+    code = main(["scan", "--d-min", "4", "--d-max", "5", "--ansatz", "2", "--threads", "1"])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "no bound state" not in captured.out
+    assert captured.err.count("numerical failure") == 2
+
+
+def test_scan_wall_time_per_dimension(tmp_path):
+    out = tmp_path / "scan.json"
+    t0 = time.perf_counter()
+    code = main(["scan", "--d-min", "3", "--d-max", "5", "--ansatz", "2", "--scan-points", "300",
+                 "--threads", "1", "--output", str(out), "--format", "json"])
+    elapsed_ms = 1000.0 * (time.perf_counter() - t0)
+    assert code == EXIT_OK
+    times = [r["wall_time_ms"] for r in RunManifest.parse(out.read_text()).results]
+    # each dimension timed on its own, not the total split evenly
+    assert len(times) == 3 and len(set(times)) > 1
+    assert sum(times) <= elapsed_ms
 
 
 def test_config_file_precedence(tmp_path):

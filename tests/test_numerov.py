@@ -16,8 +16,14 @@ from dirac_numerov.errors import SingularCoefficient
 from dirac_numerov.numerov import (
     Direction,
     Scheme,
+    _canonical_factors,
+    _numerov_sweep_lr,
+    _numerov_sweep_rl,
+    _three_point_sum,
+    _transfer_product,
     canonical_step,
     generalized_step,
+    match_samples,
     measured_order,
     propagate,
     scheme_report,
@@ -256,6 +262,108 @@ def test_propagate_equals_repeated_steps():
     for i in range(1, 15):
         y_prev, y_curr = y_curr, generalized_step(y_prev, y_curr, float(rho[i]), h, coeffs)
         assert math.isclose(res.values[i + 1], y_curr, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# match-node samples from the tree-reduced transfer-matrix product
+
+
+def _random_recurrence(n, seed):
+    """A, C, S at the interior nodes of an n-node grid, each A, C near 1."""
+    rng = np.random.default_rng(seed)
+    lower = 1.0 + 0.1 * rng.standard_normal(n - 2)
+    upper = 1.0 + 0.1 * rng.standard_normal(n - 2)
+    s = 0.05 * rng.standard_normal(n - 2)
+    return lower, upper, s
+
+
+def _plain_recurrence(lower, upper, s, inner, outer):
+    """Node-by-node outward and inward solutions of A y[i-1] = (A - S + C) y[i] - C y[i+1]."""
+    n = s.shape[0] + 2
+    middle = lower - s + upper
+    left = [inner[0], inner[1]] + [0.0] * (n - 2)
+    for i in range(1, n - 1):
+        j = i - 1
+        left[i + 1] = (middle[j] * left[i] - lower[j] * left[i - 1]) / upper[j]
+    right = [0.0] * (n - 2) + [outer[1], outer[0]]
+    for i in range(n - 2, 0, -1):
+        j = i - 1
+        right[i - 1] = (middle[j] * right[i] - upper[j] * right[i + 1]) / lower[j]
+    return np.asarray(left), np.asarray(right)
+
+
+@pytest.mark.parametrize("count", range(10))
+def test_transfer_product_matches_sequential_product(count):
+    # odd and even lengths, including the empty and the single product
+    lower, upper, s = _random_recurrence(count + 2, seed=count)
+    expected = np.eye(2)
+    for a, c, g in zip(lower, upper, s):
+        expected = expected @ np.array([[1.0 - g / a, -c / a], [g / a, c / a]])
+    got = np.reshape(_transfer_product(lower, upper, s), (2, 2))
+    assert np.allclose(got, expected, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_match_samples_match_the_plain_recurrence(n):
+    lower, upper, s = _random_recurrence(n, seed=n)
+    inner, outer = (0.0, 0.3), (1.0, 1.2)
+    left, right = _plain_recurrence(lower, upper, s, inner, outer)
+    for m in (2, 17, n // 2, n - 3):
+        got_left, got_right = match_samples(lower, upper, s, m, inner, outer)
+        for got, full in ((got_left, left), (got_right, right)):
+            expected = full[m - 1 : m + 2]
+            # equal up to one common positive scale
+            assert np.allclose(np.asarray(got) * (expected[1] / got[1]), expected, rtol=1e-11)
+            assert got[1] * expected[1] > 0.0
+
+
+def test_match_samples_renormalize_past_the_float_range():
+    # W = -1 on 200,001 nodes at h = 0.01: the inward solution grows by about
+    # e^2000, so the product overflows unless its levels are renormalized; the
+    # inward samples must still follow the root mu > 1 of f mu^2 - (12 - 10 f) mu + f = 0
+    n, h = 200_001, 0.01
+    weight = np.full(n, -1.0)
+    f = _canonical_factors(weight, h)
+    s = _three_point_sum(weight, h)
+    m = 100
+    left, right = match_samples(f[:-2], f[2:], s, m, (0.0, 1.0), (1.0, 1.0))
+    b = 12.0 - 10.0 * f[0]
+    mu = (b + math.sqrt(b * b - 4.0 * f[0] * f[0])) / (2.0 * f[0])
+    assert all(math.isfinite(v) for v in (*left, *right))
+    assert math.isclose(right[0] / right[1], mu, rel_tol=1e-12)
+    assert math.isclose(right[2] / right[1], 1.0 / mu, rel_tol=1e-12)
+    # from y[0] = 0 the outward solution is mu^i - mu^-i exactly
+    log_mu = math.log(mu)
+    assert math.isclose(left[2] / left[1], math.sinh((m + 1) * log_mu) / math.sinh(m * log_mu),
+                        rel_tol=1e-12)
+
+
+def test_match_samples_singular_coefficient_like_the_sweeps():
+    # the kernel divides by A = f[i-1] at nodes i = m..n-2 (inward) and by
+    # C = f[i+1] at nodes i = 1..m (outward), as the sequential sweeps do, so
+    # a vanishing f at nodes 2..n-3 stops both and one at 1, n-2, n-1 neither
+    n, h, m = 60, 0.1, 30
+    for zero_node, raises in ((1, False), (2, True), (m + 1, True), (n - 3, True),
+                              (n - 2, False), (n - 1, False)):
+        weight = np.zeros(n)
+        weight[zero_node] = -12.0 / (h * h)  # 1 + h^2 W / 12 = 0 there
+        f = _canonical_factors(weight, h)
+        assert f[zero_node] == 0.0
+        s = _three_point_sum(weight, h)
+
+        def sweeps():
+            fl = f.tolist()
+            left = [0.0, 1.0] + [0.0] * (n - 2)
+            _numerov_sweep_lr(fl, left, 1, m + 1)
+            right = [0.0] * (n - 2) + [1.0, 1.0]
+            _numerov_sweep_rl(fl, right, n - 2, m - 1)
+
+        for run in (sweeps, lambda: match_samples(f[:-2], f[2:], s, m, (0.0, 1.0), (1.0, 1.0))):
+            if raises:
+                with pytest.raises(SingularCoefficient):
+                    run()
+            else:
+                run()
 
 
 # ---------------------------------------------------------------------------

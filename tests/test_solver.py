@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from dirac_numerov import (
     NO_TURNING_POINT,
@@ -23,7 +26,13 @@ from dirac_numerov import (
 )
 from dirac_numerov.errors import ConfigError, EtaOutOfRange
 from dirac_numerov.numerov import Scheme
-from dirac_numerov.solver import _island_match_index, _match_index
+from dirac_numerov.solver import (
+    _island_match_index,
+    _log_derivative_gap,
+    _match_index,
+    _mismatch_at_match,
+    _propagate_halves,
+)
 
 
 def _coeffs_at(d, ansatz, eta, **cfg_kw):
@@ -141,6 +150,60 @@ def test_mismatch_no_turning_point_cases():
         assert mismatch(eta, config5) is NO_TURNING_POINT
     with pytest.raises(EtaOutOfRange):
         mismatch(1.0, config)
+
+
+# ---------------------------------------------------------------------------
+# mismatch: transfer-matrix product against the node-by-node sweeps
+
+KERNEL_CASES = [(Ansatz.ONE_OVER_R, d) for d in range(3, 10)] + [(Ansatz.GENERALIZED, 3)]
+
+
+def _product_and_sweep_mismatch(eta, config, settings):
+    """Delta(eta) from the transfer-matrix product and from the sequential sweeps."""
+    coeffs = build_coefficients(dimensionless_state(config, eta), config)
+    grid = settings.resolve_grid(coeffs.turning_scale)
+    m = _match_index(coeffs, grid, settings.min_island_nodes)
+    assert m is not None, eta
+    left, right = _propagate_halves(coeffs, grid, m, settings.scheme)
+    sweep = _log_derivative_gap(left[m - 1 : m + 2], right[m - 1 : m + 2],
+                                coeffs, grid, m, settings.scheme)
+    return _mismatch_at_match(coeffs, grid, m, settings.scheme), sweep, right
+
+
+def _swept_eta(solve_cached, ansatz, dimension, scheme, fraction):
+    """An eta at the given fraction of the part of the window a solve sweeps."""
+    swept = [eta for eta, d in solve_cached(dimension, ansatz, scheme=scheme).scan_trace
+             if d is not None]
+    return min(swept) + fraction * (max(swept) - min(swept))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+@pytest.mark.parametrize("ansatz,dimension", KERNEL_CASES)
+@hypothesis_settings(max_examples=5, derandomize=True, deadline=None, database=None)
+@given(fraction=st.floats(min_value=0.0, max_value=1.0))
+def test_product_mismatch_matches_sequential_sweep(solve_cached, ansatz, dimension, scheme,
+                                                  fraction):
+    # from the first trial with an island up to the accepted root
+    eta = _swept_eta(solve_cached, ansatz, dimension, scheme, fraction)
+    config = PhysicalConfig(dimension=dimension, ell=0, ansatz=ansatz)
+    product, sweep, _ = _product_and_sweep_mismatch(eta, config, SolverSettings(scheme=scheme))
+    assert abs(product - sweep) <= 1e-9 * max(1.0, abs(sweep)), (eta, product, sweep)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+@pytest.mark.parametrize("grid_b", [1500.0, 1500.01])
+@hypothesis_settings(max_examples=3, derandomize=True, deadline=None, database=None)
+@given(fraction=st.floats(min_value=0.0, max_value=1.0))
+def test_product_mismatch_matches_rescaled_sweep(solve_cached, scheme, grid_b, fraction):
+    # a far boundary at 1500 makes the inward solution grow past 1e300: the
+    # sweep rescales and the product renormalizes (coarse step keeps the sweep
+    # affordable); the two grids have an odd and an even number of nodes
+    settings = SolverSettings(scheme=scheme, grid_b=grid_b, grid_delta=1e-2)
+    eta = _swept_eta(solve_cached, Ansatz.ONE_OVER_R, 3, scheme, fraction)
+    config = PhysicalConfig(dimension=3, ell=0, ansatz=Ansatz.ONE_OVER_R)
+    product, sweep, right = _product_and_sweep_mismatch(eta, config, settings)
+    assert abs(right[-1]) < 1e-100  # the sweep's retroactive rescaling reached the seed
+    assert abs(product - sweep) <= 1e-9 * max(1.0, abs(sweep)), (eta, product, sweep)
 
 
 # ---------------------------------------------------------------------------
