@@ -49,7 +49,6 @@ from .solver import (
     SolverSettings,
     dimension_scan,
     eigenfunction,
-    find_match_point,
     mismatch,
     mismatch_scan,
     solve_ground_state,
@@ -90,7 +89,6 @@ __all__ = [
     "dimensionless_state",
     "discrete_l2_norm",
     "eigenfunction",
-    "find_match_point",
     "generalized_step",
     "hyp1f1",
     "k_value",

@@ -3,6 +3,8 @@
 Subcommands
 -----------
 table1   ground states of the 1/r problem for D = 3..9 against the closed form
+         (a dimension off its tolerance or not found exits 2; one whose
+         search raised exits as that failure would in solve)
 solve    single ground-state search (exit 0 found, 3 certified not-found)
 scan     ground-state search per dimension over a range (a dimension whose
          search failed sets the exit code, as that failure would in solve)
@@ -241,7 +243,7 @@ def _cmd_table1(opts) -> int:
     results = solver.dimension_scan((3, 9), Ansatz.ONE_OVER_R, settings,
                                     mass=opts["mass"], workers=workers)
     records = []
-    all_pass = True
+    code = EXIT_OK
     header = f"{'D':>2} {'E/M closed form':>20} {'E/M numeric':>20} " \
              f"{'eps closed (eV)':>16} {'eps numeric (eV)':>17} {'status':>8}"
     print(header)
@@ -250,6 +252,7 @@ def _cmd_table1(opts) -> int:
             PhysicalConfig(dimension=d, ell=0, mass=opts["mass"], ansatz=Ansatz.ONE_OVER_R)
         )
         eps_ref = -(1.0 - level.energy_ratio) * opts["mass"]
+        failure = EXIT_NUMERICAL
         if result.found:
             ratio_err = abs(result.eta_star - level.energy_ratio)
             eps_err = abs(result.epsilon_ev - eps_ref) / abs(eps_ref)
@@ -261,13 +264,18 @@ def _cmd_table1(opts) -> int:
                       f"eps rel err = {eps_err:.2e} (tol {_EPSILON_REL_TOL})")
         else:
             ok = False
+            reason = result.verdict_reason
+            if result.error is not None:
+                failure, label = _failure(result.error)
+                reason = f"{label}: {reason}"
             print(f"{d:>2} {level.energy_ratio:>20.15f} {'-':>20} "
-                  f"{eps_ref:>16.3f} {'-':>17} {'FAIL':>8}  ({result.verdict_reason})")
-        all_pass &= ok
+                  f"{eps_ref:>16.3f} {'-':>17} {'FAIL':>8}  ({reason})")
+        if not ok and code == EXIT_OK:  # the first failed dimension sets the exit code
+            code = failure
         records.append(manifest.result_record(d, result, int(1000 * result.wall_s)))
     config = PhysicalConfig(dimension=3, ell=0, mass=opts["mass"], ansatz=Ansatz.ONE_OVER_R)
     _emit_results("table1", config, settings, records, opts)
-    return EXIT_OK if all_pass else EXIT_CONFIG
+    return code
 
 
 def _cmd_solve(opts) -> int:
@@ -430,6 +438,12 @@ def _cmd_selftest() -> int:
         assert 3.5 < report["orders"]["canonical"] < 4.5, report["orders"]
         print(report["text"])
 
+    def gauss_law_d5_absent():
+        # the paper's headline: no interior turning point at any scanned energy
+        config = PhysicalConfig(dimension=5, ansatz=Ansatz.GENERALIZED)
+        result = solver.solve_ground_state(config)
+        assert not result.found and all(d is None for _, d in result.scan_trace)
+
     def d3_solve():
         config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
         result = solver.solve_ground_state(config)
@@ -440,6 +454,7 @@ def _cmd_selftest() -> int:
     check("closed-form energy table", closed_form_energies)
     check("integrator order signature", order_signature)
     check("three-dimensional ground state vs closed form", d3_solve)
+    check("Gauss-law D = 5: certified absence of a bound state", gauss_law_d5_absent)
 
     failures = 0
     for name, ok, detail in checks:

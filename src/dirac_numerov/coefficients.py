@@ -84,8 +84,11 @@ def potential_energy(r: float, config: PhysicalConfig) -> float:
 class CoefficientSet:
     """Immutable bundle of the coefficient functions of one radial equation.
 
-    All callables accept scalars or numpy arrays of rho > 0. ``match_level``
-    is the energy-side constant paired with ``v_fn`` in w = q (level - V);
+    All callables accept scalars or numpy arrays of rho > 0. ``fields_fn``
+    returns every field (keys ``p``, ``p_prime``, ``q``, ``s``, ``v``, ``w``)
+    from one evaluation; the single-field callables each evaluate them all
+    and keep one. ``match_level`` is the energy-side constant paired with
+    ``v_fn`` in w = q (level - V);
     ``turning_scale`` sets the outermost turning radius (~ 4 * turning_scale)
     and drives the automatic grid sizing. ``indicial_exponent`` is the
     positive small-rho exponent of the regular solution where one exists
@@ -93,6 +96,7 @@ class CoefficientSet:
     V = s / (rho^power q).
     """
 
+    fields_fn: Callable
     p_fn: Callable
     q_fn: Callable
     v_fn: Callable
@@ -244,9 +248,12 @@ def coefficient_set(
         lam_d3 = 1.0 if d == 3 else lam ** (d - 3)
     tau = state.tau
 
+    def fields_fn(rho):
+        return general_fields(rho, d, kval, a_const, c_const, lam_d3, tau, sigma)
+
     def _field(name):
         def fn(rho):
-            return general_fields(rho, d, kval, a_const, c_const, lam_d3, tau, sigma)[name]
+            return fields_fn(rho)[name]
 
         return fn
 
@@ -258,7 +265,7 @@ def coefficient_set(
     p_prime_fn = _field("p_prime")
 
     def weight_fn(rho):
-        f = general_fields(rho, d, kval, a_const, c_const, lam_d3, tau, sigma)
+        f = fields_fn(rho)
         return f["w"] - f["p"] * f["p"] / 4.0 - f["p_prime"] / 2.0
 
     def integrating_factor_fn(rho):
@@ -284,6 +291,7 @@ def coefficient_set(
     indicial = math.sqrt(gamma2) if (d == 3 and gamma2 > 0.0) else None
 
     return CoefficientSet(
+        fields_fn=fields_fn,
         p_fn=p_fn,
         q_fn=q_fn,
         v_fn=v_fn,
@@ -344,14 +352,17 @@ def coefficient_set_ansatz1(
     tau = xi * state.eta / sqrt_lam
     tau_prime = xi / sqrt_lam
 
+    def fields_fn(rho):
+        return ansatz1_fields(rho, gamma2, tau, sigma)
+
     def _field(name):
         def fn(rho):
-            return ansatz1_fields(rho, gamma2, tau, sigma)[name]
+            return fields_fn(rho)[name]
 
         return fn
 
     def weight_fn(rho):
-        f = ansatz1_fields(rho, gamma2, tau, sigma)
+        f = fields_fn(rho)
         # with p = 1/rho: -p^2/4 - p'/2 = +1/(4 rho^2)
         arr, scalar = _as_float_array(rho)
         out = f["w"] + 1.0 / (4.0 * arr * arr)
@@ -362,6 +373,7 @@ def coefficient_set_ansatz1(
         return _maybe_scalar(arr ** -0.5, scalar)
 
     return CoefficientSet(
+        fields_fn=fields_fn,
         p_fn=_field("p"),
         q_fn=_field("q"),
         v_fn=_field("v"),

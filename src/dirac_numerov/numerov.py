@@ -393,9 +393,8 @@ def propagate(
             overflowed, rescales = _numerov_sweep_rl(f, values, n - 2, last)
         out = np.asarray(values) * factor
     else:
-        p0, p1, p2 = _generalized_arrays(
-            coeffs.p_fn(nodes), coeffs.p_prime_fn(nodes), coeffs.w_fn(nodes), delta
-        )
+        fields = coeffs.fields_fn(nodes)
+        p0, p1, p2 = _generalized_arrays(fields["p"], fields["p_prime"], fields["w"], delta)
         p0, p1, p2 = p0.tolist(), p1.tolist(), p2.tolist()
         values[seed_nodes[0]] = seeds[0]
         values[seed_nodes[1]] = seeds[1]

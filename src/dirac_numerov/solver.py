@@ -9,7 +9,11 @@ solver
    a region bounded by forbidden zones on both sides. An allowed region
    attached to the inner grid boundary is the fall-to-center funnel of the
    supersingular 1/r^(D-2) attraction (D >= 4), not a bound-state well, and
-   certifies "no turning point" exactly as a dense evaluation of V does,
+   certifies "no turning point" exactly as a dense evaluation of V does.
+   For that potential the sign of tau - V is the sign of a polynomial whose
+   negative leading term wins past a radius in closed form
+   (:func:`_allowed_radius_bound`), so only the grid prefix below it is
+   tested, a few percent of the nodes at most,
 3. propagates from both ends to the island's outer turning node and forms
    the log-derivative mismatch Delta(eta); the two solutions are needed only
    at nodes m-1, m, m+1, so :func:`numerov.match_samples` obtains them from
@@ -178,23 +182,6 @@ def _island_match_index(pos: np.ndarray, min_nodes: int) -> int | None:
     return None
 
 
-def find_match_point(coeffs: CoefficientSet, tau_prime: float, grid: RadialGrid):
-    """Outermost turning radius where the energy level crosses V on the grid.
-
-    Returns the node position rho just outside the outermost interior
-    classically-allowed island of ``tau_prime - v_fn``, or None when no such
-    island exists (either the level never reaches the potential well, or the
-    only allowed region is the fall-to-center funnel attached to the inner
-    cutoff and there is no bound-state well at all).
-
-    The solver passes the coefficient set's own ``match_level`` here.
-    """
-    nodes = grid.nodes()
-    g = tau_prime - np.asarray(coeffs.v_fn(nodes), dtype=float)
-    m = _island_match_index(g > 0.0, min_nodes=3)
-    return None if m is None else float(nodes[m])
-
-
 @lru_cache(maxsize=32)
 def _ansatz1_potential(grid: RadialGrid, gamma2: float, sigma: float):
     """V nodes and their minimum for the 1/r family (energy-independent)."""
@@ -205,7 +192,7 @@ def _ansatz1_potential(grid: RadialGrid, gamma2: float, sigma: float):
 
 
 @lru_cache(maxsize=32)
-def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float):
+def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float, size: int):
     """Energy-independent arrays for the sign of tau - V, 1/r^(D-2) plus branch.
 
     With Q = rho^(D-2) q, den = c rho^(D-3) + A (both positive for K > 0),
@@ -217,11 +204,15 @@ def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float):
 
     s0 = rho^(D-2)/4 - rho^(D-3)/2 + K^2 rho^(D-4),  u = rho^(D-4)/rho^(2(D-3)).
 
-    Division-free, so a 2000-point certification scan stays fast.
+    Division-free, and built only for the first ``size`` nodes: the sign test
+    never looks past the bound of :func:`_allowed_radius_bound`, a few
+    percent of the grid at most, so the callers pass that prefix length
+    rounded up to a power of two (the cache then holds a handful of short
+    arrays per dimension, not five full-grid ones).
     """
     from .coefficients import _rho_powers
 
-    rho = grid.nodes()
+    rho = grid.nodes()[:size]
     r_d3, r_d4, r_2d6, r_d2 = _rho_powers(rho, d)
     dm3 = d - 3
     s0 = r_d2 / 4.0 - r_d3 / 2.0 + (kval * kval) * r_d4
@@ -238,8 +229,81 @@ def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float):
     return basis
 
 
+def _polynomial_tail(coeffs: CoefficientSet):
+    """(coefficient, power) terms of P = H rho^(D-2) beyond its leading part.
+
+    With e = D - 3 and lam_e = ``lambda_d3``,
+
+        P = -c rho^(3e) (rho^2/4 - rho/2 + K^2) - (A/4) rho^(2e+2)
+            + (c tau + (e+1) A/2) rho^(2e+1) + (c e tau - A K^2) rho^(2e)
+            + A tau rho^(e+1) + c A^2 lam_e rho^e + A^3 lam_e,
+
+    a polynomial of degree 3D - 7; this returns every term after the first.
+    """
+    e = coeffs.dimension - 3
+    c, a, tau = coeffs.c_const, coeffs.a_const, coeffs.match_level
+    kk = coeffs.k_value * coeffs.k_value
+    lam = coeffs.lambda_d3
+    return (
+        (-0.25 * a, 2 * e + 2),
+        (c * tau + 0.5 * (e + 1) * a, 2 * e + 1),
+        (c * e * tau - a * kk, 2 * e),
+        (a * tau, e + 1),
+        (c * a * a * lam, e),
+        (a * a * a * lam, 0),
+    )
+
+
+def _allowed_radius_bound(coeffs: CoefficientSet) -> float:
+    """Radius R past which tau - V < 0 (1/r^(D-2) plus branch, c > 0), else inf.
+
+    rho^2/4 - rho/2 + K^2 - (1 - 1/(4K^2)) rho^2/4 = (rho/(4K) - K)^2 >= 0, so
+    the leading part of P is at most -L rho^(3e+2) with L = (c/4)(1 - 1/(4K^2)).
+    Each of the N positive tail terms a_k rho^k stays below L rho^(3e+2)/N once
+    rho > (N a_k / L)^(1/(3e+2-k)), so P < 0 beyond the largest of these. The
+    bound needs K^2 > 1/4; otherwise it is infinite.
+    """
+    kk = coeffs.k_value * coeffs.k_value
+    if kk <= 0.25:
+        return math.inf
+    lead = 0.25 * coeffs.c_const * (1.0 - 0.25 / kk)
+    top = 3 * (coeffs.dimension - 3) + 2
+    positive = [(coef, k) for coef, k in _polynomial_tail(coeffs) if coef > 0.0]
+    n_terms = len(positive)
+    return max((n_terms * coef / lead) ** (1.0 / (top - k)) for coef, k in positive)
+
+
+def _gauss_allowed(coeffs: CoefficientSet, grid: RadialGrid, stop: int) -> np.ndarray:
+    """Allowed-node flags (H > 0) of the first ``stop`` nodes, 1/r^(D-2) plus branch."""
+    size = min(grid.n_points, 1 << (stop - 1).bit_length())
+    basis = _island_basis(grid, coeffs.dimension, coeffs.k_value, coeffs.a_const, size)
+    r34, s0r3, ur3, s0m, u = (arr[:stop] for arr in basis)
+    a2l = coeffs.a_const * coeffs.a_const * coeffs.lambda_d3
+    # two scratch arrays, explicit out=: avoid temporary churn in the
+    # certification scans' hot loop
+    h_sign = np.multiply(r34, coeffs.match_level * coeffs.c_const)
+    tmp = np.multiply(ur3, a2l * coeffs.c_const)
+    np.add(h_sign, tmp, out=h_sign)
+    np.multiply(s0r3, coeffs.c_const, out=tmp)
+    np.subtract(h_sign, tmp, out=h_sign)
+    np.multiply(u, a2l * coeffs.a_const, out=tmp)
+    np.add(h_sign, tmp, out=h_sign)
+    np.multiply(s0m, coeffs.a_const, out=tmp)
+    np.add(h_sign, tmp, out=h_sign)
+    h_sign += coeffs.a_const * coeffs.match_level
+    return h_sign > 0.0
+
+
 def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> int | None:
-    """Island detection with fast paths for the two production families."""
+    """Island detection with fast paths for the two production families.
+
+    The 1/r^(D-2) plus branch tests only the nodes up to the bound of
+    :func:`_allowed_radius_bound` plus three: every node past it is forbidden,
+    and the three keep the centred stencil of an island ending at the bound
+    inside the prefix, so the match index equals the full-grid one. A prefix
+    whose last node is still allowed (rounding at the bound) is widened to the
+    whole grid.
+    """
     level = coeffs.match_level
     if coeffs.c_const == 0.0:  # 1/r family: V does not depend on the energy
         sigma = 1.0 if coeffs.branch == "plus" else -1.0
@@ -249,23 +313,15 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
             return None
         return _island_match_index(level > v_nodes, min_nodes)
     if coeffs.branch == "plus" and coeffs.k_value > 0.0 and coeffs.a_const > 0.0:
-        r34, s0r3, ur3, s0m, u = _island_basis(
-            grid, coeffs.dimension, coeffs.k_value, coeffs.a_const
-        )
-        a2l = coeffs.a_const * coeffs.a_const * coeffs.lambda_d3
-        # two scratch arrays, explicit out=: this sign test dominates the
-        # certification scans, so avoid temporary churn
-        h_sign = np.multiply(r34, level * coeffs.c_const)
-        tmp = np.multiply(ur3, a2l * coeffs.c_const)
-        np.add(h_sign, tmp, out=h_sign)
-        np.multiply(s0r3, coeffs.c_const, out=tmp)
-        np.subtract(h_sign, tmp, out=h_sign)
-        np.multiply(u, a2l * coeffs.a_const, out=tmp)
-        np.add(h_sign, tmp, out=h_sign)
-        np.multiply(s0m, coeffs.a_const, out=tmp)
-        np.add(h_sign, tmp, out=h_sign)
-        h_sign += coeffs.a_const * level
-        return _island_match_index(h_sign > 0.0, min_nodes)
+        n = grid.n_points
+        bound = _allowed_radius_bound(coeffs)
+        stop = n
+        if bound < grid.rho_max:
+            stop = min(n, max(0, math.ceil((bound - grid.rho_min) / grid.step)) + 4)
+        allowed = _gauss_allowed(coeffs, grid, stop)
+        if allowed[-1] and stop < n:
+            allowed = _gauss_allowed(coeffs, grid, n)
+        return _island_match_index(allowed, min_nodes)
     g = level - np.asarray(coeffs.v_fn(grid.nodes()), dtype=float)
     return _island_match_index(g > 0.0, min_nodes)
 
@@ -294,6 +350,17 @@ def _boundary_seeds(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
     return inner, outer
 
 
+def _generalized_recurrence(coeffs: CoefficientSet, nodes: np.ndarray, h: float):
+    """(w, p0, p1, p2) of the generalized scheme from one evaluation of the fields.
+
+    p and p' are dropped on return, so they are not held while the caller
+    propagates.
+    """
+    fields = coeffs.fields_fn(nodes)
+    w = fields["w"]
+    return (w, *_generalized_arrays(fields["p"], fields["p_prime"], w, h))
+
+
 def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
     """Sweep from both boundaries to the match node m, node by node.
 
@@ -317,9 +384,7 @@ def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: 
         _numerov_sweep_lr(f, left, 1, m + 1)
         _numerov_sweep_rl(f, right, n - 2, m - 1)
     else:
-        p0, p1, p2 = _generalized_arrays(
-            coeffs.p_fn(nodes), coeffs.p_prime_fn(nodes), coeffs.w_fn(nodes), h
-        )
+        _, p0, p1, p2 = _generalized_recurrence(coeffs, nodes, h)
         p0, p1, p2 = p0.tolist(), p1.tolist(), p2.tolist()
         _general_sweep_lr(p0, p1, p2, left, 1, m + 1)
         _general_sweep_rl(p0, p1, p2, right, n - 2, m - 1)
@@ -355,8 +420,7 @@ def _mismatch_at_match(coeffs, grid, m, scheme) -> float:
         f = _canonical_factors(u, h)
         lower, upper = f[:-2], f[2:]
     else:
-        u = np.asarray(coeffs.w_fn(nodes), dtype=float)
-        p0, _, p2 = _generalized_arrays(coeffs.p_fn(nodes), coeffs.p_prime_fn(nodes), u, h)
+        u, p0, _, p2 = _generalized_recurrence(coeffs, nodes, h)
         lower, upper = p0[1:-1], p2[1:-1]
     inner, outer = _boundary_seeds(coeffs, grid, scheme)
     left, right = match_samples(lower, upper, _three_point_sum(u, h), m, (0.0, inner), outer)

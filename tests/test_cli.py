@@ -6,9 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from dirac_numerov import solver
+from dirac_numerov import analytic, solver
+from dirac_numerov.core import EigenResult
 from dirac_numerov.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERICAL, EXIT_OK, main
-from dirac_numerov.errors import NonFiniteValue
+from dirac_numerov.errors import ConfigError, NonFiniteValue
 from dirac_numerov.manifest import RunManifest, format_float, render_csv
 
 
@@ -252,8 +253,40 @@ def test_table1_passes(tmp_path, capsys):
         assert abs(eps[d] - value) < 5e-3, d
 
 
+def _table1_solver(kind):
+    """A stand-in ground-state search that misses the table in the given way."""
+
+    def search(config, settings):
+        if kind == "raises-numerical":
+            raise NonFiniteValue("non-finite samples at the match node")
+        if kind == "raises-config":
+            raise ConfigError("grid would need too many nodes")
+        if kind == "not-found":
+            return EigenResult(found=False, eta_star=None, epsilon_ev=None, match_rho=None,
+                               mismatch_residual=math.nan, verdict_reason="no sign change")
+        eta = analytic.analytic_energy(config).energy_ratio - 1e-6  # off tolerance
+        return EigenResult(found=True, eta_star=eta, epsilon_ev=-(1.0 - eta) * config.mass,
+                           match_rho=5.0, mismatch_residual=1e-9)
+
+    return search
+
+
+@pytest.mark.parametrize("kind,code,label", [
+    ("off-tolerance", EXIT_NUMERICAL, "detail: |dE/M|"),
+    ("not-found", EXIT_NUMERICAL, "no sign change"),
+    ("raises-numerical", EXIT_NUMERICAL, "numerical failure"),
+    ("raises-config", EXIT_CONFIG, "configuration error"),
+])
+def test_table1_failure_exit_codes(monkeypatch, capsys, kind, code, label):
+    monkeypatch.setattr(solver, "solve_ground_state", _table1_solver(kind))
+    assert main(["table1", "--threads", "1"]) == code
+    printed = capsys.readouterr().out
+    assert printed.count("FAIL") == 7 and label in printed
+
+
 def test_selftest(capsys):
     assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert "Gauss-law D = 5" in out
     assert "scheme diagnostic" in out

@@ -34,14 +34,16 @@ def make_set(p=None, p_prime=None, w=None, weight=None, factor=None, **kw):
     """Synthetic coefficient bundle for controlled integrator tests."""
     zero = lambda rho: np.zeros_like(np.asarray(rho, dtype=float)) + 0.0
     one = lambda rho: np.ones_like(np.asarray(rho, dtype=float))
+    p, p_prime, w = p or zero, p_prime or zero, w or zero
     fields = dict(
-        p_fn=p or zero,
+        fields_fn=lambda rho: {"p": p(rho), "p_prime": p_prime(rho), "w": w(rho)},
+        p_fn=p,
         q_fn=one,
         v_fn=zero,
         s_fn=zero,
-        w_fn=w or zero,
-        p_prime_fn=p_prime or zero,
-        weight_fn=weight or w or zero,
+        w_fn=w,
+        p_prime_fn=p_prime,
+        weight_fn=weight or w,
         integrating_factor_fn=factor or one,
         match_level=0.0,
         turning_scale=1.0,

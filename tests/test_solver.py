@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,20 +19,25 @@ from dirac_numerov import (
     dimension_scan,
     dimensionless_state,
     eigenfunction,
-    find_match_point,
     mismatch,
     mismatch_scan,
     reconstruct_fg,
     solve_ground_state,
 )
+from dirac_numerov import solver
 from dirac_numerov.errors import ConfigError, EtaOutOfRange
 from dirac_numerov.numerov import Scheme
 from dirac_numerov.solver import (
+    _allowed_radius_bound,
+    _gauss_allowed,
+    _island_basis,
     _island_match_index,
     _log_derivative_gap,
     _match_index,
     _mismatch_at_match,
+    _polynomial_tail,
     _propagate_halves,
+    _scan_etas,
 )
 
 
@@ -49,8 +55,10 @@ def test_match_point_d3_ground_state():
     eta = analytic_energy(PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)).energy_ratio
     coeffs, _ = _coeffs_at(3, Ansatz.ONE_OVER_R, eta)
     grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=50001)
-    rho_m = find_match_point(coeffs, coeffs.match_level, grid)
-    assert rho_m is not None and 0.0 < rho_m < 50.0
+    m = _match_index(coeffs, grid, 3)
+    assert m is not None
+    rho_m = float(grid.nodes()[m])
+    assert 0.0 < rho_m < 50.0
     # dense-grid oracle: outermost crossing of the smooth effective potential
     dense = np.linspace(1e-6, 50.0, 1_000_000)
     gap = coeffs.match_level - coeffs.v_fn(dense)
@@ -65,9 +73,9 @@ def test_match_point_d3_ground_state():
 def test_match_point_none_when_level_below_well():
     coeffs, _ = _coeffs_at(3, Ansatz.ONE_OVER_R, 0.9)
     grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=5001)
-    assert find_match_point(coeffs, coeffs.match_level, grid) is None
+    assert _match_index(coeffs, grid, 3) is None
     # constant level far above/below any crossing
-    assert find_match_point(coeffs, -50.0, grid) is None
+    assert _match_index(replace(coeffs, match_level=-50.0), grid, 3) is None
 
 
 def test_match_point_none_for_gauss_law_d5():
@@ -75,7 +83,7 @@ def test_match_point_none_for_gauss_law_d5():
     # (fall-to-center funnel); there is no interior island to match at
     coeffs, _ = _coeffs_at(5, Ansatz.GENERALIZED, 0.999)
     grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=50001)
-    assert find_match_point(coeffs, coeffs.match_level, grid) is None
+    assert _match_index(coeffs, grid, 3) is None
     nodes = grid.nodes()
     gap = coeffs.match_level - coeffs.v_fn(nodes)
     allowed = np.flatnonzero(gap > 0.0)
@@ -112,6 +120,106 @@ def test_fast_island_paths_agree_with_generic():
             (coeffs.match_level - coeffs.v_fn(grid.nodes())) > 0.0, 3
         )
         assert fast == generic, (d, eta, ansatz)
+
+
+_BASE = SolverSettings()
+CRITERION_4_VARIANTS = {
+    "default": _BASE,
+    "double-resolution": SolverSettings(scan_points=2 * _BASE.scan_points),
+    "wide-window": SolverSettings(eta_window=(0.01, 1.0 - 1e-12)),
+    "refined-grid": SolverSettings(grid_a=_BASE.grid_a / 2.0, grid_b_scale=2.0,
+                                   grid_delta=_BASE.grid_delta / 2.0),
+}
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_prefix_island_test_matches_full_grid(d):
+    # every scan energy of acceptance criterion 4's variants; at D = 3 the
+    # window reaches grids of millions of nodes, which are skipped. The bound
+    # must hold at each energy, not only leave the match node unchanged: past
+    # it a D >= 4 funnel would only widen the prefix to the whole grid
+    config = PhysicalConfig(dimension=d, ell=0, ansatz=Ansatz.GENERALIZED)
+    compared = 0
+    for name, settings in CRITERION_4_VARIANTS.items():
+        for eta in _scan_etas(settings.eta_window, settings.scan_points):
+            coeffs = build_coefficients(dimensionless_state(config, float(eta)), config)
+            try:
+                grid = settings.resolve_grid(coeffs.turning_scale)
+            except ConfigError:
+                continue
+            if grid.n_points > 300_000:
+                continue
+            allowed = _gauss_allowed(coeffs, grid, grid.n_points)
+            cut = np.searchsorted(grid.nodes(), _allowed_radius_bound(coeffs), side="right")
+            assert not allowed[cut:].any(), (name, float(eta))
+            m = _match_index(coeffs, grid, settings.min_island_nodes)
+            assert m == _island_match_index(allowed, settings.min_island_nodes), (name, float(eta))
+            compared += 1
+    assert compared >= 7000
+
+
+def test_prefix_island_test_matches_full_grid_in_bisection(monkeypatch):
+    # the D = 3 Gauss-law solve bisects inside a real island: check every
+    # energy it evaluates, including each bisection step
+    checked = []
+
+    def checking(coeffs, grid, min_nodes):
+        m = _match_index(coeffs, grid, min_nodes)
+        full = _island_match_index(_gauss_allowed(coeffs, grid, grid.n_points), min_nodes)
+        assert m == full, coeffs.eta
+        checked.append(m)
+        return m
+
+    monkeypatch.setattr(solver, "_match_index", checking)
+    result = solve_ground_state(PhysicalConfig(dimension=3, ansatz=Ansatz.GENERALIZED))
+    assert result.found
+    assert len(checked) > len(result.scan_trace)  # bisection energies are included
+    assert sum(m is not None for m in checked) > 100
+
+
+def _polynomial(coeffs, rho):
+    """P(rho) = H rho^(D-2) term by term, and the sum of the terms' magnitudes."""
+    e = coeffs.dimension - 3
+    c, kk = coeffs.c_const, coeffs.k_value**2
+    terms = [-0.25 * c * rho ** (3 * e + 2), 0.5 * c * rho ** (3 * e + 1), -c * kk * rho ** (3 * e)]
+    terms += [coef * rho**k for coef, k in _polynomial_tail(coeffs)]
+    return sum(terms), sum(np.abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_sign_polynomial_matches_island_basis(d, ell):
+    grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=50001)
+    index = np.unique(np.geomspace(1, grid.n_points - 1, 200).astype(int))
+    rho = grid.nodes()[index]
+    for eta in (0.05, 0.5, 0.9, 0.999, 0.999999, 1.0 - 1e-9):
+        config = PhysicalConfig(dimension=d, ell=ell, ansatz=Ansatz.GENERALIZED)
+        coeffs = build_coefficients(dimensionless_state(config, eta), config)
+        r34, s0r3, ur3, s0m, u = (arr[index] for arr in
+                                  _island_basis(grid, d, coeffs.k_value, coeffs.a_const,
+                                                grid.n_points))
+        c, a, tau = coeffs.c_const, coeffs.a_const, coeffs.match_level
+        a2l = a * a * coeffs.lambda_d3
+        h = c * (tau * r34 - s0r3 + a2l * ur3) + a * (tau + s0m + a2l * u)
+        p, scale = _polynomial(coeffs, rho)
+        power = rho ** (d - 2)
+        assert np.all(np.abs(p / power - h) <= 1e-12 * scale / power), (eta,)
+
+
+@hypothesis_settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(eta=st.floats(min_value=0.01, max_value=1.0 - 1e-12),
+       d=st.integers(min_value=4, max_value=10),
+       ell=st.integers(min_value=0, max_value=2))
+def test_no_allowed_node_past_the_bound(eta, d, ell):
+    config = PhysicalConfig(dimension=d, ell=ell, ansatz=Ansatz.GENERALIZED)
+    coeffs = build_coefficients(dimensionless_state(config, eta), config)
+    grid = SolverSettings().resolve_grid(coeffs.turning_scale)
+    past = grid.nodes() > _allowed_radius_bound(coeffs)
+    assert past.any()
+    assert not _gauss_allowed(coeffs, grid, grid.n_points)[past].any()
+    # the same from the literal level - V, node by node
+    gap = coeffs.match_level - coeffs.v_fn(grid.nodes()[past])
+    assert np.all(gap <= 0.0)
 
 
 # ---------------------------------------------------------------------------
