@@ -8,10 +8,8 @@ reference results used to validate it.
 
 from .analytic import AnalyticLevel, analytic_energy, analytic_ground_wavefunction_d3, hyp1f1
 from .coefficients import (
-    CanonicalForm,
     CoefficientSet,
     build_coefficients,
-    canonical_weight,
     coefficient_set,
     coefficient_set_ansatz1,
     coupling_xi,
@@ -59,7 +57,6 @@ __version__ = TOOL_VERSION
 __all__ = [
     "AnalyticLevel",
     "Ansatz",
-    "CanonicalForm",
     "CoefficientSet",
     "DimensionlessState",
     "Direction",
@@ -81,7 +78,6 @@ __all__ = [
     "analytic_ground_wavefunction_d3",
     "build_coefficients",
     "canonical_step",
-    "canonical_weight",
     "coefficient_set",
     "coefficient_set_ansatz1",
     "coupling_xi",

@@ -62,21 +62,23 @@ _OPTION_TYPES = {
     "mass": float,
 }
 
+_SOLVER_DEFAULTS = solver.SolverSettings()
+
 _DEFAULTS = {
     "dimension": 3,
     "ell": 0,
     "ansatz": 2,
     "d-min": 4,
     "d-max": 10,
-    "eta-min": 0.5,
-    "eta-max": 1.0 - 1e-9,
-    "grid-a": 1e-6,
-    "grid-b": None,
-    "grid-delta": 1e-3,
-    "scan-points": 2000,
-    "mismatch-tol": 1e-8,
-    "root-tol": 1e-12,
-    "scheme": "canonical",
+    "eta-min": _SOLVER_DEFAULTS.eta_window[0],
+    "eta-max": _SOLVER_DEFAULTS.eta_window[1],
+    "grid-a": _SOLVER_DEFAULTS.grid_a,
+    "grid-b": _SOLVER_DEFAULTS.grid_b,
+    "grid-delta": _SOLVER_DEFAULTS.grid_delta,
+    "scan-points": _SOLVER_DEFAULTS.scan_points,
+    "mismatch-tol": _SOLVER_DEFAULTS.mismatch_tol,
+    "root-tol": _SOLVER_DEFAULTS.root_tol,
+    "scheme": _SOLVER_DEFAULTS.scheme.value,
     "threads": None,
     "output": None,
     "format": "csv",

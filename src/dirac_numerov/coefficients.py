@@ -87,10 +87,13 @@ class CoefficientSet:
     All callables accept scalars or numpy arrays of rho > 0. ``fields_fn``
     returns every field (keys ``p``, ``p_prime``, ``q``, ``s``, ``v``, ``w``)
     from one evaluation; the single-field callables each evaluate them all
-    and keep one. ``match_level`` is the energy-side constant paired with
-    ``v_fn`` in w = q (level - V);
-    ``turning_scale`` sets the outermost turning radius (~ 4 * turning_scale)
-    and drives the automatic grid sizing. ``indicial_exponent`` is the
+    and keep one. ``weight_fn`` is the weight W = w - p^2/4 - p'/2 of the
+    first-derivative-free form chi'' + W chi = 0, and ``integrating_factor_fn``
+    the closed-form exp(-1/2 int p) with phi = factor * chi, so no quadrature
+    error enters the canonical scheme. ``match_level`` is the energy-side
+    constant paired with ``v_fn`` in w = q (level - V); ``turning_scale``
+    sets the outermost turning radius (~ 4 * turning_scale) and drives the
+    automatic grid sizing. ``indicial_exponent`` is the
     positive small-rho exponent of the regular solution where one exists
     (None in the fall-to-center regime). ``singular_power`` is the power in
     V = s / (rho^power q).
@@ -118,24 +121,6 @@ class CoefficientSet:
     lambda_d3: float
     xi: float
     eta: float
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """First-derivative-free reduction chi'' + W chi = 0 with phi = factor * chi."""
-
-    weight: Callable
-    integrating_factor: Callable
-
-
-def canonical_weight(coeffs: CoefficientSet) -> CanonicalForm:
-    """Canonical-form weight W = w - p^2/4 - p'/2 and its integrating factor.
-
-    The integrating factor exp(-1/2 int p d rho) is evaluated in closed form,
-    (den / rho^(D-2))^(1/2) up to normalization, so no quadrature error enters
-    the canonical path.
-    """
-    return CanonicalForm(weight=coeffs.weight_fn, integrating_factor=coeffs.integrating_factor_fn)
 
 
 def _as_float_array(rho):
@@ -315,13 +300,26 @@ def coefficient_set(
     )
 
 
+def ansatz1_potential(rho, gamma2, sigma):
+    """V = s = rho/4 - sigma/2 + (K^2 - xi^2)/rho of the 1/r potential (energy-independent)."""
+    return rho / 4.0 - sigma * 0.5 + gamma2 / rho
+
+
+def ansatz1_weight(rho, v, tau):
+    """Canonical weight W = (tau - V)/rho + 1/(4 rho^2) of the 1/r potential from its V.
+
+    With p = 1/rho, -p^2/4 - p'/2 = +1/(4 rho^2) and w = (tau - V)/rho.
+    """
+    return (tau - v) / rho + 0.25 / (rho * rho)
+
+
 def ansatz1_fields(rho, gamma2, tau, sigma):
     """p, p', q, s, V, w for the 1/r potential (three-dimensional structure, any D)."""
     arr, scalar = _as_float_array(rho)
     p = 1.0 / arr
     p_prime = -1.0 / (arr * arr)
     q = 1.0 / arr
-    s = arr / 4.0 - sigma * 0.5 + gamma2 / arr
+    s = ansatz1_potential(arr, gamma2, sigma)
     v = s
     w = (tau - s) / arr
     out = {"p": p, "p_prime": p_prime, "q": q, "s": s, "v": v, "w": w}
@@ -362,11 +360,8 @@ def coefficient_set_ansatz1(
         return fn
 
     def weight_fn(rho):
-        f = fields_fn(rho)
-        # with p = 1/rho: -p^2/4 - p'/2 = +1/(4 rho^2)
         arr, scalar = _as_float_array(rho)
-        out = f["w"] + 1.0 / (4.0 * arr * arr)
-        return _maybe_scalar(out, scalar)
+        return _maybe_scalar(ansatz1_weight(arr, ansatz1_potential(arr, gamma2, sigma), tau), scalar)
 
     def integrating_factor_fn(rho):
         arr, scalar = _as_float_array(rho)

@@ -36,10 +36,15 @@ A = f[i-1], C = f[i+1] for the canonical scheme; u = w, A = p0, C = p2 for
 the generalized one, where p0 + p2 - p1 equals that sum exactly), so the
 small difference A - B + C is never formed by cancellation. In a forbidden
 region S < 0 and the matrices share a checkerboard sign pattern, so their
-products add terms of one sign. The outward direction is the same kernel on
-reversed arrays with A and C swapped. A level whose entries pass 1e100 is
-renormalized matrix by matrix by exact powers of two; that changes only the
-common scale of the three samples.
+products add terms of one sign. The first level is formed from g = S/A and
+r = C/A alone, divided straight into its output, with the signs of the
+entries -r folded into its sums; the four rows of factor matrices are never
+stored, and its entries equal those of the general level bit for bit. The
+outward direction is the same kernel on reversed arrays with A and C
+swapped. Each level is tested for overflow with one max and one min; a
+level with an entry past 1e100 is renormalized matrix by matrix by exact
+powers of two (the per-matrix exponents are taken only then), which changes
+only the common scale of the three samples.
 
 Of the solver's paths only ``solver.eigenfunction`` needs every node; it,
 ``propagate`` and ``scheme_report`` use the sequential sweeps below, which
@@ -111,11 +116,18 @@ class PropagationResult:
 # scalar step operations
 
 
-def _generalized_p012(p, p_prime, w_prev, w_here, w_next, delta):
+def _generalized_p02(p, p_prime, w_prev, w_next, delta):
+    """The outer step coefficients p0 and p2 (the transfer product needs no p1)."""
     h2_12 = delta * delta / 12.0
     p0 = 1.0 - p * delta / 2.0 + (w_prev + p_prime) * h2_12
-    p1 = 2.0 * (1.0 - (w_here - p_prime / 5.0) * 5.0 * h2_12)
     p2 = 1.0 + p * delta / 2.0 + (w_next + p_prime) * h2_12
+    return p0, p2
+
+
+def _generalized_p012(p, p_prime, w_prev, w_here, w_next, delta):
+    h2_12 = delta * delta / 12.0
+    p0, p2 = _generalized_p02(p, p_prime, w_prev, w_next, delta)
+    p1 = 2.0 * (1.0 - (w_here - p_prime / 5.0) * 5.0 * h2_12)
     return p0, p1, p2
 
 
@@ -266,35 +278,77 @@ def _three_point_sum(u, delta):
     return (delta * delta / 12.0) * (u[:-2] + 10.0 * u[1:-1] + u[2:])
 
 
+def _first_level(lower, upper, s):
+    """Pairwise products M_0 M_1, M_2 M_3, ... of M_j = [[1 - g, -r], [g, r]].
+
+    g = s/lower and r = upper/lower (k >= 1 of each). Returns a
+    (2, 2, ceil(k/2)) array whose [i, j] holds entry (i, j) of every product,
+    an odd last matrix carried unchanged. g and r of the even (x) and odd (y) factors are
+    divided straight into the result's rows, which are then overwritten in
+    place; with the signs of -r folded into the sums the entries are
+    bit-identical to the general level's products of the factors' rows,
+    which are never built.
+    """
+    k = s.shape[0]
+    half = k // 2
+    even, odd = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
+    t = np.empty((2, 2, half + k % 2))
+    (a, b), (c, d) = t[:, :, :half]
+    gy = np.divide(s[odd], lower[odd], out=a)
+    ry = np.divide(upper[odd], lower[odd], out=b)
+    gx = np.divide(s[even], lower[even], out=c)
+    rx = np.divide(upper[even], lower[even], out=d)
+    rg = rx * gy
+    rr = rx * ry
+    np.multiply(gx, ry, out=d)
+    np.subtract(rr, d, out=d)      # d = g_x (-r_y) + r_x r_y
+    ex = 1.0 - gx
+    ey = np.subtract(1.0, gy, out=a)
+    c *= ey
+    c += rg                        # c = g_x (1 - g_y) + r_x g_y
+    a *= ex
+    a -= rg                        # a = (1 - g_x)(1 - g_y) + (-r_x) g_y
+    b *= ex
+    np.negative(b, out=b)
+    b -= rr                        # b = (1 - g_x)(-r_y) + (-r_x) r_y
+    if k % 2:
+        g, r = s[-1] / lower[-1], upper[-1] / lower[-1]
+        t[:, :, half] = (1.0 - g, -r), (g, r)
+    return t
+
+
 def _transfer_product(lower, upper, s):
     """Ordered product M_0 M_1 ... M_(k-1) of M_j = [[1 - g, -r], [g, r]].
 
     g = s/lower and r = upper/lower, elementwise. Returns the product's
     entries (row-major) up to a positive power-of-two scale. Neighbouring
-    pairs are multiplied level by level; an odd last matrix is carried to the
-    next level unchanged.
+    pairs are multiplied level by level, the first by :func:`_first_level`;
+    an odd last matrix is carried to the next level unchanged. A level with
+    an entry past the threshold is renormalized matrix by matrix.
     """
-    g = s / lower
-    r = upper / lower
-    t = np.stack((1.0 - g, -r, g, r))
-    while t.shape[1] > 1:
-        half = t.shape[1] // 2
-        x = t[:, 0 : 2 * half : 2]
-        y = t[:, 1 : 2 * half : 2]
-        nxt = np.empty((4, half + t.shape[1] % 2))
-        nxt[0, :half] = x[0] * y[0] + x[1] * y[2]
-        nxt[1, :half] = x[0] * y[1] + x[1] * y[3]
-        nxt[2, :half] = x[2] * y[0] + x[3] * y[2]
-        nxt[3, :half] = x[2] * y[1] + x[3] * y[3]
-        if nxt.shape[1] > half:
-            nxt[:, half] = t[:, -1]
-        peak = np.abs(nxt).max(axis=0)
-        if peak.max() > RESCALE_THRESHOLD:
-            nxt = np.ldexp(nxt, -np.frexp(peak)[1])
-        t = nxt
-    if t.shape[1] == 0:
+    k = s.shape[0]
+    if k == 0:
         return 1.0, 0.0, 0.0, 1.0
-    return tuple(float(v) for v in t[:, 0])
+    t = _first_level(lower, upper, s)
+    if k == 1:  # a lone factor is no product: it is not renormalized
+        return tuple(float(v) for v in t.ravel())
+    while True:
+        # one max and one min per level; the per-matrix exponents only when needed
+        if t.max() > RESCALE_THRESHOLD or t.min() < -RESCALE_THRESHOLD:
+            t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(0, 1)))[1])
+        if t.shape[2] == 1:
+            return tuple(float(v) for v in t.ravel())
+        half = t.shape[2] // 2
+        x = t[:, :, 0 : 2 * half : 2]
+        y = t[:, :, 1 : 2 * half : 2]
+        nxt = np.empty((2, 2, half + t.shape[2] % 2))
+        prod = nxt[:, :, :half]
+        # entry (i, j) = x[i, 0] y[0, j] + x[i, 1] y[1, j], all four at once
+        np.multiply(x[:, 0, None], y[None, 0], out=prod)
+        prod += x[:, 1, None] * y[None, 1]
+        if half < nxt.shape[2]:
+            nxt[:, :, half] = t[:, :, -1]
+        t = nxt
 
 
 def _inward_samples(lower, upper, s, k, y_end, y_next):

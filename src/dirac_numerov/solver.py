@@ -19,7 +19,9 @@ solver
    at nodes m-1, m, m+1, so :func:`numerov.match_samples` obtains them from
    a tree-reduced product of the recurrence's 2x2 transfer matrices instead
    of a node-by-node sweep (only :func:`eigenfunction`, which needs every
-   node, sweeps),
+   node, sweeps). For the 1/r family the canonical weight
+   W = (tau - V)/rho + 1/(4 rho^2) is formed from the V cached per grid for
+   step 2, not from a fresh evaluation of the coefficient fields,
 4. bisects every sign change of Delta, accepting a root only when the final
    |Delta| passes the mismatch tolerance (log-derivative poles also flip the
    sign but never pass).
@@ -40,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import CoefficientSet, build_coefficients
+from .coefficients import CoefficientSet, ansatz1_potential, ansatz1_weight, build_coefficients
 from .core import (
     Ansatz,
     EigenResult,
@@ -58,6 +60,7 @@ from .numerov import (
     _general_sweep_lr,
     _general_sweep_rl,
     _generalized_arrays,
+    _generalized_p02,
     _numerov_sweep_lr,
     _numerov_sweep_rl,
     _three_point_sum,
@@ -185,10 +188,16 @@ def _island_match_index(pos: np.ndarray, min_nodes: int) -> int | None:
 @lru_cache(maxsize=32)
 def _ansatz1_potential(grid: RadialGrid, gamma2: float, sigma: float):
     """V nodes and their minimum for the 1/r family (energy-independent)."""
-    rho = grid.nodes()
-    v = rho / 4.0 - sigma * 0.5 + gamma2 / rho
+    v = ansatz1_potential(grid.nodes(), gamma2, sigma)
     v.setflags(write=False)
     return v, float(v.min())
+
+
+def _ansatz1_nodes(coeffs: CoefficientSet, grid: RadialGrid):
+    """The cached (V nodes, min V) of a 1/r-family coefficient set on ``grid``."""
+    sigma = 1.0 if coeffs.branch == "plus" else -1.0
+    gamma2 = coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi
+    return _ansatz1_potential(grid, gamma2, sigma)
 
 
 @lru_cache(maxsize=32)
@@ -306,9 +315,7 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
     """
     level = coeffs.match_level
     if coeffs.c_const == 0.0:  # 1/r family: V does not depend on the energy
-        sigma = 1.0 if coeffs.branch == "plus" else -1.0
-        gamma2 = coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi
-        v_nodes, v_min = _ansatz1_potential(grid, gamma2, sigma)
+        v_nodes, v_min = _ansatz1_nodes(coeffs, grid)
         if level <= v_min:
             return None
         return _island_match_index(level > v_nodes, min_nodes)
@@ -351,14 +358,18 @@ def _boundary_seeds(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
 
 
 def _generalized_recurrence(coeffs: CoefficientSet, nodes: np.ndarray, h: float):
-    """(w, p0, p1, p2) of the generalized scheme from one evaluation of the fields.
+    """(w, A, C) of the generalized scheme from one evaluation of the fields.
 
-    p and p' are dropped on return, so they are not held while the caller
+    w is on every node; A = p0 and C = p2 are at the interior nodes 1..n-2,
+    the ones the transfer product steps from. p1 is not formed (the product
+    takes S from w). The other fields are dropped before p0 and p2 are
+    formed, and p and p' on return, so none is held while the caller
     propagates.
     """
     fields = coeffs.fields_fn(nodes)
-    w = fields["w"]
-    return (w, *_generalized_arrays(fields["p"], fields["p_prime"], w, h))
+    w, p, p_prime = fields["w"], fields["p"][1:-1], fields["p_prime"][1:-1]
+    del fields
+    return (w, *_generalized_p02(p, p_prime, w[:-2], w[2:], h))
 
 
 def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
@@ -380,11 +391,13 @@ def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: 
     right[n - 1], right[n - 2] = outer
 
     if scheme is Scheme.CANONICAL:
-        f = _canonical_factors(coeffs.weight_fn(nodes), h).tolist()
+        f = _canonical_factors(_canonical_weight(coeffs, grid), h).tolist()
         _numerov_sweep_lr(f, left, 1, m + 1)
         _numerov_sweep_rl(f, right, n - 2, m - 1)
     else:
-        _, p0, p1, p2 = _generalized_recurrence(coeffs, nodes, h)
+        fields = coeffs.fields_fn(nodes)
+        p0, p1, p2 = _generalized_arrays(fields["p"], fields["p_prime"], fields["w"], h)
+        del fields  # not held while the sweeps run
         p0, p1, p2 = p0.tolist(), p1.tolist(), p2.tolist()
         _general_sweep_lr(p0, p1, p2, left, 1, m + 1)
         _general_sweep_rl(p0, p1, p2, right, n - 2, m - 1)
@@ -411,17 +424,24 @@ def _log_derivative_gap(left, right, coeffs, grid, m, scheme) -> float:
     return d_left - d_right
 
 
+def _canonical_weight(coeffs: CoefficientSet, grid: RadialGrid) -> np.ndarray:
+    """W on the grid nodes; for the 1/r family from the cached V, not the six fields."""
+    nodes = grid.nodes()
+    if coeffs.c_const == 0.0:
+        return ansatz1_weight(nodes, _ansatz1_nodes(coeffs, grid)[0], coeffs.match_level)
+    return np.asarray(coeffs.weight_fn(nodes), dtype=float)
+
+
 def _mismatch_at_match(coeffs, grid, m, scheme) -> float:
     """Delta = [phi'/phi]_left - [phi'/phi]_right at the match node m, without a sweep."""
     nodes = grid.nodes()
     h = grid.step
     if scheme is Scheme.CANONICAL:
-        u = np.asarray(coeffs.weight_fn(nodes), dtype=float)
+        u = _canonical_weight(coeffs, grid)
         f = _canonical_factors(u, h)
         lower, upper = f[:-2], f[2:]
     else:
-        u, p0, _, p2 = _generalized_recurrence(coeffs, nodes, h)
-        lower, upper = p0[1:-1], p2[1:-1]
+        u, lower, upper = _generalized_recurrence(coeffs, nodes, h)
     inner, outer = _boundary_seeds(coeffs, grid, scheme)
     left, right = match_samples(lower, upper, _three_point_sum(u, h), m, (0.0, inner), outer)
     return _log_derivative_gap(left, right, coeffs, grid, m, scheme)
@@ -475,8 +495,14 @@ def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None
     :func:`solve_ground_state`, which stops at the first accepted root.
     """
     settings = settings or SolverSettings()
+    etas = _scan_etas(settings.eta_window, settings.scan_points)
+    # tau' is monotone in eta, so the grids at the two ends bound every
+    # trial's: a window whose grid is too large fails before the first trial
+    for eta in (etas[0], etas[-1]):
+        state = dimensionless_state(config, float(eta))
+        settings.resolve_grid(build_coefficients(state, config).turning_scale)
     out = []
-    for eta in _scan_etas(settings.eta_window, settings.scan_points):
+    for eta in etas:
         delta_val, _, _ = _evaluate_trial(float(eta), config, settings)
         out.append((float(eta), delta_val))
     return out

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from dirac_numerov import analytic, solver
+from dirac_numerov import analytic, cli, solver
 from dirac_numerov.core import EigenResult
 from dirac_numerov.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERICAL, EXIT_OK, main
 from dirac_numerov.errors import ConfigError, NonFiniteValue
@@ -191,6 +191,18 @@ def test_profile_mismatch_scan_all_sentinels(tmp_path):
     assert header == ["eta", "mismatch"]
     assert len(rows) == 200
     assert all(row[1] == "NoTurningPoint" for row in rows)
+
+
+def test_profile_mismatch_scan_rejects_an_oversized_window(capsys):
+    code = main(["profile", "--quantity", "mismatch_scan", "--dimension", "3",
+                 "--ansatz", "1", "--eta-min", "0.01", "--eta-max", "0.999999999999",
+                 "--output", os.devnull])
+    assert code == EXIT_CONFIG
+    assert "grid would need" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_solver_defaults():
+    assert cli._settings(cli._DEFAULTS) == solver.SolverSettings()
 
 
 def test_profile_effective_potential_d5(tmp_path):

@@ -8,7 +8,6 @@ from dirac_numerov import (
     Ansatz,
     KSign,
     PhysicalConfig,
-    canonical_weight,
     coefficient_set,
     coefficient_set_ansatz1,
     coupling_xi,
@@ -222,10 +221,9 @@ def test_canonical_weight_d3():
     cfg = _a1_config(3)
     state = dimensionless_state(cfg, 0.9999)
     coeffs = coefficient_set_ansatz1(state, cfg)
-    form = canonical_weight(coeffs)
     rho = np.linspace(0.1, 30.0, 100)
     expected = coeffs.w_fn(rho) + 1.0 / (4.0 * rho**2)
-    assert np.max(np.abs(form.weight(rho) - expected)) < 1e-14
+    assert np.max(np.abs(coeffs.weight_fn(rho) - expected)) < 1e-14
 
 
 @pytest.mark.parametrize("d,ansatz", [(3, Ansatz.ONE_OVER_R), (5, Ansatz.GENERALIZED),
@@ -238,10 +236,9 @@ def test_integrating_factor_against_quadrature(d, ansatz):
         coeffs = coefficient_set_ansatz1(state, cfg)
     else:
         coeffs = coefficient_set(state, cfg)
-    form = canonical_weight(coeffs)
     rho0, rho1 = 0.4, 12.0
     quad = mpmath.quad(lambda t: coeffs.p_fn(float(t)), [rho0, rho1])
-    lhs = math.log(form.integrating_factor(rho1) / form.integrating_factor(rho0))
+    lhs = math.log(coeffs.integrating_factor_fn(rho1) / coeffs.integrating_factor_fn(rho0))
     assert math.isclose(lhs, float(-quad / 2.0), rel_tol=1e-8)
 
 

@@ -16,7 +16,9 @@ from dirac_numerov.errors import SingularCoefficient
 from dirac_numerov.numerov import (
     Direction,
     Scheme,
+    RESCALE_THRESHOLD,
     _canonical_factors,
+    _first_level,
     _numerov_sweep_lr,
     _numerov_sweep_rl,
     _three_point_sum,
@@ -303,6 +305,67 @@ def test_transfer_product_matches_sequential_product(count):
         expected = expected @ np.array([[1.0 - g / a, -c / a], [g / a, c / a]])
     got = np.reshape(_transfer_product(lower, upper, s), (2, 2))
     assert np.allclose(got, expected, rtol=1e-13, atol=1e-15)
+
+
+def _stacked_transfer_product(lower, upper, s):
+    """The product with the four rows of factor matrices stacked and every level general."""
+    g = s / lower
+    r = upper / lower
+    t = np.stack((1.0 - g, -r, g, r))
+    while t.shape[1] > 1:
+        half = t.shape[1] // 2
+        x = t[:, 0 : 2 * half : 2]
+        y = t[:, 1 : 2 * half : 2]
+        nxt = np.empty((4, half + t.shape[1] % 2))
+        nxt[0, :half] = x[0] * y[0] + x[1] * y[2]
+        nxt[1, :half] = x[0] * y[1] + x[1] * y[3]
+        nxt[2, :half] = x[2] * y[0] + x[3] * y[2]
+        nxt[3, :half] = x[2] * y[1] + x[3] * y[3]
+        if nxt.shape[1] > half:
+            nxt[:, half] = t[:, -1]
+        peak = np.abs(nxt).max(axis=0)
+        if peak.max() > RESCALE_THRESHOLD:
+            nxt = np.ldexp(nxt, -np.frexp(peak)[1])
+        t = nxt
+    if t.shape[1] == 0:
+        return 1.0, 0.0, 0.0, 1.0
+    return tuple(float(v) for v in t[:, 0])
+
+
+def _same_bits(got, expected):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("count", range(41))
+def test_transfer_product_is_bit_identical_to_the_stacked_product(count):
+    # the first level is formed from g and r with its signs folded in; that
+    # must not move a bit, odd and even lengths alike
+    lower, upper, s = _random_recurrence(count + 2, seed=100 + count)
+    assert _same_bits(_transfer_product(lower, upper, s), _stacked_transfer_product(lower, upper, s))
+
+
+@pytest.mark.parametrize("count", [2, 3, 7, 40])
+def test_transfer_product_renormalizes_like_the_stacked_product(count):
+    # factors with g, r ~ 1e59 (A = 1e-60) at the start and every fifth
+    # place: first-level entries near 1e118, renormalized matrix by matrix
+    lower, upper, s = _random_recurrence(count + 2, seed=300 + count)
+    lower[:2] = 1e-60
+    lower[5::5] = 1e-60
+    assert np.abs(_first_level(lower, upper, s)).max() > 1e100
+    expected = _stacked_transfer_product(lower, upper, s)
+    assert _same_bits(_transfer_product(lower, upper, s), expected)
+    assert max(abs(v) for v in expected) < 1.0 + 1e-12  # renormalized at the last level
+
+
+def test_transfer_product_renormalizes_on_a_negative_entry_alone():
+    # M_0 M_1 with g_0 = 1/2, r_0 = 0, g_1 = 0, r_1 = 1e101 is
+    # [[1/2, -5e100], [1/2, -5e100]]: only the min test sees the overflow
+    lower, upper, s = np.ones(2), np.array([0.0, 1e101]), np.array([0.5, 0.0])
+    level = _first_level(lower, upper, s)
+    assert level.max() <= RESCALE_THRESHOLD < -level.min()
+    got = _transfer_product(lower, upper, s)
+    assert _same_bits(got, _stacked_transfer_product(lower, upper, s))
+    assert max(abs(v) for v in got) < 1.0
 
 
 @pytest.mark.parametrize("n", [40, 41])

@@ -24,11 +24,12 @@ from dirac_numerov import (
     reconstruct_fg,
     solve_ground_state,
 )
-from dirac_numerov import solver
+from dirac_numerov import coefficients, solver
 from dirac_numerov.errors import ConfigError, EtaOutOfRange
 from dirac_numerov.numerov import Scheme
 from dirac_numerov.solver import (
     _allowed_radius_bound,
+    _canonical_weight,
     _gauss_allowed,
     _island_basis,
     _island_match_index,
@@ -260,6 +261,50 @@ def test_mismatch_no_turning_point_cases():
         mismatch(1.0, config)
 
 
+@pytest.mark.parametrize("dimension", range(3, 10))
+def test_one_over_r_weight_from_the_cached_potential_is_weight_fn(dimension):
+    # the solver forms W from the V cached for the island test; it must be
+    # the coefficient set's own weight, and w + 1/(4 rho^2) from the six
+    # fields, bit for bit across the default window
+    settings = SolverSettings()
+    for eta in _scan_etas(settings.eta_window, 5):
+        coeffs, _ = _coeffs_at(dimension, Ansatz.ONE_OVER_R, float(eta))
+        grid = settings.resolve_grid(coeffs.turning_scale)
+        nodes = grid.nodes()
+        weight = _canonical_weight(coeffs, grid)
+        assert np.array_equal(weight, coeffs.weight_fn(nodes))
+        assert np.array_equal(weight, coeffs.w_fn(nodes) + 1.0 / (4.0 * nodes * nodes))
+
+
+@pytest.mark.parametrize("ansatz", [Ansatz.ONE_OVER_R, Ansatz.GENERALIZED])
+def test_generalized_step_coefficients_without_p1_are_the_full_ones(ansatz):
+    # the mismatch forms only p0 and p2 at the interior nodes; they must be
+    # the recurrence's own, bit for bit
+    coeffs, _ = _coeffs_at(3, ansatz, 0.99997)
+    grid = SolverSettings().resolve_grid(coeffs.turning_scale)
+    nodes = grid.nodes()
+    w, lower, upper = solver._generalized_recurrence(coeffs, nodes, grid.step)
+    fields = coeffs.fields_fn(nodes)
+    p0, _, p2 = solver._generalized_arrays(fields["p"], fields["p_prime"], fields["w"], grid.step)
+    assert np.array_equal(w, fields["w"])
+    assert np.array_equal(lower, p0[1:-1]) and np.array_equal(upper, p2[1:-1])
+
+
+def test_one_over_r_mismatch_does_not_evaluate_the_fields(monkeypatch):
+    coeffs, _ = _coeffs_at(3, Ansatz.ONE_OVER_R, 0.99997)
+    grid = SolverSettings().resolve_grid(coeffs.turning_scale)
+    m = _match_index(coeffs, grid, 3)
+    expected = _mismatch_at_match(coeffs, grid, m, Scheme.CANONICAL)
+    calls = []
+    original = coefficients.ansatz1_fields
+    monkeypatch.setattr(coefficients, "ansatz1_fields",
+                        lambda *args: calls.append(args) or original(*args))
+    assert _mismatch_at_match(coeffs, grid, m, Scheme.CANONICAL) == expected
+    assert calls == []
+    coeffs.fields_fn(grid.nodes()[:3])  # the hook itself is live
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # mismatch: transfer-matrix product against the node-by-node sweeps
 
@@ -361,6 +406,19 @@ def test_mismatch_scan_matches_trace():
     assert all(d is None for _, d in scan)
     etas = [e for e, _ in scan]
     assert etas == sorted(etas)
+
+
+def test_mismatch_scan_rejects_an_oversized_window_before_any_trial(monkeypatch):
+    # at D = 3 the grid for eta = 1 - 1e-12 needs ~2e7 nodes; tau' grows with
+    # eta, so checking the window's ends rejects it before the first trial
+    calls = []
+    original = solver._evaluate_trial
+    monkeypatch.setattr(solver, "_evaluate_trial",
+                        lambda *args: calls.append(args) or original(*args))
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
+    with pytest.raises(ConfigError, match="grid would need"):
+        mismatch_scan(config, SolverSettings(eta_window=(0.01, 1.0 - 1e-12)))
+    assert calls == []
 
 
 def test_solver_settings_validation():
