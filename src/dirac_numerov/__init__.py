@@ -6,7 +6,7 @@ three-term recurrence with match-point shooting, plus the closed-form 1/r
 reference results used to validate it.
 """
 
-from .analytic import AnalyticLevel, analytic_energy, analytic_ground_wavefunction_d3, hyp1f1
+from .analytic import AnalyticLevel, analytic_energy, analytic_ground_wavefunction_d3
 from .coefficients import (
     CoefficientSet,
     build_coefficients,
@@ -86,7 +86,6 @@ __all__ = [
     "discrete_l2_norm",
     "eigenfunction",
     "generalized_step",
-    "hyp1f1",
     "k_value",
     "mismatch",
     "mismatch_scan",

@@ -19,11 +19,7 @@ import numpy as np
 
 from .coefficients import coupling_xi
 from .core import Ansatz, PhysicalConfig, k_value
-from .errors import DomainError, NonConvergence, SupercriticalCoupling, UnsupportedCase
-
-_SERIES_EPS = 1e-14
-_MAX_TERMS = 100_000
-_Z_WINDOW = 500.0
+from .errors import SupercriticalCoupling, UnsupportedCase
 
 
 @dataclass(frozen=True)
@@ -92,48 +88,3 @@ def analytic_ground_wavefunction_d3(rho_nodes, config: PhysicalConfig) -> np.nda
     phi = rho**gamma * np.exp(-rho / 2.0)
     norm = math.sqrt(float(steps[0]) * float(np.dot(phi, phi)))
     return phi / norm
-
-
-def hyp1f1(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric function 1F1(a; b; z) by Kummer series.
-
-    The series is summed with term-ratio stopping to relative 1e-14.
-    Non-positive-integer ``a`` short-circuits to the exact terminating
-    polynomial. Negative arguments route through the Kummer transformation
-    1F1(a;b;z) = e^z 1F1(b-a;b;-z) so every summed series has positive
-    argument (no catastrophic cancellation). Validity window |z| <= 500.
-
-    Raises
-    ------
-    DomainError
-        If b is a non-positive integer (pole) or |z| exceeds the window.
-    NonConvergence
-        If the series fails to settle within 100000 terms.
-    """
-    if b <= 0.0 and b == math.floor(b):
-        raise DomainError(f"1F1 pole: b = {b!r} is a non-positive integer")
-    if abs(z) > _Z_WINDOW:
-        raise DomainError(f"|z| = {abs(z)!r} outside the validity window {_Z_WINDOW}")
-    if z == 0.0:
-        return 1.0
-    a_is_polynomial = a <= 0.0 and a == math.floor(a)
-    if z < 0.0 and not a_is_polynomial:
-        return math.exp(z) * hyp1f1(b - a, b, -z)
-    if a_is_polynomial:
-        # terminating series of degree -a, summed exactly
-        degree = int(-a)
-        total = 1.0
-        term = 1.0
-        for k in range(degree):
-            term *= (a + k) * z / ((b + k) * (k + 1))
-            total += term
-        return total
-    total = 1.0
-    term = 1.0
-    for k in range(_MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1))
-        total += term
-        # past the term-magnitude hump, a small ratio means convergence
-        if abs(term) <= _SERIES_EPS * abs(total) and k > z:
-            return total
-    raise NonConvergence(f"1F1({a}, {b}, {z}) did not converge in {_MAX_TERMS} terms")

@@ -379,7 +379,7 @@ def _cmd_profile(opts) -> int:
     if quantity == "effective_potential":
         grid = settings.resolve_grid(coeffs.turning_scale)
         nodes = grid.nodes()
-        gap = coeffs.match_level - np.asarray(coeffs.v_fn(nodes), dtype=float)
+        gap = coeffs.match_level - np.asarray(coeffs.fields_fn(nodes)["v"], dtype=float)
         rows = [[float(r), float(g)] for r, g in zip(nodes, gap)]
         _write_text(opts["output"], manifest.render_csv(["rho", "level_minus_potential"], rows, meta))
         return EXIT_OK

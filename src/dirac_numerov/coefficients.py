@@ -86,12 +86,12 @@ class CoefficientSet:
 
     All callables accept scalars or numpy arrays of rho > 0. ``fields_fn``
     returns every field (keys ``p``, ``p_prime``, ``q``, ``s``, ``v``, ``w``)
-    from one evaluation; the single-field callables each evaluate them all
-    and keep one. ``weight_fn`` is the weight W = w - p^2/4 - p'/2 of the
-    first-derivative-free form chi'' + W chi = 0, and ``integrating_factor_fn``
-    the closed-form exp(-1/2 int p) with phi = factor * chi, so no quadrature
-    error enters the canonical scheme. ``match_level`` is the energy-side
-    constant paired with ``v_fn`` in w = q (level - V); ``turning_scale``
+    from one evaluation. ``weight_fn`` is the weight W = w - p^2/4 - p'/2 of
+    the first-derivative-free form chi'' + W chi = 0, and
+    ``integrating_factor_fn`` the closed-form exp(-1/2 int p) with
+    phi = factor * chi, so no quadrature error enters the canonical scheme.
+    ``match_level`` is the energy-side constant paired with the field ``v``
+    in w = q (level - V); ``turning_scale``
     sets the outermost turning radius (~ 4 * turning_scale) and drives the
     automatic grid sizing. ``indicial_exponent`` is the
     positive small-rho exponent of the regular solution where one exists
@@ -100,12 +100,6 @@ class CoefficientSet:
     """
 
     fields_fn: Callable
-    p_fn: Callable
-    q_fn: Callable
-    v_fn: Callable
-    s_fn: Callable
-    w_fn: Callable
-    p_prime_fn: Callable
     weight_fn: Callable
     integrating_factor_fn: Callable
     match_level: float
@@ -158,13 +152,13 @@ def _rho_powers(rho: np.ndarray, d: int):
     return r_d3, r_d4, r_d3 * r_d3, r_d3 * rho
 
 
-def general_fields(rho, d, kval, a_const, c_const, lam_d3, tau, sigma):
-    """Evaluate p, p', q, s, V, w for the 1/r^(D-2) equation on rho (array or scalar).
+def static_fields(rho, d, kval, a_const, c_const, lam_d3, sigma):
+    """Every field of the 1/r^(D-2) equation but w, the only one that holds tau.
 
-    Shared by the public closures and the solver's vectorized paths so there
-    is a single transcription of the formulas.
+    Returns p, p', q, s, V, den and ``s_over`` = s/rho^(D-2), for
+    :func:`general_w`. At D = 3 none depends on the energy at all.
     """
-    arr, scalar = _as_float_array(rho)
+    arr, _ = _as_float_array(rho)
     dm3 = d - 3
     r_d3, r_d4, r_2d6, r_d2 = _rho_powers(arr, d)
     den = c_const * r_d3 + sigma * a_const
@@ -182,8 +176,28 @@ def general_fields(rho, d, kval, a_const, c_const, lam_d3, tau, sigma):
         + (kval * kval - a_const * a_const * lam_d3 / r_2d6) * r_d4
     )
     v = s / (r_d2 * q)
-    w = q * tau - s / r_d2
-    out = {"p": p, "p_prime": p_prime, "q": q, "s": s, "v": v, "w": w, "den": den}
+    return {"p": p, "p_prime": p_prime, "q": q, "s": s, "v": v, "den": den, "s_over": s / r_d2}
+
+
+def general_w(q, s_over, tau, out=None):
+    """w = q tau - s/rho^(D-2) from the fields of :func:`static_fields`, into ``out``."""
+    return np.subtract(np.multiply(q, tau, out=out), s_over, out=out)
+
+
+def weight_terms(p, p_prime):
+    """p^2/4 and p'/2, which W = w - p^2/4 - p'/2 subtracts from w in this order."""
+    return p * p / 4.0, p_prime / 2.0
+
+
+def general_fields(rho, d, kval, a_const, c_const, lam_d3, tau, sigma):
+    """Evaluate p, p', q, s, V, w for the 1/r^(D-2) equation on rho (array or scalar).
+
+    Shared by the public closures and the solver's vectorized paths so there
+    is a single transcription of the formulas.
+    """
+    arr, scalar = _as_float_array(rho)
+    out = static_fields(arr, d, kval, a_const, c_const, lam_d3, sigma)
+    out["w"] = general_w(out["q"], out.pop("s_over"), tau)
     if scalar:
         out = {key: float(val) for key, val in out.items()}
     return out
@@ -236,22 +250,10 @@ def coefficient_set(
     def fields_fn(rho):
         return general_fields(rho, d, kval, a_const, c_const, lam_d3, tau, sigma)
 
-    def _field(name):
-        def fn(rho):
-            return fields_fn(rho)[name]
-
-        return fn
-
-    p_fn = _field("p")
-    q_fn = _field("q")
-    v_fn = _field("v")
-    s_fn = _field("s")
-    w_fn = _field("w")
-    p_prime_fn = _field("p_prime")
-
     def weight_fn(rho):
         f = fields_fn(rho)
-        return f["w"] - f["p"] * f["p"] / 4.0 - f["p_prime"] / 2.0
+        quarter, half = weight_terms(f["p"], f["p_prime"])
+        return f["w"] - quarter - half
 
     def integrating_factor_fn(rho):
         # exp(-1/2 int p) = sqrt(den / rho^(D-2)), from the partial-fraction
@@ -277,12 +279,6 @@ def coefficient_set(
 
     return CoefficientSet(
         fields_fn=fields_fn,
-        p_fn=p_fn,
-        q_fn=q_fn,
-        v_fn=v_fn,
-        s_fn=s_fn,
-        w_fn=w_fn,
-        p_prime_fn=p_prime_fn,
         weight_fn=weight_fn,
         integrating_factor_fn=integrating_factor_fn,
         match_level=tau,
@@ -305,12 +301,20 @@ def ansatz1_potential(rho, gamma2, sigma):
     return rho / 4.0 - sigma * 0.5 + gamma2 / rho
 
 
-def ansatz1_weight(rho, v, tau):
+def ansatz1_w(rho, v, tau, out=None):
+    """w = (tau - V)/rho of the 1/r potential from its V, into ``out`` when given."""
+    return np.divide(np.subtract(tau, v, out=out), rho, out=out)
+
+
+def ansatz1_weight(rho, v, tau, out=None, scratch=None):
     """Canonical weight W = (tau - V)/rho + 1/(4 rho^2) of the 1/r potential from its V.
 
     With p = 1/rho, -p^2/4 - p'/2 = +1/(4 rho^2) and w = (tau - V)/rho.
+    W goes into ``out`` and the last term into ``scratch`` when given.
     """
-    return (tau - v) / rho + 0.25 / (rho * rho)
+    weight = ansatz1_w(rho, v, tau, out)
+    weight += np.divide(0.25, np.multiply(rho, rho, out=scratch), out=scratch)
+    return weight
 
 
 def ansatz1_fields(rho, gamma2, tau, sigma):
@@ -321,7 +325,7 @@ def ansatz1_fields(rho, gamma2, tau, sigma):
     q = 1.0 / arr
     s = ansatz1_potential(arr, gamma2, sigma)
     v = s
-    w = (tau - s) / arr
+    w = ansatz1_w(arr, s, tau)
     out = {"p": p, "p_prime": p_prime, "q": q, "s": s, "v": v, "w": w}
     if scalar:
         out = {key: float(val) for key, val in out.items()}
@@ -353,12 +357,6 @@ def coefficient_set_ansatz1(
     def fields_fn(rho):
         return ansatz1_fields(rho, gamma2, tau, sigma)
 
-    def _field(name):
-        def fn(rho):
-            return fields_fn(rho)[name]
-
-        return fn
-
     def weight_fn(rho):
         arr, scalar = _as_float_array(rho)
         return _maybe_scalar(ansatz1_weight(arr, ansatz1_potential(arr, gamma2, sigma), tau), scalar)
@@ -369,12 +367,6 @@ def coefficient_set_ansatz1(
 
     return CoefficientSet(
         fields_fn=fields_fn,
-        p_fn=_field("p"),
-        q_fn=_field("q"),
-        v_fn=_field("v"),
-        s_fn=_field("s"),
-        w_fn=_field("w"),
-        p_prime_fn=_field("p_prime"),
         weight_fn=weight_fn,
         integrating_factor_fn=integrating_factor_fn,
         match_level=tau,

@@ -41,13 +41,5 @@ class NonFiniteValue(ArithmeticError):
         super().__init__(message)
 
 
-class DomainError(ValueError):
-    """Argument outside the validity window of a special-function evaluation."""
-
-
-class NonConvergence(RuntimeError):
-    """An iterative evaluation failed to converge within its budget."""
-
-
 class ConfigError(ValueError):
     """Invalid run configuration (CLI flags, config file, or settings)."""

@@ -79,17 +79,14 @@ class RunManifest:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
+    def parse(cls, text: str) -> "RunManifest":
+        data = json.loads(text)
         return cls(
             tool_version=data["tool_version"],
             command=data["command"],
             config_echo=data["config_echo"],
             results=data["results"],
         )
-
-    @classmethod
-    def parse(cls, text: str) -> "RunManifest":
-        return cls.from_dict(json.loads(text))
 
 
 def render_csv(columns, rows, metadata=None) -> str:

@@ -46,6 +46,10 @@ level with an entry past 1e100 is renormalized matrix by matrix by exact
 powers of two (the per-matrix exponents are taken only then), which changes
 only the common scale of the three samples.
 
+Every level, with its scratch, is written with ``out=`` into one flat
+``space`` of about 4n doubles that the caller may reuse: the solver's swept
+trials pass one workspace, so they allocate no grid-sized array.
+
 Of the solver's paths only ``solver.eigenfunction`` needs every node; it,
 ``propagate`` and ``scheme_report`` use the sequential sweeps below, which
 visit the nodes one by one. They renormalize magnitudes beyond 1e100 by an
@@ -116,17 +120,23 @@ class PropagationResult:
 # scalar step operations
 
 
-def _generalized_p02(p, p_prime, w_prev, w_next, delta):
-    """The outer step coefficients p0 and p2 (the transfer product needs no p1)."""
+def _generalized_p02(half_step, p_prime, w_prev, w_next, delta, out=(None, None), scratch=None):
+    """The outer step coefficients p0 and p2 (the transfer product needs no p1).
+
+    p0 = (1 - p delta/2) + (w_prev + p') delta^2/12, p2 likewise with + and
+    w_next, from ``half_step`` = p delta/2; into ``out``, via ``scratch``.
+    """
     h2_12 = delta * delta / 12.0
-    p0 = 1.0 - p * delta / 2.0 + (w_prev + p_prime) * h2_12
-    p2 = 1.0 + p * delta / 2.0 + (w_next + p_prime) * h2_12
+    p0 = np.subtract(1.0, half_step, out=out[0])
+    p0 += np.multiply(np.add(w_prev, p_prime, out=scratch), h2_12, out=scratch)
+    p2 = np.add(1.0, half_step, out=out[1])
+    p2 += np.multiply(np.add(w_next, p_prime, out=scratch), h2_12, out=scratch)
     return p0, p2
 
 
 def _generalized_p012(p, p_prime, w_prev, w_here, w_next, delta):
     h2_12 = delta * delta / 12.0
-    p0, p2 = _generalized_p02(p, p_prime, w_prev, w_next, delta)
+    p0, p2 = _generalized_p02(p * delta / 2.0, p_prime, w_prev, w_next, delta)
     p1 = 2.0 * (1.0 - (w_here - p_prime / 5.0) * 5.0 * h2_12)
     return p0, p1, p2
 
@@ -135,17 +145,11 @@ def generalized_step(
     phi_prev: float, phi_curr: float, rho: float, delta: float, coeffs: CoefficientSet
 ) -> float:
     """Advance phi one step: given phi(rho - delta), phi(rho), return phi(rho + delta)."""
-    p0, p1, p2 = _generalized_p012(
-        coeffs.p_fn(rho),
-        coeffs.p_prime_fn(rho),
-        coeffs.w_fn(rho - delta),
-        coeffs.w_fn(rho),
-        coeffs.w_fn(rho + delta),
-        delta,
-    )
+    fields = coeffs.fields_fn(np.array([rho - delta, rho, rho + delta]))
+    p0, p1, p2 = _generalized_p012(fields["p"][1], fields["p_prime"][1], *fields["w"], delta)
     if p2 == 0.0:
         raise SingularCoefficient(f"p2 vanishes at rho = {rho!r}")
-    return (p1 * phi_curr - p0 * phi_prev) / p2
+    return float((p1 * phi_curr - p0 * phi_prev) / p2)
 
 
 def canonical_step(chi_prev: float, chi_curr: float, rho: float, delta: float, weight) -> float:
@@ -164,100 +168,59 @@ def canonical_step(chi_prev: float, chi_curr: float, rho: float, delta: float, w
 # slower inside a per-node loop)
 
 
-def _numerov_sweep_lr(f, values, start, stop):
-    """Fill values[start+1 .. stop] with y[i+1] = ((12-10 f_i) y_i - f_{i-1} y_{i-1}) / f_{i+1}."""
-    y0 = values[start - 1]
+def _sweep(prev, here, nxt, values, start, stop, step):
+    """Fill values[start+step .. stop]: y[i+step] = (here_i y_i - prev_i y[i-step]) / nxt_i.
+
+    values[start - step] and values[start] seed it. A sample past the threshold
+    rescales the part already filled: the samples stay one scaled solution.
+    """
+    y0 = values[start - step]
     y1 = values[start]
     overflowed = False
     rescales = 0
     try:
-        for i in range(start, stop):
-            y2 = ((12.0 - 10.0 * f[i]) * y1 - f[i - 1] * y0) / f[i + 1]
+        for i in range(start, stop, step):
+            y2 = (here[i] * y1 - prev[i] * y0) / nxt[i]
             if y2 > RESCALE_THRESHOLD or y2 < -RESCALE_THRESHOLD:
                 overflowed = True
                 rescales += 1
                 y1 *= _RESCALE_FACTOR
                 y2 *= _RESCALE_FACTOR
-                for j in range(i + 1):
+                for j in range(i + 1) if step > 0 else range(i, len(values)):
                     values[j] *= _RESCALE_FACTOR
-            values[i + 1] = y2
+            values[i + step] = y2
             y0, y1 = y1, y2
     except ZeroDivisionError:
-        raise SingularCoefficient(f"1 + delta^2 W/12 vanishes at node {i + 1}") from None
+        raise SingularCoefficient(f"the step from node {i} divides by zero") from None
     return overflowed, rescales
+
+
+def _numerov_sweep_lr(f, values, start, stop):
+    """Fill values[start+1 .. stop] with y[i+1] = ((12-10 f_i) y_i - f_{i-1} y_{i-1}) / f_{i+1}."""
+    below, above = [0.0] + f[:-1], f[1:] + [0.0]
+    return _sweep(below, [12.0 - 10.0 * v for v in f], above, values, start, stop, 1)
 
 
 def _numerov_sweep_rl(f, values, start, stop):
     """Fill values[start-1 .. stop] with y[i-1] = ((12-10 f_i) y_i - f_{i+1} y_{i+1}) / f_{i-1}."""
-    y0 = values[start + 1]
-    y1 = values[start]
-    overflowed = False
-    rescales = 0
-    try:
-        for i in range(start, stop, -1):
-            y2 = ((12.0 - 10.0 * f[i]) * y1 - f[i + 1] * y0) / f[i - 1]
-            if y2 > RESCALE_THRESHOLD or y2 < -RESCALE_THRESHOLD:
-                overflowed = True
-                rescales += 1
-                y1 *= _RESCALE_FACTOR
-                y2 *= _RESCALE_FACTOR
-                for j in range(i, len(values)):
-                    values[j] *= _RESCALE_FACTOR
-            values[i - 1] = y2
-            y0, y1 = y1, y2
-    except ZeroDivisionError:
-        raise SingularCoefficient(f"1 + delta^2 W/12 vanishes at node {i - 1}") from None
-    return overflowed, rescales
+    below, above = [0.0] + f[:-1], f[1:] + [0.0]
+    return _sweep(above, [12.0 - 10.0 * v for v in f], below, values, start, stop, -1)
 
 
 def _general_sweep_lr(p0, p1, p2, values, start, stop):
     """Fill values[start+1 .. stop] with y[i+1] = (p1_i y_i - p0_i y_{i-1}) / p2_i."""
-    y0 = values[start - 1]
-    y1 = values[start]
-    overflowed = False
-    rescales = 0
-    try:
-        for i in range(start, stop):
-            y2 = (p1[i] * y1 - p0[i] * y0) / p2[i]
-            if y2 > RESCALE_THRESHOLD or y2 < -RESCALE_THRESHOLD:
-                overflowed = True
-                rescales += 1
-                y1 *= _RESCALE_FACTOR
-                y2 *= _RESCALE_FACTOR
-                for j in range(i + 1):
-                    values[j] *= _RESCALE_FACTOR
-            values[i + 1] = y2
-            y0, y1 = y1, y2
-    except ZeroDivisionError:
-        raise SingularCoefficient(f"p2 vanishes at node {i}") from None
-    return overflowed, rescales
+    return _sweep(p0, p1, p2, values, start, stop, 1)
 
 
 def _general_sweep_rl(p0, p1, p2, values, start, stop):
     """Fill values[start-1 .. stop] with y[i-1] = (p1_i y_i - p2_i y_{i+1}) / p0_i."""
-    y0 = values[start + 1]
-    y1 = values[start]
-    overflowed = False
-    rescales = 0
-    try:
-        for i in range(start, stop, -1):
-            y2 = (p1[i] * y1 - p2[i] * y0) / p0[i]
-            if y2 > RESCALE_THRESHOLD or y2 < -RESCALE_THRESHOLD:
-                overflowed = True
-                rescales += 1
-                y1 *= _RESCALE_FACTOR
-                y2 *= _RESCALE_FACTOR
-                for j in range(i, len(values)):
-                    values[j] *= _RESCALE_FACTOR
-            values[i - 1] = y2
-            y0, y1 = y1, y2
-    except ZeroDivisionError:
-        raise SingularCoefficient(f"p0 vanishes at node {i}") from None
-    return overflowed, rescales
+    return _sweep(p2, p1, p0, values, start, stop, -1)
 
 
-def _canonical_factors(weight_values, delta):
-    return 1.0 + (delta * delta / 12.0) * np.asarray(weight_values, dtype=float)
+def _canonical_factors(weight_values, delta, out=None):
+    """f = 1 + (delta^2/12) W, into ``out`` when given."""
+    f = np.multiply(delta * delta / 12.0, np.asarray(weight_values, dtype=float), out=out)
+    return np.add(1.0, f, out=f)
 
 
 def _generalized_arrays(p, p_prime, w, delta):
@@ -272,18 +235,22 @@ def _generalized_arrays(p, p_prime, w, delta):
 # match-node samples from a tree-reduced product of transfer matrices
 
 
-def _three_point_sum(u, delta):
-    """S_i = (delta^2/12) (u[i-1] + 10 u[i] + u[i+1]) at the interior nodes 1..n-2."""
+def _three_point_sum(u, delta, out=None):
+    """S_i = (delta^2/12) (u[i-1] + 10 u[i] + u[i+1]) at the interior nodes 1..n-2, into ``out``."""
     u = np.asarray(u, dtype=float)
-    return (delta * delta / 12.0) * (u[:-2] + 10.0 * u[1:-1] + u[2:])
+    s = np.multiply(10.0, u[1:-1], out=out)
+    np.add(u[:-2], s, out=s)
+    np.add(s, u[2:], out=s)
+    return np.multiply(delta * delta / 12.0, s, out=s)
 
 
-def _first_level(lower, upper, s):
+def _first_level(lower, upper, s, out, scratch):
     """Pairwise products M_0 M_1, M_2 M_3, ... of M_j = [[1 - g, -r], [g, r]].
 
     g = s/lower and r = upper/lower (k >= 1 of each). Returns a
-    (2, 2, ceil(k/2)) array whose [i, j] holds entry (i, j) of every product,
-    an odd last matrix carried unchanged. g and r of the even (x) and odd (y) factors are
+    (2, 2, ceil(k/2)) view of ``out`` whose [i, j] holds entry (i, j) of
+    every product, an odd last matrix carried unchanged; ``scratch`` holds
+    three rows of floor(k/2). g and r of the even (x) and odd (y) factors are
     divided straight into the result's rows, which are then overwritten in
     place; with the signs of -r folded into the sums the entries are
     bit-identical to the general level's products of the factors' rows,
@@ -292,17 +259,18 @@ def _first_level(lower, upper, s):
     k = s.shape[0]
     half = k // 2
     even, odd = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
-    t = np.empty((2, 2, half + k % 2))
+    t = out[: 4 * (half + k % 2)].reshape(2, 2, half + k % 2)
     (a, b), (c, d) = t[:, :, :half]
+    rg, rr, ex = scratch[:half], scratch[half : 2 * half], scratch[2 * half : 3 * half]
     gy = np.divide(s[odd], lower[odd], out=a)
     ry = np.divide(upper[odd], lower[odd], out=b)
     gx = np.divide(s[even], lower[even], out=c)
     rx = np.divide(upper[even], lower[even], out=d)
-    rg = rx * gy
-    rr = rx * ry
+    np.multiply(rx, gy, out=rg)
+    np.multiply(rx, ry, out=rr)
     np.multiply(gx, ry, out=d)
     np.subtract(rr, d, out=d)      # d = g_x (-r_y) + r_x r_y
-    ex = 1.0 - gx
+    np.subtract(1.0, gx, out=ex)
     ey = np.subtract(1.0, gy, out=a)
     c *= ey
     c += rg                        # c = g_x (1 - g_y) + r_x g_y
@@ -317,47 +285,60 @@ def _first_level(lower, upper, s):
     return t
 
 
-def _transfer_product(lower, upper, s):
+def product_space(k: int) -> int:
+    """Doubles of the ``space`` that :func:`_transfer_product` needs for k factors."""
+    return 4 * k + 12
+
+
+def _transfer_product(lower, upper, s, space=None):
     """Ordered product M_0 M_1 ... M_(k-1) of M_j = [[1 - g, -r], [g, r]].
 
     g = s/lower and r = upper/lower, elementwise. Returns the product's
     entries (row-major) up to a positive power-of-two scale. Neighbouring
     pairs are multiplied level by level, the first by :func:`_first_level`;
     an odd last matrix is carried to the next level unchanged. A level with
-    an entry past the threshold is renormalized matrix by matrix.
+    an entry past the threshold is renormalized matrix by matrix. The levels
+    alternate between the first 2k + 4 doubles of ``space`` (allocated when
+    not given) and the next k + 4, with their scratch after those.
     """
     k = s.shape[0]
     if k == 0:
         return 1.0, 0.0, 0.0, 1.0
-    t = _first_level(lower, upper, s)
+    if space is None:
+        space = np.empty(product_space(k))
+    buffers = (space[: 2 * k + 4], space[2 * k + 4 : 3 * k + 8])
+    scratch = space[3 * k + 8 : 4 * k + 12]
+    t = _first_level(lower, upper, s, buffers[0], space[2 * k + 4 :])
     if k == 1:  # a lone factor is no product: it is not renormalized
         return tuple(float(v) for v in t.ravel())
     while True:
         # one max and one min per level; the per-matrix exponents only when needed
         if t.max() > RESCALE_THRESHOLD or t.min() < -RESCALE_THRESHOLD:
-            t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(0, 1)))[1])
+            t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(0, 1)))[1], out=t)
         if t.shape[2] == 1:
             return tuple(float(v) for v in t.ravel())
         half = t.shape[2] // 2
         x = t[:, :, 0 : 2 * half : 2]
         y = t[:, :, 1 : 2 * half : 2]
-        nxt = np.empty((2, 2, half + t.shape[2] % 2))
+        size = half + t.shape[2] % 2
+        buffers = buffers[::-1]
+        nxt = buffers[0][: 4 * size].reshape(2, 2, size)
         prod = nxt[:, :, :half]
         # entry (i, j) = x[i, 0] y[0, j] + x[i, 1] y[1, j], all four at once
         np.multiply(x[:, 0, None], y[None, 0], out=prod)
-        prod += x[:, 1, None] * y[None, 1]
-        if half < nxt.shape[2]:
+        prod += np.multiply(x[:, 1, None], y[None, 1], out=scratch[: 4 * half].reshape(2, 2, half))
+        if half < size:
             nxt[:, :, half] = t[:, :, -1]
         t = nxt
 
 
-def _inward_samples(lower, upper, s, k, y_end, y_next):
+def _inward_samples(lower, upper, s, k, y_end, y_next, space):
     """(y[k-1], y[k], y[k+1]) of the solution seeded y[n-1] = y_end, y[n-2] = y_next.
 
     ``lower``, ``upper`` and ``s`` hold A, C and S at the interior nodes
     1..n-2 (array index = node - 1); A must not vanish at nodes k..n-2.
     """
-    a, b, c, d = _transfer_product(lower[k:], upper[k:], s[k:])  # nodes k+1..n-2
+    a, b, c, d = _transfer_product(lower[k:], upper[k:], s[k:], space)  # nodes k+1..n-2
     diff = y_end - y_next
     y_k = a * y_next + b * diff
     d_k = c * y_next + d * diff
@@ -366,13 +347,15 @@ def _inward_samples(lower, upper, s, k, y_end, y_next):
     return float((1.0 - g) * y_k - r * d_k), y_k, y_k + d_k
 
 
-def match_samples(lower, upper, s, m, inner, outer):
+def match_samples(lower, upper, s, m, inner, outer, space=None):
     """Outward and inward solutions of the three-term recurrence at nodes m-1, m, m+1.
 
     The recurrence is A_i y[i-1] = (A_i - S_i + C_i) y[i] - C_i y[i+1];
     ``lower``, ``upper`` and ``s`` hold A, C and S at the interior nodes
     1..n-2 (array index = node - 1). ``inner`` = (y[0], y[1]) seeds the
     outward solution and ``outer`` = (y[n-1], y[n-2]) the inward one.
+    ``space``, ``product_space(n - 2)`` doubles apart from the inputs, holds
+    the two products' levels in turn.
 
     Returns (left, right), each (y[m-1], y[m], y[m+1]) up to its own
     positive scale, which log-derivatives do not see.
@@ -384,13 +367,12 @@ def match_samples(lower, upper, s, m, inner, outer):
         1..m (outward), the nodes the sequential sweeps divide at.
     """
     for name, coeff, first in (("C", upper[:m], 1), ("A", lower[m - 1 :], m)):
-        zero = np.flatnonzero(coeff == 0.0)
-        if zero.size:
-            node = first + int(zero[0])
+        if not coeff.all():  # a reduction: the zero's node is looked up only when there is one
+            node = first + int(np.flatnonzero(coeff == 0.0)[0])
             raise SingularCoefficient(f"step coefficient {name} vanishes at node {node}")
     n = s.shape[0] + 2
-    right = _inward_samples(lower, upper, s, m, *outer)
-    left = _inward_samples(upper[::-1], lower[::-1], s[::-1], n - 1 - m, *inner)[::-1]
+    right = _inward_samples(lower, upper, s, m, *outer, space)
+    left = _inward_samples(upper[::-1], lower[::-1], s[::-1], n - 1 - m, *inner, space)[::-1]
     return left, right
 
 

@@ -19,9 +19,10 @@ solver
    at nodes m-1, m, m+1, so :func:`numerov.match_samples` obtains them from
    a tree-reduced product of the recurrence's 2x2 transfer matrices instead
    of a node-by-node sweep (only :func:`eigenfunction`, which needs every
-   node, sweeps). For the 1/r family the canonical weight
-   W = (tau - V)/rho + 1/(4 rho^2) is formed from the V cached per grid for
-   step 2, not from a fresh evaluation of the coefficient fields,
+   node, sweeps). The weight comes from tau and energy-independent arrays
+   cached per grid (V for 1/r; at D = 3 q, s/rho and the p terms for
+   1/r^(D-2)), not the coefficient fields, and every grid-sized array of
+   the trial goes with ``out=`` into the solve's reused :class:`Workspace`,
 4. bisects every sign change of Delta, accepting a root only when the final
    |Delta| passes the mismatch tolerance (log-derivative poles also flip the
    sign but never pass).
@@ -42,7 +43,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import CoefficientSet, ansatz1_potential, ansatz1_weight, build_coefficients
+from .coefficients import (CoefficientSet, ansatz1_fields, ansatz1_potential, ansatz1_w,
+                           ansatz1_weight, build_coefficients, general_w, static_fields,
+                           weight_terms)
 from .core import (
     Ansatz,
     EigenResult,
@@ -65,6 +68,7 @@ from .numerov import (
     _numerov_sweep_rl,
     _three_point_sum,
     match_samples,
+    product_space,
 )
 
 
@@ -185,9 +189,12 @@ def _island_match_index(pos: np.ndarray, min_nodes: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)
 def _ansatz1_potential(grid: RadialGrid, gamma2: float, sigma: float):
-    """V nodes and their minimum for the 1/r family (energy-independent)."""
+    """V nodes and their minimum for the 1/r family (energy-independent).
+
+    A solve walks its grids in ascending order, so a few entries serve it.
+    """
     v = ansatz1_potential(grid.nodes(), gamma2, sigma)
     v.setflags(write=False)
     return v, float(v.min())
@@ -226,6 +233,7 @@ def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float, size: i
     dm3 = d - 3
     s0 = r_d2 / 4.0 - r_d3 / 2.0 + (kval * kval) * r_d4
     u = r_d4 / r_2d6
+    del r_2d6, r_d2  # not held while the basis is built: a long prefix's peak stays low
     basis = (
         r_d3 + dm3 * r_d4,          # multiplies c * tau
         s0 * r_d3,                  # multiplies -c
@@ -329,7 +337,7 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
         if allowed[-1] and stop < n:
             allowed = _gauss_allowed(coeffs, grid, n)
         return _island_match_index(allowed, min_nodes)
-    g = level - np.asarray(coeffs.v_fn(grid.nodes()), dtype=float)
+    g = level - np.asarray(coeffs.fields_fn(grid.nodes())["v"], dtype=float)
     return _island_match_index(g > 0.0, min_nodes)
 
 
@@ -357,19 +365,59 @@ def _boundary_seeds(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
     return inner, outer
 
 
-def _generalized_recurrence(coeffs: CoefficientSet, nodes: np.ndarray, h: float):
-    """(w, A, C) of the generalized scheme from one evaluation of the fields.
+@lru_cache(maxsize=4)
+def _field_basis(grid: RadialGrid, scheme: Scheme, scalars):
+    """Energy-independent arrays of a trial's weight on ``grid``; none holds tau.
 
-    w is on every node; A = p0 and C = p2 are at the interior nodes 1..n-2,
-    the ones the transfer product steps from. p1 is not formed (the product
-    takes S from w). The other fields are dropped before p0 and p2 are
-    formed, and p and p' on return, so none is held while the caller
-    propagates.
+    ``scalars`` = (D, K, A, c, lam^(D-3), sigma) of :func:`static_fields`,
+    whose (q, s/rho^(D-2)) come first, for w = q tau - s/rho^(D-2); None for
+    the 1/r family. Then (p^2/4, p'/2) for W = w - p^2/4 - p'/2 (canonical),
+    or p' and p h/2 at the interior nodes for p0 and p2 (generalized).
     """
-    fields = coeffs.fields_fn(nodes)
-    w, p, p_prime = fields["w"], fields["p"][1:-1], fields["p_prime"][1:-1]
-    del fields
-    return (w, *_generalized_p02(p, p_prime, w[:-2], w[2:], h))
+    nodes = grid.nodes()
+    f = ansatz1_fields(nodes, 0.0, 0.0, 1.0) if scalars is None else static_fields(nodes, *scalars)
+    if scheme is Scheme.CANONICAL:
+        basis = weight_terms(f["p"], f["p_prime"])
+    else:
+        basis = (f["p_prime"][1:-1], f["p"][1:-1] * grid.step / 2.0)
+    if scalars is not None:
+        basis = (f["q"], f["s_over"], *basis)
+    for arr in basis:
+        arr.setflags(write=False)
+    return basis
+
+
+def _weight_basis(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
+    """:func:`_field_basis` of a trial, from the per-grid cache where it holds no energy.
+
+    The 1/r family's p = 1/rho and p' = -1/rho^2 hold none of its scalars.
+    For 1/r^(D-2) at D = 3 (plus branch, K > 0, so den = c + A > 0) c and
+    lam^(D-3) enter only multiplied by D - 3 = 0 or as lam^0 = 1, so the
+    arrays for c = 0 and lam^(D-3) = 1 are those of every energy bit for bit.
+    At D >= 4 they depend on c nonlinearly and are evaluated for the trial.
+    """
+    if coeffs.c_const == 0.0:
+        return _field_basis(grid, scheme, None)
+    sigma = 1.0 if coeffs.branch == "plus" else -1.0
+    if coeffs.dimension == 3 and sigma > 0.0 and coeffs.c_const > 0.0:
+        return _field_basis(grid, scheme, (3, coeffs.k_value, coeffs.a_const, 0.0, 1.0, 1.0))
+    return _field_basis.__wrapped__(grid, scheme, (coeffs.dimension, coeffs.k_value, coeffs.a_const,
+                                                   coeffs.c_const, coeffs.lambda_d3, sigma))
+
+
+def _generalized_recurrence(coeffs: CoefficientSet, grid: RadialGrid, w, lower, upper, scratch):
+    """Write w on every node, and A = p0 and C = p2 at the interior nodes 1..n-2.
+
+    w comes from tau and the cached V (1/r family) or :func:`_weight_basis`,
+    which gives p' and p h/2 too; ``scratch`` (n - 2) takes the w terms. p1
+    is not formed (the product takes S from w).
+    """
+    *w_basis, p_prime, half_step = _weight_basis(coeffs, grid, Scheme.GENERALIZED)
+    if coeffs.c_const == 0.0:  # 1/r family
+        ansatz1_w(grid.nodes(), _ansatz1_nodes(coeffs, grid)[0], coeffs.match_level, w)
+    else:
+        general_w(*w_basis, coeffs.match_level, w)
+    _generalized_p02(half_step, p_prime, w[:-2], w[2:], grid.step, (lower, upper), scratch)
 
 
 def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
@@ -424,31 +472,67 @@ def _log_derivative_gap(left, right, coeffs, grid, m, scheme) -> float:
     return d_left - d_right
 
 
-def _canonical_weight(coeffs: CoefficientSet, grid: RadialGrid) -> np.ndarray:
-    """W on the grid nodes; for the 1/r family from the cached V, not the six fields."""
-    nodes = grid.nodes()
+def _canonical_weight(coeffs: CoefficientSet, grid: RadialGrid, out=None, scratch=None):
+    """W on the grid nodes from tau and cached arrays, into ``out``; not from the fields.
+
+    The 1/r family uses the cached V (``scratch``, n doubles, takes the
+    1/(4 rho^2) term), the 1/r^(D-2) potential :func:`_weight_basis`.
+    """
     if coeffs.c_const == 0.0:
-        return ansatz1_weight(nodes, _ansatz1_nodes(coeffs, grid)[0], coeffs.match_level)
-    return np.asarray(coeffs.weight_fn(nodes), dtype=float)
+        v = _ansatz1_nodes(coeffs, grid)[0]
+        return ansatz1_weight(grid.nodes(), v, coeffs.match_level, out, scratch)
+    q, s_over, quarter, half = _weight_basis(coeffs, grid, Scheme.CANONICAL)
+    weight = general_w(q, s_over, coeffs.match_level, out)
+    weight -= quarter
+    weight -= half
+    return weight
 
 
-def _mismatch_at_match(coeffs, grid, m, scheme) -> float:
-    """Delta = [phi'/phi]_left - [phi'/phi]_right at the match node m, without a sweep."""
-    nodes = grid.nodes()
+class Workspace:
+    """The buffer a solve's swept trials write every grid-sized array into.
+
+    Allocated at the first swept trial and grown to the largest grid the solve
+    meets, so its pages are faulted in once per solve, not on every trial.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+
+    def take(self, size: int) -> np.ndarray:
+        if self.buffer.size < size:
+            self.buffer = np.empty(size)
+        return self.buffer
+
+
+def _mismatch_at_match(coeffs, grid, m, scheme, work=None) -> float:
+    """Delta = [phi'/phi]_left - [phi'/phi]_right at the match node m, without a sweep.
+
+    Every array is a view of ``work`` (fresh if None): f and S (p0, p2, S), then
+    the product's space, 6n doubles in all (7n), whose start holds the weight
+    u until the product overwrites it.
+    """
+    n = grid.n_points
     h = grid.step
+    rows = 2 if scheme is Scheme.CANONICAL else 3
+    space = (work or Workspace()).take(rows * n + product_space(n - 2))
+    product = space[rows * n :]
+    u = product[:n]
     if scheme is Scheme.CANONICAL:
-        u = _canonical_weight(coeffs, grid)
-        f = _canonical_factors(u, h)
+        f, s = space[:n], space[n : 2 * n - 2]
+        _canonical_weight(coeffs, grid, u, f)
+        _canonical_factors(u, h, f)
         lower, upper = f[:-2], f[2:]
     else:
-        u, lower, upper = _generalized_recurrence(coeffs, nodes, h)
+        lower, upper, s = (space[i * n : (i + 1) * n - 2] for i in range(3))
+        _generalized_recurrence(coeffs, grid, u, lower, upper, s)
+    _three_point_sum(u, h, s)
     inner, outer = _boundary_seeds(coeffs, grid, scheme)
-    left, right = match_samples(lower, upper, _three_point_sum(u, h), m, (0.0, inner), outer)
+    left, right = match_samples(lower, upper, s, m, (0.0, inner), outer, product)
     return _log_derivative_gap(left, right, coeffs, grid, m, scheme)
 
 
-def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings):
-    """(delta, match_index, grid) for one trial energy; delta None if no island."""
+def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings, work=None):
+    """(delta, match_index, grid) for one trial energy, in ``work``; delta None if no island."""
     state = dimensionless_state(config, eta)
     coeffs = build_coefficients(state, config)
     grid = settings.resolve_grid(coeffs.turning_scale)
@@ -456,7 +540,7 @@ def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings
     if m is None:
         return None, None, grid
     try:
-        delta_val = _mismatch_at_match(coeffs, grid, m, settings.scheme)
+        delta_val = _mismatch_at_match(coeffs, grid, m, settings.scheme, work)
     except NonFiniteValue as exc:
         exc.eta = eta
         raise
@@ -502,13 +586,14 @@ def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None
         state = dimensionless_state(config, float(eta))
         settings.resolve_grid(build_coefficients(state, config).turning_scale)
     out = []
+    work = Workspace()
     for eta in etas:
-        delta_val, _, _ = _evaluate_trial(float(eta), config, settings)
+        delta_val, _, _ = _evaluate_trial(float(eta), config, settings, work)
         out.append((float(eta), delta_val))
     return out
 
 
-def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings):
+def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None):
     """Shrink a sign-change bracket; return (eta, delta, m, grid) or None.
 
     Bisection continues past root_tol down to machine width if the mismatch
@@ -522,7 +607,7 @@ def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings):
         mid = 0.5 * (eta_lo + eta_hi)
         if mid == eta_lo or mid == eta_hi:
             break
-        d_mid, m_mid, grid_mid = _evaluate_trial(mid, config, settings)
+        d_mid, m_mid, grid_mid = _evaluate_trial(mid, config, settings, work)
         if d_mid is None:
             return None  # island evaporated inside the bracket: not a root
         last = (mid, d_mid, m_mid, grid_mid)
@@ -554,9 +639,10 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
     prev_delta = None
     saw_island = False
     saw_bracket = False
+    work = Workspace()
     for eta in _scan_etas(settings.eta_window, settings.scan_points):
         eta = float(eta)
-        delta_val, _, _ = _evaluate_trial(eta, config, settings)
+        delta_val, _, _ = _evaluate_trial(eta, config, settings, work)
         trace.append((eta, delta_val))
         if delta_val is None:
             prev_eta = prev_delta = None
@@ -569,7 +655,7 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
             and (delta_val < 0.0) != (prev_delta < 0.0)
         ):
             saw_bracket = True
-            hit = _bisect_bracket(prev_eta, prev_delta, eta, delta_val, config, settings)
+            hit = _bisect_bracket(prev_eta, prev_delta, eta, delta_val, config, settings, work)
             if hit is not None:
                 eta_star, residual, m_star, grid_star = hit
                 if abs(residual) <= settings.mismatch_tol:

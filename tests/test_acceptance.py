@@ -198,8 +198,9 @@ def test_criterion_8_identity_suite():
         eta = float(rng.uniform(0.3, 0.9999))
         config = PhysicalConfig(dimension=d, ansatz=Ansatz.GENERALIZED)
         coeffs = build_coefficients(dimensionless_state(config, eta), config)
-        lhs = coeffs.v_fn(rho) * coeffs.q_fn(rho) * rho ** (d - 2)
-        s = coeffs.s_fn(rho)
+        fields = coeffs.fields_fn(rho)
+        lhs = fields["v"] * fields["q"] * rho ** (d - 2)
+        s = fields["s"]
         worst_vqs = max(worst_vqs, float(np.max(np.abs(lhs - s) / np.abs(s))))
     assert worst_vqs <= 1e-12
 
@@ -209,9 +210,9 @@ def test_criterion_8_identity_suite():
     probes = rng.uniform(0.5, 20.0, size=20)
     errors = []
     for h in (1e-2, 1e-3, 1e-4):
-        fd = (coeffs.p_fn(probes + h) - coeffs.p_fn(probes - h)) / (2.0 * h)
-        errors.append(float(np.max(np.abs(fd - coeffs.p_prime_fn(probes))
-                                   / np.abs(coeffs.p_prime_fn(probes)))))
+        fd = (coeffs.fields_fn(probes + h)["p"] - coeffs.fields_fn(probes - h)["p"]) / (2.0 * h)
+        p_prime = coeffs.fields_fn(probes)["p_prime"]
+        errors.append(float(np.max(np.abs(fd - p_prime) / np.abs(p_prime))))
     assert errors[0] / errors[1] > 30.0 and errors[1] / errors[2] > 30.0
 
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -9,13 +8,10 @@ from dirac_numerov import (
     PhysicalConfig,
     analytic_energy,
     analytic_ground_wavefunction_d3,
-    hyp1f1,
     k_value,
 )
 from dirac_numerov.core import FINE_STRUCTURE_CONSTANT as ALPHA
-from dirac_numerov.errors import DomainError, SupercriticalCoupling, UnsupportedCase
-
-mpmath.mp.dps = 40
+from dirac_numerov.errors import SupercriticalCoupling, UnsupportedCase
 
 # reference ground-state energy ratios for the 1/r relativistic problem,
 # D = 3..9 (15-digit published values)
@@ -105,57 +101,3 @@ def test_ground_wavefunction_rejects_other_cases():
         )
     with pytest.raises(ValueError):
         analytic_ground_wavefunction_d3(np.array([0.1, 0.3, 0.4]), _cfg(3))
-
-
-# ---------------------------------------------------------------------------
-# confluent hypergeometric series
-
-
-def test_hyp1f1_at_zero():
-    assert hyp1f1(0.3, 1.7, 0.0) == 1.0
-
-
-def test_hyp1f1_terminating_polynomial():
-    for z in (-3.0, 0.25, 2.0):
-        assert math.isclose(hyp1f1(-1.0, 1.0, z), 1.0 - z, rel_tol=1e-15)
-    # degree-2 polynomial: 1 - 2z + z^2/2 at a=-2, b=1
-    z = 0.7
-    assert math.isclose(hyp1f1(-2.0, 1.0, z), 1.0 - 2.0 * z + z * z / 2.0, rel_tol=1e-14)
-
-
-def test_hyp1f1_exponential_identity():
-    assert math.isclose(hyp1f1(1.0, 1.0, 1.0), 2.718281828459045, rel_tol=1e-14)
-    for z in (0.3, 5.0, 60.0):
-        assert math.isclose(hyp1f1(1.0, 1.0, z), math.exp(z), rel_tol=1e-13)
-
-
-def test_hyp1f1_against_mpmath():
-    rng = np.random.default_rng(9)
-    for _ in range(60):
-        a = float(rng.uniform(-4.0, 5.0))
-        b = float(rng.uniform(0.3, 6.0))
-        z = float(rng.uniform(-30.0, 30.0))
-        got = hyp1f1(a, b, z)
-        want = float(mpmath.hyp1f1(a, b, z))
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-13), (a, b, z)
-
-
-def test_hyp1f1_contiguous_relation():
-    # 1F1(a,b,z) - 1F1(a-1,b,z) = (z/b) 1F1(a,b+1,z)
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        a = float(rng.uniform(0.5, 5.0))
-        b = float(rng.uniform(0.5, 5.0))
-        z = float(rng.uniform(-20.0, 20.0))
-        lhs = hyp1f1(a, b, z) - hyp1f1(a - 1.0, b, z)
-        rhs = z / b * hyp1f1(a, b + 1.0, z)
-        assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12), (a, b, z)
-
-
-def test_hyp1f1_domain_errors():
-    with pytest.raises(DomainError):
-        hyp1f1(1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        hyp1f1(1.0, -2.0, 1.0)
-    with pytest.raises(DomainError):
-        hyp1f1(1.0, 1.0, 501.0)

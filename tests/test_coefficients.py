@@ -86,9 +86,10 @@ def test_d3_collapses_to_one_over_r_structure():
         state = dimensionless_state(cfg, eta, xi=xi)
         general = coefficient_set(state, cfg)
         reduced = coefficient_set_ansatz1(state, _a1_config(3))
-        for name in ("p_fn", "q_fn", "v_fn", "s_fn", "w_fn", "p_prime_fn"):
-            lhs = getattr(general, name)(rho)
-            rhs = getattr(reduced, name)(rho)
+        lhs_fields, rhs_fields = general.fields_fn(rho), reduced.fields_fn(rho)
+        for name in ("p", "q", "v", "s", "w", "p_prime"):
+            lhs = lhs_fields[name]
+            rhs = rhs_fields[name]
             scale = np.maximum(np.abs(rhs), 1e-30)
             assert np.max(np.abs(lhs - rhs) / scale) < 1e-10, name
 
@@ -102,7 +103,7 @@ def test_d3_zeroth_coefficient_closed_form():
     k2 = state.k_value**2
     rho = np.linspace(0.01, 60.0, 500)
     expected = state.tau / rho - 0.25 + 0.5 / rho - (k2 - state.xi**2) / rho**2
-    got = coeffs.w_fn(rho)
+    got = coeffs.fields_fn(rho)["w"]
     assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-10
 
 
@@ -134,7 +135,7 @@ def test_general_w_matches_coupled_system_assembly_d5():
             + 1 / (2 * r)
             - (k * k - (tau_p**2 - tau**2) / r ** (2 * (d - 3))) / r**2
         )
-        got = coeffs.w_fn(rho)
+        got = coeffs.fields_fn(rho)["w"]
         assert math.isclose(got, float(oracle), rel_tol=1e-12), rho
 
 
@@ -159,8 +160,9 @@ def test_v_q_s_identity(d, eta):
     state = dimensionless_state(cfg, eta)
     coeffs = coefficient_set(state, cfg)
     rho = np.geomspace(1e-4, 80.0, 400)
-    lhs = coeffs.v_fn(rho) * coeffs.q_fn(rho) * rho ** (d - 2)
-    rhs = coeffs.s_fn(rho)
+    fields = coeffs.fields_fn(rho)
+    lhs = fields["v"] * fields["q"] * rho ** (d - 2)
+    rhs = fields["s"]
     assert np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)) < 1e-12
 
 
@@ -170,8 +172,9 @@ def test_w_equals_q_level_minus_v(d, eta):
     state = dimensionless_state(cfg, eta)
     coeffs = coefficient_set(state, cfg)
     rho = np.geomspace(1e-3, 50.0, 300)
-    direct = coeffs.w_fn(rho)
-    assembled = coeffs.q_fn(rho) * (coeffs.match_level - coeffs.v_fn(rho))
+    fields = coeffs.fields_fn(rho)
+    direct = fields["w"]
+    assembled = fields["q"] * (coeffs.match_level - fields["v"])
     scale = np.maximum(np.abs(direct), 1e-300)
     assert np.max(np.abs(direct - assembled) / scale) < 5e-14
 
@@ -185,8 +188,8 @@ def test_p_prime_matches_finite_differences(d):
     rho = rng.uniform(0.5, 20.0, size=20)
     errors = []
     for h in (1e-2, 1e-3, 1e-4):
-        fd = (coeffs.p_fn(rho + h) - coeffs.p_fn(rho - h)) / (2.0 * h)
-        exact = coeffs.p_prime_fn(rho)
+        fd = (coeffs.fields_fn(rho + h)["p"] - coeffs.fields_fn(rho - h)["p"]) / (2.0 * h)
+        exact = coeffs.fields_fn(rho)["p_prime"]
         errors.append(np.max(np.abs(fd - exact) / np.abs(exact)))
     # second-order decay per decade of h: factor ~100, allow wide margin
     assert errors[0] / errors[1] > 30.0
@@ -203,7 +206,7 @@ def test_energy_term_placement():
         cfg = _a2_config(d)
         up = coefficient_set(dimensionless_state(cfg, eta + deta), cfg)
         dn = coefficient_set(dimensionless_state(cfg, eta - deta), cfg)
-        return (up.w_fn(rho) - dn.w_fn(rho)) / (2.0 * deta)
+        return (up.fields_fn(rho)["w"] - dn.fields_fn(rho)["w"]) / (2.0 * deta)
 
     d3 = dw_deta(3, 0.9)
     ratio3 = (d3 * rho)[1] / (d3 * rho)[0]
@@ -222,7 +225,7 @@ def test_canonical_weight_d3():
     state = dimensionless_state(cfg, 0.9999)
     coeffs = coefficient_set_ansatz1(state, cfg)
     rho = np.linspace(0.1, 30.0, 100)
-    expected = coeffs.w_fn(rho) + 1.0 / (4.0 * rho**2)
+    expected = coeffs.fields_fn(rho)["w"] + 1.0 / (4.0 * rho**2)
     assert np.max(np.abs(coeffs.weight_fn(rho) - expected)) < 1e-14
 
 
@@ -237,7 +240,7 @@ def test_integrating_factor_against_quadrature(d, ansatz):
     else:
         coeffs = coefficient_set(state, cfg)
     rho0, rho1 = 0.4, 12.0
-    quad = mpmath.quad(lambda t: coeffs.p_fn(float(t)), [rho0, rho1])
+    quad = mpmath.quad(lambda t: coeffs.fields_fn(float(t))["p"], [rho0, rho1])
     lhs = math.log(coeffs.integrating_factor_fn(rho1) / coeffs.integrating_factor_fn(rho0))
     assert math.isclose(lhs, float(-quad / 2.0), rel_tol=1e-8)
 
@@ -251,8 +254,9 @@ def test_canonical_weight_matches_fd_p_prime():
     exact = coeffs.weight_fn(rho)
     errs = []
     for h in (1e-2, 1e-3):
-        fd = (coeffs.p_fn(rho + h) - coeffs.p_fn(rho - h)) / (2.0 * h)
-        approx = coeffs.w_fn(rho) - coeffs.p_fn(rho) ** 2 / 4.0 - fd / 2.0
+        fd = (coeffs.fields_fn(rho + h)["p"] - coeffs.fields_fn(rho - h)["p"]) / (2.0 * h)
+        fields = coeffs.fields_fn(rho)
+        approx = fields["w"] - fields["p"] ** 2 / 4.0 - fd / 2.0
         errs.append(np.max(np.abs(approx - exact)))
     assert errs[0] / errs[1] > 30.0
 
@@ -270,7 +274,7 @@ def test_minus_branch_denominator_vanishes():
     rho_zero = math.sqrt(state.a_const / c)
     with pytest.raises(DenominatorVanishes):
         # force an exact zero denominator through an array containing the root
-        coeffs.p_fn(np.array([rho_zero * (1.0 + 1e-17), rho_zero]))
+        coeffs.fields_fn(np.array([rho_zero * (1.0 + 1e-17), rho_zero]))["p"]
 
 
 def test_plus_branch_with_negative_k_can_vanish():
@@ -280,7 +284,7 @@ def test_plus_branch_with_negative_k_can_vanish():
     c = state.k_value * state.lambda_ ** ((4.0 - 5) / 2.0)  # negative
     rho_zero = math.sqrt(state.a_const / -c)
     with pytest.raises(DenominatorVanishes):
-        coeffs.q_fn(np.array([rho_zero]))
+        coeffs.fields_fn(np.array([rho_zero]))["q"]
 
 
 def test_minus_branch_w_d3():
@@ -289,4 +293,4 @@ def test_minus_branch_w_d3():
     coeffs = coefficient_set(state, cfg, branch="minus")
     rho = np.linspace(0.2, 30.0, 100)
     expected = state.tau / rho - 0.25 - 0.5 / rho - (state.k_value**2 - state.xi**2) / rho**2
-    assert np.max(np.abs(coeffs.w_fn(rho) - expected) / np.abs(expected)) < 1e-10
+    assert np.max(np.abs(coeffs.fields_fn(rho)["w"] - expected) / np.abs(expected)) < 1e-10

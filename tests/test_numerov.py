@@ -18,7 +18,6 @@ from dirac_numerov.numerov import (
     Scheme,
     RESCALE_THRESHOLD,
     _canonical_factors,
-    _first_level,
     _numerov_sweep_lr,
     _numerov_sweep_rl,
     _three_point_sum,
@@ -27,6 +26,7 @@ from dirac_numerov.numerov import (
     generalized_step,
     match_samples,
     measured_order,
+    product_space,
     propagate,
     scheme_report,
 )
@@ -38,13 +38,8 @@ def make_set(p=None, p_prime=None, w=None, weight=None, factor=None, **kw):
     one = lambda rho: np.ones_like(np.asarray(rho, dtype=float))
     p, p_prime, w = p or zero, p_prime or zero, w or zero
     fields = dict(
-        fields_fn=lambda rho: {"p": p(rho), "p_prime": p_prime(rho), "w": w(rho)},
-        p_fn=p,
-        q_fn=one,
-        v_fn=zero,
-        s_fn=zero,
-        w_fn=w,
-        p_prime_fn=p_prime,
+        fields_fn=lambda rho: {"p": p(rho), "p_prime": p_prime(rho), "q": one(rho),
+                               "s": zero(rho), "v": zero(rho), "w": w(rho)},
         weight_fn=weight or w,
         integrating_factor_fn=factor or one,
         match_level=0.0,
@@ -114,9 +109,8 @@ def test_generalized_step_d3_ground_state_smooth_region():
     values = [y_prev, y_curr]
     from dirac_numerov.numerov import _general_sweep_lr, _generalized_arrays
 
-    p0, p1, p2 = _generalized_arrays(
-        coeffs.p_fn(rho), coeffs.p_prime_fn(rho), coeffs.w_fn(rho), h
-    )
+    fields = coeffs.fields_fn(rho)
+    p0, p1, p2 = _generalized_arrays(fields["p"], fields["p_prime"], fields["w"], h)
     buf = [0.0] * n
     buf[0], buf[1] = y_prev, y_curr
     _general_sweep_lr(p0.tolist(), p1.tolist(), p2.tolist(), buf, 1, n - 1)
@@ -332,6 +326,61 @@ def _stacked_transfer_product(lower, upper, s):
     return tuple(float(v) for v in t[:, 0])
 
 
+def _allocating_first_level(lower, upper, s):
+    """The first level as it was before the workspace: every row a fresh array."""
+    k = s.shape[0]
+    half = k // 2
+    even, odd = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
+    t = np.empty((2, 2, half + k % 2))
+    (a, b), (c, d) = t[:, :, :half]
+    gy = np.divide(s[odd], lower[odd], out=a)
+    ry = np.divide(upper[odd], lower[odd], out=b)
+    gx = np.divide(s[even], lower[even], out=c)
+    rx = np.divide(upper[even], lower[even], out=d)
+    rg = rx * gy
+    rr = rx * ry
+    np.multiply(gx, ry, out=d)
+    np.subtract(rr, d, out=d)
+    ex = 1.0 - gx
+    ey = np.subtract(1.0, gy, out=a)
+    c *= ey
+    c += rg
+    a *= ex
+    a -= rg
+    b *= ex
+    np.negative(b, out=b)
+    b -= rr
+    if k % 2:
+        g, r = s[-1] / lower[-1], upper[-1] / lower[-1]
+        t[:, :, half] = (1.0 - g, -r), (g, r)
+    return t
+
+
+def _allocating_transfer_product(lower, upper, s):
+    """The product as it was before the workspace: a fresh array per level and product."""
+    k = s.shape[0]
+    if k == 0:
+        return 1.0, 0.0, 0.0, 1.0
+    t = _allocating_first_level(lower, upper, s)
+    if k == 1:
+        return tuple(float(v) for v in t.ravel())
+    while True:
+        if t.max() > RESCALE_THRESHOLD or t.min() < -RESCALE_THRESHOLD:
+            t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(0, 1)))[1])
+        if t.shape[2] == 1:
+            return tuple(float(v) for v in t.ravel())
+        half = t.shape[2] // 2
+        x = t[:, :, 0 : 2 * half : 2]
+        y = t[:, :, 1 : 2 * half : 2]
+        nxt = np.empty((2, 2, half + t.shape[2] % 2))
+        prod = nxt[:, :, :half]
+        np.multiply(x[:, 0, None], y[None, 0], out=prod)
+        prod += x[:, 1, None] * y[None, 1]
+        if half < nxt.shape[2]:
+            nxt[:, :, half] = t[:, :, -1]
+        t = nxt
+
+
 def _same_bits(got, expected):
     return np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
 
@@ -351,7 +400,7 @@ def test_transfer_product_renormalizes_like_the_stacked_product(count):
     lower, upper, s = _random_recurrence(count + 2, seed=300 + count)
     lower[:2] = 1e-60
     lower[5::5] = 1e-60
-    assert np.abs(_first_level(lower, upper, s)).max() > 1e100
+    assert np.abs(_allocating_first_level(lower, upper, s)).max() > 1e100
     expected = _stacked_transfer_product(lower, upper, s)
     assert _same_bits(_transfer_product(lower, upper, s), expected)
     assert max(abs(v) for v in expected) < 1.0 + 1e-12  # renormalized at the last level
@@ -361,11 +410,71 @@ def test_transfer_product_renormalizes_on_a_negative_entry_alone():
     # M_0 M_1 with g_0 = 1/2, r_0 = 0, g_1 = 0, r_1 = 1e101 is
     # [[1/2, -5e100], [1/2, -5e100]]: only the min test sees the overflow
     lower, upper, s = np.ones(2), np.array([0.0, 1e101]), np.array([0.5, 0.0])
-    level = _first_level(lower, upper, s)
+    level = _allocating_first_level(lower, upper, s)
     assert level.max() <= RESCALE_THRESHOLD < -level.min()
     got = _transfer_product(lower, upper, s)
     assert _same_bits(got, _stacked_transfer_product(lower, upper, s))
     assert max(abs(v) for v in got) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the workspace kernel against the allocating one it replaced
+
+
+def _both_directions(lower, upper, s):
+    """The inward arguments and the outward ones (reversed views, A and C swapped)."""
+    return (lower, upper, s), (upper[::-1], lower[::-1], s[::-1])
+
+
+@pytest.mark.parametrize("count", range(41))
+def test_workspace_product_is_bit_identical_to_the_allocating_product(count):
+    # in a space filled with NaN first, so an entry the kernel failed to write shows
+    lower, upper, s = _random_recurrence(count + 2, seed=500 + count)
+    space = np.full(product_space(count), np.nan)
+    for args in _both_directions(lower, upper, s):
+        assert _same_bits(_transfer_product(*args, space), _allocating_transfer_product(*args))
+
+
+@pytest.mark.parametrize("count", [2, 3, 7, 40])
+def test_workspace_product_renormalizes_like_the_allocating_product(count):
+    # the divisor is 1e-60 at the start and every fifth place of the
+    # direction's own order: first-level entries pass 1e100
+    space = np.full(product_space(count), np.nan)
+    inward, _ = _both_directions(*_random_recurrence(count + 2, seed=300 + count))
+    _, outward = _both_directions(*_random_recurrence(count + 2, seed=300 + count))
+    for args in (inward, outward):
+        args[0][:2] = 1e-60
+        args[0][5::5] = 1e-60
+        assert np.abs(_allocating_first_level(*args)).max() > 1e100
+        assert _same_bits(_transfer_product(*args, space), _allocating_transfer_product(*args))
+
+
+def test_workspace_product_renormalizes_on_a_negative_entry_alone():
+    lower, upper, s = np.ones(2), np.array([0.0, 1e101]), np.array([0.5, 0.0])
+    space = np.full(product_space(2), np.nan)
+    assert _same_bits(_transfer_product(lower, upper, s, space),
+                      _allocating_transfer_product(lower, upper, s))
+
+
+def test_one_workspace_serves_back_to_back_products():
+    # shorter products after longer ones, and a renormalized one among them,
+    # in one space: nothing an earlier product left behind reaches a later one
+    space = np.full(product_space(40), np.nan)
+    for count, seed in ((40, 1), (7, 2), (23, 3), (0, 4), (1, 5), (40, 6), (2, 7), (9, 8)):
+        lower, upper, s = _random_recurrence(count + 2, seed=700 + seed)
+        if seed == 6:
+            lower[::3] = 1e-60
+        for args in _both_directions(lower, upper, s):
+            assert _same_bits(_transfer_product(*args, space), _allocating_transfer_product(*args))
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_match_samples_in_a_reused_space_equal_a_fresh_one(n):
+    lower, upper, s = _random_recurrence(n, seed=900 + n)
+    space = np.full(product_space(n - 2), np.nan)
+    for m in (n - 3, 2, n // 2, 17):
+        got = match_samples(lower, upper, s, m, (0.0, 0.3), (1.0, 1.2), space)
+        assert _same_bits(got, match_samples(lower, upper, s, m, (0.0, 0.3), (1.0, 1.2)))
 
 
 @pytest.mark.parametrize("n", [40, 41])

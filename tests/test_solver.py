@@ -1,5 +1,8 @@
 import math
+import resource
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,12 +27,13 @@ from dirac_numerov import (
     reconstruct_fg,
     solve_ground_state,
 )
-from dirac_numerov import coefficients, solver
+from dirac_numerov import coefficients, numerov, solver
 from dirac_numerov.errors import ConfigError, EtaOutOfRange
 from dirac_numerov.numerov import Scheme
 from dirac_numerov.solver import (
     _allowed_radius_bound,
     _canonical_weight,
+    _field_basis,
     _gauss_allowed,
     _island_basis,
     _island_match_index,
@@ -39,7 +43,9 @@ from dirac_numerov.solver import (
     _polynomial_tail,
     _propagate_halves,
     _scan_etas,
+    _weight_basis,
 )
+from test_numerov import _allocating_transfer_product
 
 
 def _coeffs_at(d, ansatz, eta, **cfg_kw):
@@ -62,7 +68,7 @@ def test_match_point_d3_ground_state():
     assert 0.0 < rho_m < 50.0
     # dense-grid oracle: outermost crossing of the smooth effective potential
     dense = np.linspace(1e-6, 50.0, 1_000_000)
-    gap = coeffs.match_level - coeffs.v_fn(dense)
+    gap = coeffs.match_level - coeffs.fields_fn(dense)["v"]
     crossings = dense[1:][np.diff(np.sign(gap)) != 0]
     assert abs(rho_m - crossings[-1]) < 2 * grid.step
     # the turning radius of rho/4 - 1/2 + gamma^2/rho at level tau in closed form
@@ -86,7 +92,7 @@ def test_match_point_none_for_gauss_law_d5():
     grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=50001)
     assert _match_index(coeffs, grid, 3) is None
     nodes = grid.nodes()
-    gap = coeffs.match_level - coeffs.v_fn(nodes)
+    gap = coeffs.match_level - coeffs.fields_fn(nodes)["v"]
     allowed = np.flatnonzero(gap > 0.0)
     assert allowed.size > 0 and allowed[0] == 0  # funnel attached to the cutoff
     assert np.all(gap[nodes >= 0.05] < 0.0)  # outer region everywhere forbidden
@@ -118,7 +124,7 @@ def test_fast_island_paths_agree_with_generic():
         coeffs, _ = _coeffs_at(d, ansatz, eta)
         fast = _match_index(coeffs, grid, 3)
         generic = _island_match_index(
-            (coeffs.match_level - coeffs.v_fn(grid.nodes())) > 0.0, 3
+            (coeffs.match_level - coeffs.fields_fn(grid.nodes())["v"]) > 0.0, 3
         )
         assert fast == generic, (d, eta, ansatz)
 
@@ -219,7 +225,7 @@ def test_no_allowed_node_past_the_bound(eta, d, ell):
     assert past.any()
     assert not _gauss_allowed(coeffs, grid, grid.n_points)[past].any()
     # the same from the literal level - V, node by node
-    gap = coeffs.match_level - coeffs.v_fn(grid.nodes()[past])
+    gap = coeffs.match_level - coeffs.fields_fn(grid.nodes()[past])["v"]
     assert np.all(gap <= 0.0)
 
 
@@ -273,7 +279,7 @@ def test_one_over_r_weight_from_the_cached_potential_is_weight_fn(dimension):
         nodes = grid.nodes()
         weight = _canonical_weight(coeffs, grid)
         assert np.array_equal(weight, coeffs.weight_fn(nodes))
-        assert np.array_equal(weight, coeffs.w_fn(nodes) + 1.0 / (4.0 * nodes * nodes))
+        assert np.array_equal(weight, coeffs.fields_fn(nodes)["w"] + 1.0 / (4.0 * nodes * nodes))
 
 
 @pytest.mark.parametrize("ansatz", [Ansatz.ONE_OVER_R, Ansatz.GENERALIZED])
@@ -283,7 +289,8 @@ def test_generalized_step_coefficients_without_p1_are_the_full_ones(ansatz):
     coeffs, _ = _coeffs_at(3, ansatz, 0.99997)
     grid = SolverSettings().resolve_grid(coeffs.turning_scale)
     nodes = grid.nodes()
-    w, lower, upper = solver._generalized_recurrence(coeffs, nodes, grid.step)
+    w, lower, upper, scratch = (np.full(size, np.nan) for size in (nodes.size, *[nodes.size - 2] * 3))
+    solver._generalized_recurrence(coeffs, grid, w, lower, upper, scratch)
     fields = coeffs.fields_fn(nodes)
     p0, _, p2 = solver._generalized_arrays(fields["p"], fields["p_prime"], fields["w"], grid.step)
     assert np.array_equal(w, fields["w"])
@@ -303,6 +310,122 @@ def test_one_over_r_mismatch_does_not_evaluate_the_fields(monkeypatch):
     assert calls == []
     coeffs.fields_fn(grid.nodes()[:3])  # the hook itself is live
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+@hypothesis_settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(eta=st.floats(min_value=0.01, max_value=1.0 - 1e-9), ell=st.integers(0, 2))
+def test_d3_field_basis_holds_no_energy(scheme, eta, ell):
+    # the cache serves every energy at D = 3: its arrays, evaluated with c = 0
+    # and lam^(D-3) = 1, are those of the trial's own c and lam bit for bit
+    config = PhysicalConfig(dimension=3, ell=ell, ansatz=Ansatz.GENERALIZED)
+    coeffs = build_coefficients(dimensionless_state(config, eta), config)
+    grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=5001)
+    cached = _weight_basis(coeffs, grid, scheme)
+    fresh = _field_basis.__wrapped__(grid, scheme, (3, coeffs.k_value, coeffs.a_const,
+                                                    coeffs.c_const, coeffs.lambda_d3, 1.0))
+    assert len(cached) == len(fresh)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cached, fresh))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+@pytest.mark.parametrize("ansatz", [Ansatz.ONE_OVER_R, Ansatz.GENERALIZED])
+def test_swept_trials_evaluate_no_fields(monkeypatch, ansatz, scheme):
+    # after a first trial has filled the per-grid caches, no swept trial
+    # evaluates the coefficient fields over the grid, under either scheme
+    config = PhysicalConfig(dimension=3, ansatz=ansatz)
+    settings = SolverSettings(scheme=scheme)
+    etas = (0.99990, 0.99995, 0.99997)
+    work = solver.Workspace()
+    solver._evaluate_trial(etas[0], config, settings, work)
+    calls = []
+    for owner, name in ((coefficients, "general_fields"), (coefficients, "static_fields"),
+                        (coefficients, "ansatz1_fields"), (solver, "static_fields"),
+                        (solver, "ansatz1_fields")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _f=original: calls.append(args) or _f(*args))
+    for eta in etas[1:]:
+        delta, m, _ = solver._evaluate_trial(eta, config, settings, work)
+        assert m is not None and delta is not None
+    assert calls == []
+
+
+def _swept_trials(solve_cached, config, settings, count):
+    """(eta, coeffs, grid, m) of ``count`` + 1 trials spread over a solve's swept window."""
+    result = solve_cached(config.dimension, config.ansatz, scheme=settings.scheme)
+    swept = [eta for eta, d in result.scan_trace if d is not None]
+    trials = []
+    for eta in np.linspace(min(swept), max(swept), count + 1):
+        coeffs = build_coefficients(dimensionless_state(config, float(eta)), config)
+        grid = settings.resolve_grid(coeffs.turning_scale)
+        trials.append((float(eta), coeffs, grid, _match_index(coeffs, grid, 3)))
+    return trials
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+@pytest.mark.parametrize("ansatz", [Ansatz.ONE_OVER_R, Ansatz.GENERALIZED])
+def test_swept_trials_fault_in_no_pages(solve_cached, ansatz, scheme):
+    # every grid-sized array of a swept trial lives in the solve's workspace
+    # or a per-grid cache: after one warm-up trial, twenty more make (almost)
+    # no minor page faults in this process (a trial that allocated its
+    # arrays afresh made 330 to 1,100 each)
+    config = PhysicalConfig(dimension=3, ansatz=ansatz)
+    settings = SolverSettings(scheme=scheme)
+    trials = _swept_trials(solve_cached, config, settings, 20)
+    work = solver.Workspace()
+    solver._evaluate_trial(trials[0][0], config, settings, work)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for eta, *_ in trials[1:]:
+        solver._evaluate_trial(eta, config, settings, work)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 20 <= 64, faults
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+@pytest.mark.parametrize("ansatz", [Ansatz.ONE_OVER_R, Ansatz.GENERALIZED])
+def test_swept_mismatch_allocates_no_grid_sized_array(solve_cached, ansatz, scheme):
+    # the mismatch writes every array into the workspace: past the first
+    # trial, the most it holds at once (numpy's iterator buffers) stays below
+    # one array of the grid's size
+    config = PhysicalConfig(dimension=3, ansatz=ansatz)
+    trials = _swept_trials(solve_cached, config, SolverSettings(scheme=scheme), 20)
+    work = solver.Workspace()
+    _mismatch_at_match(*trials[0][1:], scheme, work)
+    tracemalloc.start()
+    try:
+        for _, coeffs, grid, m in trials[1:]:
+            _mismatch_at_match(coeffs, grid, m, scheme, work)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * trials[0][2].n_points, (current, peak)
+
+
+def _allocating_mismatch(coeffs, grid, m, scheme):
+    """Delta as every trial formed it before the workspace: fresh arrays, fields, allocating product."""
+    nodes, h = grid.nodes(), grid.step
+    h2_12 = h * h / 12.0
+    tau = coeffs.match_level
+    if scheme is Scheme.CANONICAL:
+        if coeffs.c_const == 0.0:
+            gamma2 = coeffs.k_value**2 - coeffs.xi**2
+            v = coefficients.ansatz1_potential(nodes, gamma2, 1.0)
+            u = (tau - v) / nodes + 0.25 / (nodes * nodes)
+        else:
+            u = coeffs.weight_fn(nodes)
+        f = 1.0 + h2_12 * u
+        lower, upper = f[:-2], f[2:]
+    else:
+        fields = coeffs.fields_fn(nodes)
+        u, p, p_prime = fields["w"], fields["p"][1:-1], fields["p_prime"][1:-1]
+        lower = 1.0 - p * h / 2.0 + (u[:-2] + p_prime) * h2_12
+        upper = 1.0 + p * h / 2.0 + (u[2:] + p_prime) * h2_12
+    s = h2_12 * (u[:-2] + 10.0 * u[1:-1] + u[2:])
+    inner, outer = solver._boundary_seeds(coeffs, grid, scheme)
+    with mock.patch.object(numerov, "_transfer_product",
+                           lambda lower, upper, s, space: _allocating_transfer_product(lower, upper, s)):
+        left, right = numerov.match_samples(lower, upper, s, m, (0.0, inner), outer)
+    return _log_derivative_gap(left, right, coeffs, grid, m, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +464,22 @@ def test_product_mismatch_matches_sequential_sweep(solve_cached, ansatz, dimensi
     config = PhysicalConfig(dimension=dimension, ell=0, ansatz=ansatz)
     product, sweep, _ = _product_and_sweep_mismatch(eta, config, SolverSettings(scheme=scheme))
     assert abs(product - sweep) <= 1e-9 * max(1.0, abs(sweep)), (eta, product, sweep)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+@pytest.mark.parametrize("ansatz,dimension", KERNEL_CASES)
+@hypothesis_settings(max_examples=5, derandomize=True, deadline=None, database=None)
+@given(fraction=st.floats(min_value=0.0, max_value=1.0))
+def test_workspace_mismatch_equals_the_allocating_composition(solve_cached, ansatz, dimension,
+                                                              scheme, fraction):
+    # the trial in the reused workspace, from cached fields, against the
+    # fields, fresh arrays and allocating product it replaced: equal, not close
+    eta = _swept_eta(solve_cached, ansatz, dimension, scheme, fraction)
+    config = PhysicalConfig(dimension=dimension, ell=0, ansatz=ansatz)
+    coeffs = build_coefficients(dimensionless_state(config, eta), config)
+    grid = SolverSettings().resolve_grid(coeffs.turning_scale)
+    m = _match_index(coeffs, grid, 3)
+    assert _mismatch_at_match(coeffs, grid, m, scheme) == _allocating_mismatch(coeffs, grid, m, scheme)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
