@@ -13,7 +13,6 @@ from .coefficients import (
     coefficient_set,
     coefficient_set_ansatz1,
     coupling_xi,
-    potential_energy,
 )
 from .core import (
     Ansatz,
@@ -29,28 +28,10 @@ from .core import (
     discrete_l2_norm,
     k_value,
     reconstruct_fg,
-    rho_of_r,
 )
 from .manifest import RunManifest, TOOL_VERSION
-from .numerov import (
-    Direction,
-    PropagationResult,
-    Scheme,
-    canonical_step,
-    generalized_step,
-    propagate,
-    scheme_report,
-)
-from .solver import (
-    NO_TURNING_POINT,
-    NoTurningPoint,
-    SolverSettings,
-    dimension_scan,
-    eigenfunction,
-    mismatch,
-    mismatch_scan,
-    solve_ground_state,
-)
+from .numerov import Scheme, scheme_report
+from .solver import SolverSettings, dimension_scan, eigenfunction, mismatch_scan, solve_ground_state
 
 __version__ = TOOL_VERSION
 
@@ -59,15 +40,11 @@ __all__ = [
     "Ansatz",
     "CoefficientSet",
     "DimensionlessState",
-    "Direction",
     "EigenResult",
     "ELECTRON_MASS_EV",
     "FINE_STRUCTURE_CONSTANT",
     "KSign",
-    "NO_TURNING_POINT",
-    "NoTurningPoint",
     "PhysicalConfig",
-    "PropagationResult",
     "RadialGrid",
     "RunManifest",
     "Scheme",
@@ -77,7 +54,6 @@ __all__ = [
     "analytic_energy",
     "analytic_ground_wavefunction_d3",
     "build_coefficients",
-    "canonical_step",
     "coefficient_set",
     "coefficient_set_ansatz1",
     "coupling_xi",
@@ -85,14 +61,9 @@ __all__ = [
     "dimensionless_state",
     "discrete_l2_norm",
     "eigenfunction",
-    "generalized_step",
     "k_value",
-    "mismatch",
     "mismatch_scan",
-    "potential_energy",
-    "propagate",
     "reconstruct_fg",
-    "rho_of_r",
     "scheme_report",
     "solve_ground_state",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import coupling_xi
-from .core import Ansatz, PhysicalConfig, k_value
+from .core import Ansatz, PhysicalConfig, discrete_l2_norm, k_value
 from .errors import SupercriticalCoupling, UnsupportedCase
 
 
@@ -86,5 +86,4 @@ def analytic_ground_wavefunction_d3(rho_nodes, config: PhysicalConfig) -> np.nda
     if np.any(rho <= 0.0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("rho_nodes must be positive and uniformly spaced")
     phi = rho**gamma * np.exp(-rho / 2.0)
-    norm = math.sqrt(float(steps[0]) * float(np.dot(phi, phi)))
-    return phi / norm
+    return phi / discrete_l2_norm(phi, float(steps[0]))

@@ -190,10 +190,15 @@ def _settings(opts: dict) -> solver.SolverSettings:
     )
 
 
-def _physical(opts: dict, dimension=None) -> PhysicalConfig:
+def _ansatz(opts: dict) -> Ansatz:
     ansatz = {1: Ansatz.ONE_OVER_R, 2: Ansatz.GENERALIZED}.get(opts["ansatz"])
     if ansatz is None:
         raise ConfigError(f"ansatz must be 1 or 2, got {opts['ansatz']!r}")
+    return ansatz
+
+
+def _physical(opts: dict, dimension=None) -> PhysicalConfig:
+    ansatz = _ansatz(opts)
     try:
         return PhysicalConfig(
             dimension=int(dimension if dimension is not None else opts["dimension"]),
@@ -301,9 +306,7 @@ def _cmd_solve(opts) -> int:
 def _cmd_scan(opts) -> int:
     if opts["d-min"] > opts["d-max"]:
         raise ConfigError(f"d-min {opts['d-min']} exceeds d-max {opts['d-max']}")
-    ansatz = {1: Ansatz.ONE_OVER_R, 2: Ansatz.GENERALIZED}.get(opts["ansatz"])
-    if ansatz is None:
-        raise ConfigError(f"ansatz must be 1 or 2, got {opts['ansatz']!r}")
+    ansatz = _ansatz(opts)
     settings = _settings(opts)
     workers = _threads(opts)
     results = solver.dimension_scan((opts["d-min"], opts["d-max"]), ansatz, settings,
@@ -324,13 +327,6 @@ def _cmd_scan(opts) -> int:
     config = _physical(opts, dimension=opts["d-min"])
     _emit_results("scan", config, settings, records, opts)
     return code
-
-
-def _ground_eta(config, settings):
-    result = solver.solve_ground_state(config, settings)
-    if not result.found:
-        return None, result
-    return result.eta_star, result
 
 
 def _cmd_profile(opts) -> int:
@@ -357,10 +353,11 @@ def _cmd_profile(opts) -> int:
         return EXIT_OK
 
     if opts["eta"] == "ground":
-        eta_star, result = _ground_eta(config, settings)
-        if eta_star is None:
+        result = solver.solve_ground_state(config, settings)
+        if not result.found:
             print(f"not found: {result.verdict_reason}")
             return EXIT_NOT_FOUND
+        eta_star = result.eta_star
     else:
         try:
             eta_star = float(opts["eta"])

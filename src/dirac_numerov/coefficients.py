@@ -6,20 +6,19 @@ The radial problem is propagated in the form
 
 where V is the effective potential whose crossing with the energy-side
 constant tau locates the classical turning points. For the 1/r^(D-2)
-potential the coefficient functions are (plus component, sigma = +1; the
-minus component flips sigma):
+potential the coefficient functions of the phi_+ component are
 
-    den(rho) = c rho^(D-3) + sigma A,        c = K lam^((4-D)/2)
-    p(rho)   = (1/rho) (1 + sigma (D-3) A / den)
-    q(rho)   = (1/rho^(D-2)) (1 + sigma (D-3) c rho^(D-4) / den)
-    s(rho)   = rho^(D-2)/4 - sigma (rho^(D-3)/2)(1 + sigma (D-3) A / den)
+    den(rho) = c rho^(D-3) + A,        c = K lam^((4-D)/2)
+    p(rho)   = (1/rho) (1 + (D-3) A / den)
+    q(rho)   = (1/rho^(D-2)) (1 + (D-3) c rho^(D-4) / den)
+    s(rho)   = rho^(D-2)/4 - (rho^(D-3)/2)(1 + (D-3) A / den)
                + (K^2 - A^2 lam^(D-3) / rho^(2(D-3))) rho^(D-4)
     V(rho)   = s(rho) / (rho^(D-2) q(rho))
     w(rho)   = q(rho) tau - s(rho) / rho^(D-2)
 
 These are the exact single-equation rewrite of the coupled first-order
 system; at D = 3 they collapse to p = q = 1/rho and
-w = -1/4 + (tau + sigma/2)/rho - (K^2 - xi^2)/rho^2, the closed-form-solvable
+w = -1/4 + (tau + 1/2)/rho - (K^2 - xi^2)/rho^2, the closed-form-solvable
 three-dimensional equation. The energy enters w through tau = eta tau',
 multiplying the highest inverse powers of rho when D > 3.
 
@@ -36,11 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Ansatz, DimensionlessState, PhysicalConfig, k_value
+from .core import Ansatz, DimensionlessState, PhysicalConfig
 from .errors import DenominatorVanishes, UnsupportedDimension
-
-_BRANCHES = {"plus": 1.0, "minus": -1.0}
-
 
 def coupling_xi(config: PhysicalConfig) -> float:
     """Coulomb coupling strength xi for the configured potential convention.
@@ -70,26 +66,16 @@ def coupling_xi(config: PhysicalConfig) -> float:
     )
 
 
-def potential_energy(r: float, config: PhysicalConfig) -> float:
-    """Potential energy U(r): -xi/r^(D-2) (Gauss-law) or -xi/r (1/r convention)."""
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r!r}")
-    xi = coupling_xi(config)
-    if config.ansatz is Ansatz.ONE_OVER_R:
-        return -xi / r
-    return -xi / r ** (config.dimension - 2)
-
-
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Immutable bundle of the coefficient functions of one radial equation.
+    """Immutable bundle of the coefficient functions of the phi_+ equation.
 
-    All callables accept scalars or numpy arrays of rho > 0. ``fields_fn``
+    Both callables accept scalars or numpy arrays of rho > 0. ``fields_fn``
     returns every field (keys ``p``, ``p_prime``, ``q``, ``s``, ``v``, ``w``)
-    from one evaluation. ``weight_fn`` is the weight W = w - p^2/4 - p'/2 of
-    the first-derivative-free form chi'' + W chi = 0, and
-    ``integrating_factor_fn`` the closed-form exp(-1/2 int p) with
-    phi = factor * chi, so no quadrature error enters the canonical scheme.
+    from one evaluation, and ``integrating_factor_fn`` the closed-form
+    exp(-1/2 int p) with phi = factor * chi, which maps the
+    first-derivative-free form chi'' + W chi = 0, W = w - p^2/4 - p'/2, of
+    the canonical scheme back to phi with no quadrature error.
     ``match_level`` is the energy-side constant paired with the field ``v``
     in w = q (level - V); ``turning_scale``
     sets the outermost turning radius (~ 4 * turning_scale) and drives the
@@ -100,14 +86,12 @@ class CoefficientSet:
     """
 
     fields_fn: Callable
-    weight_fn: Callable
     integrating_factor_fn: Callable
     match_level: float
     turning_scale: float
     indicial_exponent: float | None
     singular_power: int
     dimension: int
-    branch: str
     # scalars needed to rebuild the functions in vectorized form
     k_value: float
     a_const: float
@@ -152,7 +136,7 @@ def _rho_powers(rho: np.ndarray, d: int):
     return r_d3, r_d4, r_d3 * r_d3, r_d3 * rho
 
 
-def static_fields(rho, d, kval, a_const, c_const, lam_d3, sigma):
+def static_fields(rho, d, kval, a_const, c_const, lam_d3):
     """Every field of the 1/r^(D-2) equation but w, the only one that holds tau.
 
     Returns p, p', q, s, V, den and ``s_over`` = s/rho^(D-2), for
@@ -161,18 +145,18 @@ def static_fields(rho, d, kval, a_const, c_const, lam_d3, sigma):
     arr, _ = _as_float_array(rho)
     dm3 = d - 3
     r_d3, r_d4, r_2d6, r_d2 = _rho_powers(arr, d)
-    den = c_const * r_d3 + sigma * a_const
-    if c_const < 0.0 or sigma < 0.0:
+    den = c_const * r_d3 + a_const
+    if c_const < 0.0:
         _check_denominator(den, arr, abs(c_const) * r_d3 + abs(a_const))
-    a_over_den = sigma * dm3 * a_const / den
+    a_over_den = dm3 * a_const / den
     p = (1.0 + a_over_den) / arr
-    p_prime = -(1.0 + a_over_den) / arr ** 2 - sigma * dm3 * dm3 * a_const * c_const * r_d4 / (
+    p_prime = -(1.0 + a_over_den) / arr ** 2 - dm3 * dm3 * a_const * c_const * r_d4 / (
         arr * den * den
     )
-    q = (1.0 + sigma * dm3 * c_const * r_d4 / den) / r_d2
+    q = (1.0 + dm3 * c_const * r_d4 / den) / r_d2
     s = (
         r_d2 / 4.0
-        - sigma * (r_d3 / 2.0) * (1.0 + a_over_den)
+        - (r_d3 / 2.0) * (1.0 + a_over_den)
         + (kval * kval - a_const * a_const * lam_d3 / r_2d6) * r_d4
     )
     v = s / (r_d2 * q)
@@ -189,24 +173,22 @@ def weight_terms(p, p_prime):
     return p * p / 4.0, p_prime / 2.0
 
 
-def general_fields(rho, d, kval, a_const, c_const, lam_d3, tau, sigma):
+def general_fields(rho, d, kval, a_const, c_const, lam_d3, tau):
     """Evaluate p, p', q, s, V, w for the 1/r^(D-2) equation on rho (array or scalar).
 
     Shared by the public closures and the solver's vectorized paths so there
     is a single transcription of the formulas.
     """
     arr, scalar = _as_float_array(rho)
-    out = static_fields(arr, d, kval, a_const, c_const, lam_d3, sigma)
+    out = static_fields(arr, d, kval, a_const, c_const, lam_d3)
     out["w"] = general_w(out["q"], out.pop("s_over"), tau)
     if scalar:
         out = {key: float(val) for key, val in out.items()}
     return out
 
 
-def coefficient_set(
-    state: DimensionlessState, config: PhysicalConfig, branch: str = "plus"
-) -> CoefficientSet:
-    """Coefficient set of the phi_+ (or phi_-) equation for the 1/r^(D-2) potential.
+def coefficient_set(state: DimensionlessState, config: PhysicalConfig) -> CoefficientSet:
+    """Coefficient set of the phi_+ equation for the 1/r^(D-2) potential.
 
     Parameters
     ----------
@@ -214,10 +196,6 @@ def coefficient_set(
         Trial-energy scalars (eta, lambda, A, tau, tau').
     config : PhysicalConfig
         Must use Ansatz.GENERALIZED with D >= 3.
-    branch : {"plus", "minus"}
-        Which decoupled component the equation describes. Only the plus
-        branch is validated against reference data; the minus branch is
-        provided for completeness.
 
     Raises
     ------
@@ -225,14 +203,11 @@ def coefficient_set(
         For D <= 2 (via the coupling), delegated to callers building xi.
     DenominatorVanishes
         Lazily, when a closure is evaluated at a node where
-        c rho^(D-3) + sigma A = 0 (possible for K < 0 or the minus branch).
+        c rho^(D-3) + A = 0 (possible for K < 0).
     """
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     if config.ansatz is not Ansatz.GENERALIZED:
         raise ValueError("coefficient_set expects the 1/r^(D-2) potential; "
                          "use coefficient_set_ansatz1 for the 1/r convention")
-    sigma = _BRANCHES[branch]
     d = config.dimension
     if d <= 2:
         raise UnsupportedDimension(f"the 1/r^(D-2) equation needs D >= 3, got D = {d}")
@@ -248,26 +223,21 @@ def coefficient_set(
     tau = state.tau
 
     def fields_fn(rho):
-        return general_fields(rho, d, kval, a_const, c_const, lam_d3, tau, sigma)
-
-    def weight_fn(rho):
-        f = fields_fn(rho)
-        quarter, half = weight_terms(f["p"], f["p_prime"])
-        return f["w"] - quarter - half
+        return general_fields(rho, d, kval, a_const, c_const, lam_d3, tau)
 
     def integrating_factor_fn(rho):
         # exp(-1/2 int p) = sqrt(den / rho^(D-2)), from the partial-fraction
         # closed form int p = (D-2) ln rho - ln den.
         arr, scalar = _as_float_array(rho)
         r_d3, _, _, r_d2 = _rho_powers(arr, d)
-        den = c_const * r_d3 + sigma * a_const
-        if c_const < 0.0 or sigma < 0.0:
+        den = c_const * r_d3 + a_const
+        if c_const < 0.0:
             _check_denominator(den, arr, abs(c_const) * r_d3 + abs(a_const))
         if np.any(den < 0.0):
             bad = arr[np.atleast_1d(den < 0.0)]
             raise DenominatorVanishes(
                 float(np.atleast_1d(bad)[0]),
-                "integrating factor undefined where c rho^(D-3) + sigma A < 0",
+                "integrating factor undefined where c rho^(D-3) + A < 0",
             )
         return _maybe_scalar(np.sqrt(den / r_d2), scalar)
 
@@ -279,14 +249,12 @@ def coefficient_set(
 
     return CoefficientSet(
         fields_fn=fields_fn,
-        weight_fn=weight_fn,
         integrating_factor_fn=integrating_factor_fn,
         match_level=tau,
         turning_scale=abs(state.tau_prime),
         indicial_exponent=indicial,
         singular_power=d - 2,
         dimension=d,
-        branch=branch,
         k_value=kval,
         a_const=a_const,
         c_const=c_const,
@@ -296,9 +264,9 @@ def coefficient_set(
     )
 
 
-def ansatz1_potential(rho, gamma2, sigma):
-    """V = s = rho/4 - sigma/2 + (K^2 - xi^2)/rho of the 1/r potential (energy-independent)."""
-    return rho / 4.0 - sigma * 0.5 + gamma2 / rho
+def ansatz1_potential(rho, gamma2):
+    """V = s = rho/4 - 1/2 + (K^2 - xi^2)/rho of the 1/r potential (energy-independent)."""
+    return rho / 4.0 - 0.5 + gamma2 / rho
 
 
 def ansatz1_w(rho, v, tau, out=None):
@@ -317,13 +285,13 @@ def ansatz1_weight(rho, v, tau, out=None, scratch=None):
     return weight
 
 
-def ansatz1_fields(rho, gamma2, tau, sigma):
+def ansatz1_fields(rho, gamma2, tau):
     """p, p', q, s, V, w for the 1/r potential (three-dimensional structure, any D)."""
     arr, scalar = _as_float_array(rho)
     p = 1.0 / arr
     p_prime = -1.0 / (arr * arr)
     q = 1.0 / arr
-    s = ansatz1_potential(arr, gamma2, sigma)
+    s = ansatz1_potential(arr, gamma2)
     v = s
     w = ansatz1_w(arr, s, tau)
     out = {"p": p, "p_prime": p_prime, "q": q, "s": s, "v": v, "w": w}
@@ -332,9 +300,7 @@ def ansatz1_fields(rho, gamma2, tau, sigma):
     return out
 
 
-def coefficient_set_ansatz1(
-    state: DimensionlessState, config: PhysicalConfig, branch: str = "plus"
-) -> CoefficientSet:
+def coefficient_set_ansatz1(state: DimensionlessState, config: PhysicalConfig) -> CoefficientSet:
     """Coefficient set for the 1/r potential in D dimensions.
 
     Under rho = 2 r sqrt(M^2 - E^2) the 1/r problem keeps its
@@ -342,11 +308,8 @@ def coefficient_set_ansatz1(
     K. The energy-side constant is therefore tau = xi eta / sqrt(lambda)
     irrespective of D, and
 
-        w = -1/4 + (tau + sigma/2)/rho - (K^2 - xi^2)/rho^2.
+        w = -1/4 + (tau + 1/2)/rho - (K^2 - xi^2)/rho^2.
     """
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    sigma = _BRANCHES[branch]
     kval = state.k_value
     xi = state.xi
     gamma2 = kval * kval - xi * xi
@@ -355,11 +318,7 @@ def coefficient_set_ansatz1(
     tau_prime = xi / sqrt_lam
 
     def fields_fn(rho):
-        return ansatz1_fields(rho, gamma2, tau, sigma)
-
-    def weight_fn(rho):
-        arr, scalar = _as_float_array(rho)
-        return _maybe_scalar(ansatz1_weight(arr, ansatz1_potential(arr, gamma2, sigma), tau), scalar)
+        return ansatz1_fields(rho, gamma2, tau)
 
     def integrating_factor_fn(rho):
         arr, scalar = _as_float_array(rho)
@@ -367,14 +326,12 @@ def coefficient_set_ansatz1(
 
     return CoefficientSet(
         fields_fn=fields_fn,
-        weight_fn=weight_fn,
         integrating_factor_fn=integrating_factor_fn,
         match_level=tau,
         turning_scale=abs(tau_prime),
         indicial_exponent=math.sqrt(gamma2) if gamma2 > 0.0 else None,
         singular_power=1,
         dimension=config.dimension,
-        branch=branch,
         k_value=kval,
         a_const=xi,
         c_const=0.0,
@@ -384,10 +341,8 @@ def coefficient_set_ansatz1(
     )
 
 
-def build_coefficients(
-    state: DimensionlessState, config: PhysicalConfig, branch: str = "plus"
-) -> CoefficientSet:
+def build_coefficients(state: DimensionlessState, config: PhysicalConfig) -> CoefficientSet:
     """Dispatch to the coefficient set matching the configured potential."""
     if config.ansatz is Ansatz.ONE_OVER_R:
-        return coefficient_set_ansatz1(state, config, branch)
-    return coefficient_set(state, config, branch)
+        return coefficient_set_ansatz1(state, config)
+    return coefficient_set(state, config)

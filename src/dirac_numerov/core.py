@@ -152,15 +152,6 @@ def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = N
     )
 
 
-def rho_of_r(r: float, mass: float, energy: float) -> float:
-    """Dimensionless radius rho = 2 r sqrt(M^2 - E^2)."""
-    if not abs(energy) < mass:
-        raise EtaOutOfRange(f"|E| must be < M, got E = {energy!r}, M = {mass!r}")
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r!r}")
-    return 2.0 * r * math.sqrt((mass - energy) * (mass + energy))
-
-
 def reconstruct_fg(phi_plus, phi_minus, mass: float, energy: float):
     """Rebuild the radial Dirac components from the decoupled combinations.
 

@@ -50,24 +50,20 @@ Every level, with its scratch, is written with ``out=`` into one flat
 ``space`` of about 4n doubles that the caller may reuse: the solver's swept
 trials pass one workspace, so they allocate no grid-sized array.
 
-Of the solver's paths only ``solver.eigenfunction`` needs every node; it,
-``propagate`` and ``scheme_report`` use the sequential sweeps below, which
-visit the nodes one by one. They renormalize magnitudes beyond 1e100 by an
-exact power of two, applied retroactively so the stored samples remain one
-globally-scaled solution.
+Only ``solver.eigenfunction`` and ``scheme_report`` need every node; they
+use the sequential sweeps below, which visit the nodes one by one. They
+renormalize magnitudes beyond 1e100 by an exact power of two, applied
+retroactively so the stored samples remain one globally-scaled solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .coefficients import CoefficientSet
-from .core import RadialGrid
-from .errors import NonFiniteValue, SingularCoefficient
+from .errors import SingularCoefficient
 
 RESCALE_THRESHOLD = 1e100
 # power-of-two factor keeps rescaling exact in binary floating point
@@ -79,45 +75,8 @@ class Scheme(Enum):
     CANONICAL = "canonical"
 
 
-class Direction(Enum):
-    LEFT_TO_RIGHT = 1
-    RIGHT_TO_LEFT = -1
-
-
-@dataclass
-class PropagationResult:
-    """Node samples of a propagated solution plus rescaling bookkeeping.
-
-    ``values`` is in phi space for both schemes (canonical chi samples are
-    mapped back through the integrating factor). ``log_derivative_at`` uses
-    the three-point centered estimate in the interior and one-sided ones at
-    the ends; it is invariant under global rescaling of the values.
-    """
-
-    values: np.ndarray
-    step: float
-    overflowed: bool
-    rescale_count: int
-
-    def log_derivative_at(self, index: int) -> float:
-        y = self.values
-        n = len(y)
-        h = self.step
-        if not 0 <= index < n:
-            raise IndexError(f"node {index} outside 0..{n - 1}")
-        if y[index] == 0.0:
-            return math.inf
-        if index == 0:
-            num = -3.0 * y[0] + 4.0 * y[1] - y[2]
-        elif index == n - 1:
-            num = 3.0 * y[n - 1] - 4.0 * y[n - 2] + y[n - 3]
-        else:
-            num = y[index + 1] - y[index - 1]
-        return float(num) / (2.0 * h * float(y[index]))
-
-
 # ---------------------------------------------------------------------------
-# scalar step operations
+# step coefficients
 
 
 def _generalized_p02(half_step, p_prime, w_prev, w_next, delta, out=(None, None), scratch=None):
@@ -132,35 +91,6 @@ def _generalized_p02(half_step, p_prime, w_prev, w_next, delta, out=(None, None)
     p2 = np.add(1.0, half_step, out=out[1])
     p2 += np.multiply(np.add(w_next, p_prime, out=scratch), h2_12, out=scratch)
     return p0, p2
-
-
-def _generalized_p012(p, p_prime, w_prev, w_here, w_next, delta):
-    h2_12 = delta * delta / 12.0
-    p0, p2 = _generalized_p02(p * delta / 2.0, p_prime, w_prev, w_next, delta)
-    p1 = 2.0 * (1.0 - (w_here - p_prime / 5.0) * 5.0 * h2_12)
-    return p0, p1, p2
-
-
-def generalized_step(
-    phi_prev: float, phi_curr: float, rho: float, delta: float, coeffs: CoefficientSet
-) -> float:
-    """Advance phi one step: given phi(rho - delta), phi(rho), return phi(rho + delta)."""
-    fields = coeffs.fields_fn(np.array([rho - delta, rho, rho + delta]))
-    p0, p1, p2 = _generalized_p012(fields["p"][1], fields["p_prime"][1], *fields["w"], delta)
-    if p2 == 0.0:
-        raise SingularCoefficient(f"p2 vanishes at rho = {rho!r}")
-    return float((p1 * phi_curr - p0 * phi_prev) / p2)
-
-
-def canonical_step(chi_prev: float, chi_curr: float, rho: float, delta: float, weight) -> float:
-    """Advance chi one step with classical Numerov on chi'' + W chi = 0."""
-    h2_12 = delta * delta / 12.0
-    f_prev = 1.0 + h2_12 * weight(rho - delta)
-    f_here = 1.0 + h2_12 * weight(rho)
-    f_next = 1.0 + h2_12 * weight(rho + delta)
-    if f_next == 0.0:
-        raise SingularCoefficient(f"1 + delta^2 W/12 vanishes at rho = {rho + delta!r}")
-    return ((12.0 - 10.0 * f_here) * chi_curr - f_prev * chi_prev) / f_next
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +155,12 @@ def _canonical_factors(weight_values, delta, out=None):
 
 def _generalized_arrays(p, p_prime, w, delta):
     """Vectorized p0/p1/p2 over all nodes (edge entries are fillers, never stepped from)."""
-    w = np.asarray(w, dtype=float)
+    p, p_prime, w = (np.asarray(x, dtype=float) for x in (p, p_prime, w))
     w_prev = np.concatenate(([w[0]], w[:-1]))
     w_next = np.concatenate((w[1:], [w[-1]]))
-    return _generalized_p012(np.asarray(p, float), np.asarray(p_prime, float), w_prev, w, w_next, delta)
+    p0, p2 = _generalized_p02(p * delta / 2.0, p_prime, w_prev, w_next, delta)
+    p1 = 2.0 * (1.0 - (w - p_prime / 5.0) * 5.0 * (delta * delta / 12.0))
+    return p0, p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -374,82 +306,6 @@ def match_samples(lower, upper, s, m, inner, outer, space=None):
     right = _inward_samples(lower, upper, s, m, *outer, space)
     left = _inward_samples(upper[::-1], lower[::-1], s[::-1], n - 1 - m, *inner, space)[::-1]
     return left, right
-
-
-def propagate(
-    grid: RadialGrid,
-    coeffs: CoefficientSet,
-    direction: Direction,
-    seeds: tuple,
-    scheme: Scheme = Scheme.CANONICAL,
-    stop_index: int | None = None,
-) -> PropagationResult:
-    """Propagate the radial solution across the grid from two seed values.
-
-    Parameters
-    ----------
-    grid : RadialGrid
-    coeffs : CoefficientSet
-    direction : Direction
-        LEFT_TO_RIGHT seeds nodes (0, 1); RIGHT_TO_LEFT seeds (N-1, N-2).
-    seeds : (float, float)
-        phi values at the two boundary-adjacent nodes, in propagation order.
-    scheme : Scheme
-        CANONICAL propagates chi and maps back to phi through the
-        integrating factor; GENERALIZED propagates phi directly.
-    stop_index : int, optional
-        Final node to fill (inclusive). Defaults to the far end. Nodes
-        beyond it are NaN and must not be read.
-
-    Raises
-    ------
-    NonFiniteValue
-        If NaN/inf appears in the filled range despite rescaling (a
-        coefficient singularity inside the interval).
-    """
-    nodes = grid.nodes()
-    n = grid.n_points
-    delta = grid.step
-    values = [0.0] * n
-    if direction is Direction.LEFT_TO_RIGHT:
-        seed_nodes = (0, 1)
-        last = n - 1 if stop_index is None else stop_index
-    else:
-        seed_nodes = (n - 1, n - 2)
-        last = 0 if stop_index is None else stop_index
-
-    if scheme is Scheme.CANONICAL:
-        factor = np.asarray(coeffs.integrating_factor_fn(nodes), dtype=float)
-        f = _canonical_factors(coeffs.weight_fn(nodes), delta).tolist()
-        values[seed_nodes[0]] = seeds[0] / factor[seed_nodes[0]]
-        values[seed_nodes[1]] = seeds[1] / factor[seed_nodes[1]]
-        if direction is Direction.LEFT_TO_RIGHT:
-            overflowed, rescales = _numerov_sweep_lr(f, values, 1, last)
-        else:
-            overflowed, rescales = _numerov_sweep_rl(f, values, n - 2, last)
-        out = np.asarray(values) * factor
-    else:
-        fields = coeffs.fields_fn(nodes)
-        p0, p1, p2 = _generalized_arrays(fields["p"], fields["p_prime"], fields["w"], delta)
-        p0, p1, p2 = p0.tolist(), p1.tolist(), p2.tolist()
-        values[seed_nodes[0]] = seeds[0]
-        values[seed_nodes[1]] = seeds[1]
-        if direction is Direction.LEFT_TO_RIGHT:
-            overflowed, rescales = _general_sweep_lr(p0, p1, p2, values, 1, last)
-        else:
-            overflowed, rescales = _general_sweep_rl(p0, p1, p2, values, n - 2, last)
-        out = np.asarray(values)
-
-    lo = min(seed_nodes[0], last)
-    hi = max(seed_nodes[0], last)
-    if not np.all(np.isfinite(out[lo : hi + 1])):
-        raise NonFiniteValue("propagation produced non-finite samples")
-    if stop_index is not None:
-        if direction is Direction.LEFT_TO_RIGHT and last < n - 1:
-            out[last + 1 :] = np.nan
-        elif direction is Direction.RIGHT_TO_LEFT and last > 0:
-            out[:last] = np.nan
-    return PropagationResult(values=out, step=delta, overflowed=overflowed, rescale_count=rescales)
 
 
 def measured_order(errors) -> float:

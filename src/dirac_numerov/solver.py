@@ -72,22 +72,6 @@ from .numerov import (
 )
 
 
-class NoTurningPoint:
-    """Sentinel: the trial energy has no interior classically-allowed island."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoTurningPoint"
-
-
-NO_TURNING_POINT = NoTurningPoint()
-
 _MAX_GRID_POINTS = 20_000_000
 
 
@@ -190,26 +174,25 @@ def _island_match_index(pos: np.ndarray, min_nodes: int) -> int | None:
 
 
 @lru_cache(maxsize=4)
-def _ansatz1_potential(grid: RadialGrid, gamma2: float, sigma: float):
+def _ansatz1_potential(grid: RadialGrid, gamma2: float):
     """V nodes and their minimum for the 1/r family (energy-independent).
 
     A solve walks its grids in ascending order, so a few entries serve it.
     """
-    v = ansatz1_potential(grid.nodes(), gamma2, sigma)
+    v = ansatz1_potential(grid.nodes(), gamma2)
     v.setflags(write=False)
     return v, float(v.min())
 
 
 def _ansatz1_nodes(coeffs: CoefficientSet, grid: RadialGrid):
     """The cached (V nodes, min V) of a 1/r-family coefficient set on ``grid``."""
-    sigma = 1.0 if coeffs.branch == "plus" else -1.0
     gamma2 = coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi
-    return _ansatz1_potential(grid, gamma2, sigma)
+    return _ansatz1_potential(grid, gamma2)
 
 
 @lru_cache(maxsize=32)
 def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float, size: int):
-    """Energy-independent arrays for the sign of tau - V, 1/r^(D-2) plus branch.
+    """Energy-independent arrays for the sign of tau - V, 1/r^(D-2) potential.
 
     With Q = rho^(D-2) q, den = c rho^(D-3) + A (both positive for K > 0),
     the allowed-region indicator sign(tau - V) equals sign(H) where
@@ -272,7 +255,7 @@ def _polynomial_tail(coeffs: CoefficientSet):
 
 
 def _allowed_radius_bound(coeffs: CoefficientSet) -> float:
-    """Radius R past which tau - V < 0 (1/r^(D-2) plus branch, c > 0), else inf.
+    """Radius R past which tau - V < 0 (1/r^(D-2) potential, c > 0), else inf.
 
     rho^2/4 - rho/2 + K^2 - (1 - 1/(4K^2)) rho^2/4 = (rho/(4K) - K)^2 >= 0, so
     the leading part of P is at most -L rho^(3e+2) with L = (c/4)(1 - 1/(4K^2)).
@@ -291,7 +274,7 @@ def _allowed_radius_bound(coeffs: CoefficientSet) -> float:
 
 
 def _gauss_allowed(coeffs: CoefficientSet, grid: RadialGrid, stop: int) -> np.ndarray:
-    """Allowed-node flags (H > 0) of the first ``stop`` nodes, 1/r^(D-2) plus branch."""
+    """Allowed-node flags (H > 0) of the first ``stop`` nodes, 1/r^(D-2) potential."""
     size = min(grid.n_points, 1 << (stop - 1).bit_length())
     basis = _island_basis(grid, coeffs.dimension, coeffs.k_value, coeffs.a_const, size)
     r34, s0r3, ur3, s0m, u = (arr[:stop] for arr in basis)
@@ -314,12 +297,12 @@ def _gauss_allowed(coeffs: CoefficientSet, grid: RadialGrid, stop: int) -> np.nd
 def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> int | None:
     """Island detection with fast paths for the two production families.
 
-    The 1/r^(D-2) plus branch tests only the nodes up to the bound of
-    :func:`_allowed_radius_bound` plus three: every node past it is forbidden,
-    and the three keep the centred stencil of an island ending at the bound
-    inside the prefix, so the match index equals the full-grid one. A prefix
-    whose last node is still allowed (rounding at the bound) is widened to the
-    whole grid.
+    The 1/r^(D-2) potential with K, A > 0 tests only the nodes up to the
+    bound of :func:`_allowed_radius_bound` plus three: every node past it is
+    forbidden, and the three keep the centred stencil of an island ending at
+    the bound inside the prefix, so the match index equals the full-grid one.
+    A prefix whose last node is still allowed (rounding at the bound) is
+    widened to the whole grid.
     """
     level = coeffs.match_level
     if coeffs.c_const == 0.0:  # 1/r family: V does not depend on the energy
@@ -327,7 +310,7 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
         if level <= v_min:
             return None
         return _island_match_index(level > v_nodes, min_nodes)
-    if coeffs.branch == "plus" and coeffs.k_value > 0.0 and coeffs.a_const > 0.0:
+    if coeffs.k_value > 0.0 and coeffs.a_const > 0.0:
         n = grid.n_points
         bound = _allowed_radius_bound(coeffs)
         stop = n
@@ -369,13 +352,13 @@ def _boundary_seeds(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
 def _field_basis(grid: RadialGrid, scheme: Scheme, scalars):
     """Energy-independent arrays of a trial's weight on ``grid``; none holds tau.
 
-    ``scalars`` = (D, K, A, c, lam^(D-3), sigma) of :func:`static_fields`,
+    ``scalars`` = (D, K, A, c, lam^(D-3)) of :func:`static_fields`,
     whose (q, s/rho^(D-2)) come first, for w = q tau - s/rho^(D-2); None for
     the 1/r family. Then (p^2/4, p'/2) for W = w - p^2/4 - p'/2 (canonical),
     or p' and p h/2 at the interior nodes for p0 and p2 (generalized).
     """
     nodes = grid.nodes()
-    f = ansatz1_fields(nodes, 0.0, 0.0, 1.0) if scalars is None else static_fields(nodes, *scalars)
+    f = ansatz1_fields(nodes, 0.0, 0.0) if scalars is None else static_fields(nodes, *scalars)
     if scheme is Scheme.CANONICAL:
         basis = weight_terms(f["p"], f["p_prime"])
     else:
@@ -391,18 +374,17 @@ def _weight_basis(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
     """:func:`_field_basis` of a trial, from the per-grid cache where it holds no energy.
 
     The 1/r family's p = 1/rho and p' = -1/rho^2 hold none of its scalars.
-    For 1/r^(D-2) at D = 3 (plus branch, K > 0, so den = c + A > 0) c and
+    For 1/r^(D-2) at D = 3 (K > 0, so den = c + A > 0) c and
     lam^(D-3) enter only multiplied by D - 3 = 0 or as lam^0 = 1, so the
     arrays for c = 0 and lam^(D-3) = 1 are those of every energy bit for bit.
     At D >= 4 they depend on c nonlinearly and are evaluated for the trial.
     """
     if coeffs.c_const == 0.0:
         return _field_basis(grid, scheme, None)
-    sigma = 1.0 if coeffs.branch == "plus" else -1.0
-    if coeffs.dimension == 3 and sigma > 0.0 and coeffs.c_const > 0.0:
-        return _field_basis(grid, scheme, (3, coeffs.k_value, coeffs.a_const, 0.0, 1.0, 1.0))
+    if coeffs.dimension == 3 and coeffs.c_const > 0.0:
+        return _field_basis(grid, scheme, (3, coeffs.k_value, coeffs.a_const, 0.0, 1.0))
     return _field_basis.__wrapped__(grid, scheme, (coeffs.dimension, coeffs.k_value, coeffs.a_const,
-                                                   coeffs.c_const, coeffs.lambda_d3, sigma))
+                                                   coeffs.c_const, coeffs.lambda_d3))
 
 
 def _generalized_recurrence(coeffs: CoefficientSet, grid: RadialGrid, w, lower, upper, scratch):
@@ -545,19 +527,6 @@ def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings
         exc.eta = eta
         raise
     return delta_val, m, grid
-
-
-def mismatch(eta: float, config: PhysicalConfig, settings: SolverSettings | None = None):
-    """Log-derivative discontinuity Delta(eta), or NO_TURNING_POINT.
-
-    Builds the coefficient set at the trial energy, propagates from both
-    boundaries, and evaluates [phi'/phi]_left - [phi'/phi]_right at the
-    outer turning node of the interior allowed island. Returns the
-    NO_TURNING_POINT sentinel when no such island exists on the grid.
-    """
-    settings = settings or SolverSettings()
-    delta_val, _, _ = _evaluate_trial(eta, config, settings)
-    return NO_TURNING_POINT if delta_val is None else delta_val
 
 
 def _scan_etas(window, n_points: int) -> np.ndarray:

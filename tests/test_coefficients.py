@@ -8,14 +8,15 @@ from dirac_numerov import (
     Ansatz,
     KSign,
     PhysicalConfig,
+    RadialGrid,
     coefficient_set,
     coefficient_set_ansatz1,
     coupling_xi,
     dimensionless_state,
-    potential_energy,
 )
 from dirac_numerov.core import FINE_STRUCTURE_CONSTANT as ALPHA
 from dirac_numerov.errors import DenominatorVanishes, UnsupportedDimension
+from dirac_numerov.solver import _canonical_weight
 
 mpmath.mp.dps = 40
 
@@ -56,20 +57,6 @@ def test_coupling_d5_closed_form():
 def test_coupling_rejects_d2_gauss_law():
     with pytest.raises(UnsupportedDimension):
         coupling_xi(_a2_config(2))
-
-
-def test_potential_energy():
-    cfg = _a2_config(4)
-    xi = coupling_xi(cfg)
-    assert math.isclose(potential_energy(1.0, cfg), -xi, rel_tol=1e-15)
-    assert math.isclose(potential_energy(2.0, cfg), -xi / 4.0, rel_tol=1e-15)
-    # D = 3: exponent D-2 = 1, both conventions identical
-    r = 0.37
-    assert math.isclose(
-        potential_energy(r, _a2_config(3)), potential_energy(r, _a1_config(3)), rel_tol=5e-16
-    )
-    with pytest.raises(ValueError):
-        potential_energy(0.0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +131,7 @@ def test_p_at_unity_d4_special_case():
     # p(1) = 1 * (1 + (D-3) A / (c 1^(D-3) + A)) = 1 + 1/2
     from dirac_numerov.coefficients import general_fields
 
-    fields = general_fields(1.0, 4, 1.0, 1.0, 1.0, 0.5, 0.3, 1.0)
+    fields = general_fields(1.0, 4, 1.0, 1.0, 1.0, 0.5, 0.3)
     oracle = float(1 + mpmath.mpf(1) / (mpmath.mpf(1) * 1 + 1))
     assert math.isclose(fields["p"], 1.5, rel_tol=1e-15)
     assert math.isclose(fields["p"], oracle, rel_tol=1e-15)
@@ -224,9 +211,10 @@ def test_canonical_weight_d3():
     cfg = _a1_config(3)
     state = dimensionless_state(cfg, 0.9999)
     coeffs = coefficient_set_ansatz1(state, cfg)
-    rho = np.linspace(0.1, 30.0, 100)
+    grid = RadialGrid(rho_min=0.1, rho_max=30.0, n_points=100)
+    rho = grid.nodes()
     expected = coeffs.fields_fn(rho)["w"] + 1.0 / (4.0 * rho**2)
-    assert np.max(np.abs(coeffs.weight_fn(rho) - expected)) < 1e-14
+    assert np.max(np.abs(_canonical_weight(coeffs, grid) - expected)) < 1e-14
 
 
 @pytest.mark.parametrize("d,ansatz", [(3, Ansatz.ONE_OVER_R), (5, Ansatz.GENERALIZED),
@@ -250,8 +238,9 @@ def test_canonical_weight_matches_fd_p_prime():
     cfg = _a2_config(5)
     state = dimensionless_state(cfg, 0.99)
     coeffs = coefficient_set(state, cfg)
-    rho = np.linspace(0.8, 15.0, 50)
-    exact = coeffs.weight_fn(rho)
+    grid = RadialGrid(rho_min=0.8, rho_max=15.0, n_points=50)
+    rho = grid.nodes()
+    exact = _canonical_weight(coeffs, grid)
     errs = []
     for h in (1e-2, 1e-3):
         fd = (coeffs.fields_fn(rho + h)["p"] - coeffs.fields_fn(rho - h)["p"]) / (2.0 * h)
@@ -262,19 +251,7 @@ def test_canonical_weight_matches_fd_p_prime():
 
 
 # ---------------------------------------------------------------------------
-# branch handling
-
-
-def test_minus_branch_denominator_vanishes():
-    # minus branch with K > 0: c rho^(D-3) - A crosses zero at rho = (A/c)^(1/(D-3))
-    cfg = _a2_config(5)
-    state = dimensionless_state(cfg, 0.9)
-    coeffs = coefficient_set(state, cfg, branch="minus")
-    c = state.k_value * state.lambda_ ** ((4.0 - 5) / 2.0)
-    rho_zero = math.sqrt(state.a_const / c)
-    with pytest.raises(DenominatorVanishes):
-        # force an exact zero denominator through an array containing the root
-        coeffs.fields_fn(np.array([rho_zero * (1.0 + 1e-17), rho_zero]))["p"]
+# vanishing denominator
 
 
 def test_plus_branch_with_negative_k_can_vanish():
@@ -285,12 +262,3 @@ def test_plus_branch_with_negative_k_can_vanish():
     rho_zero = math.sqrt(state.a_const / -c)
     with pytest.raises(DenominatorVanishes):
         coeffs.fields_fn(np.array([rho_zero]))["q"]
-
-
-def test_minus_branch_w_d3():
-    cfg = _a2_config(3)
-    state = dimensionless_state(cfg, 0.999)
-    coeffs = coefficient_set(state, cfg, branch="minus")
-    rho = np.linspace(0.2, 30.0, 100)
-    expected = state.tau / rho - 0.25 - 0.5 / rho - (state.k_value**2 - state.xi**2) / rho**2
-    assert np.max(np.abs(coeffs.fields_fn(rho)["w"] - expected) / np.abs(expected)) < 1e-10

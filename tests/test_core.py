@@ -11,7 +11,6 @@ from dirac_numerov import (
     dimensionless_state,
     k_value,
     reconstruct_fg,
-    rho_of_r,
 )
 from dirac_numerov.errors import EtaOutOfRange, LengthMismatch
 
@@ -97,20 +96,6 @@ def test_state_rejects_eta_out_of_range():
             dimensionless_state(config, eta)
 
 
-def test_rho_of_r_values():
-    assert math.isclose(rho_of_r(1.0, 1.0, 0.0), 2.0, rel_tol=1e-15)
-    assert math.isclose(rho_of_r(0.5, 2.0, 0.0), 2.0, rel_tol=1e-15)
-    assert math.isclose(rho_of_r(1.0, 1.0, 0.8), 1.2, rel_tol=1e-14)
-    with pytest.raises(EtaOutOfRange):
-        rho_of_r(1.0, 1.0, 1.0)
-
-
-def test_rho_of_r_monotone_in_r():
-    r = np.linspace(0.1, 30.0, 200)
-    rho = [rho_of_r(float(x), 1.0, 0.3) for x in r]
-    assert np.all(np.diff(rho) > 0.0)
-
-
 def test_reconstruct_fg_trivial_cases():
     phi = np.array([0.3, -1.2, 2.0])
     f, g = reconstruct_fg(phi, phi, 1.0, 0.0)
@@ -157,3 +142,27 @@ def test_radial_grid_nodes_and_step():
 def test_radial_grid_validation(bad):
     with pytest.raises(ValueError):
         RadialGrid(**bad)
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+DELETED_NAMES = (
+    "Direction", "NO_TURNING_POINT", "NoTurningPoint", "PropagationResult", "canonical_step",
+    "generalized_step", "mismatch", "potential_energy", "propagate", "rho_of_r",
+)
+
+
+def test_public_surface_resolves_without_deleted_names():
+    import dirac_numerov
+    from dirac_numerov import coefficients, core, numerov, solver
+
+    names = dirac_numerov.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(dirac_numerov, name) for name in names)
+    assert not set(DELETED_NAMES) & set(names)
+    for module in (dirac_numerov, coefficients, core, numerov, solver):
+        assert not [name for name in DELETED_NAMES if hasattr(module, name)], module.__name__
+    assert not hasattr(coefficients, "_BRANCHES") and not hasattr(numerov, "_generalized_p012")
+    assert "weight_fn" not in coefficients.CoefficientSet.__dataclass_fields__
+    assert "branch" not in coefficients.CoefficientSet.__dataclass_fields__

@@ -7,56 +7,28 @@ from dirac_numerov import (
     Ansatz,
     PhysicalConfig,
     RadialGrid,
+    SolverSettings,
     coefficient_set_ansatz1,
     dimensionless_state,
 )
 from dirac_numerov.analytic import analytic_energy
-from dirac_numerov.coefficients import CoefficientSet
 from dirac_numerov.errors import SingularCoefficient
 from dirac_numerov.numerov import (
-    Direction,
     Scheme,
     RESCALE_THRESHOLD,
     _canonical_factors,
+    _general_sweep_lr,
+    _generalized_arrays,
     _numerov_sweep_lr,
     _numerov_sweep_rl,
     _three_point_sum,
     _transfer_product,
-    canonical_step,
-    generalized_step,
     match_samples,
     measured_order,
     product_space,
-    propagate,
     scheme_report,
 )
-
-
-def make_set(p=None, p_prime=None, w=None, weight=None, factor=None, **kw):
-    """Synthetic coefficient bundle for controlled integrator tests."""
-    zero = lambda rho: np.zeros_like(np.asarray(rho, dtype=float)) + 0.0
-    one = lambda rho: np.ones_like(np.asarray(rho, dtype=float))
-    p, p_prime, w = p or zero, p_prime or zero, w or zero
-    fields = dict(
-        fields_fn=lambda rho: {"p": p(rho), "p_prime": p_prime(rho), "q": one(rho),
-                               "s": zero(rho), "v": zero(rho), "w": w(rho)},
-        weight_fn=weight or w,
-        integrating_factor_fn=factor or one,
-        match_level=0.0,
-        turning_scale=1.0,
-        indicial_exponent=None,
-        singular_power=1,
-        dimension=3,
-        branch="plus",
-        k_value=1.0,
-        a_const=1.0,
-        c_const=0.0,
-        lambda_d3=1.0,
-        xi=0.001,
-        eta=0.5,
-    )
-    fields.update(kw)
-    return CoefficientSet(**fields)
+from dirac_numerov.solver import _canonical_weight, _log_derivative_gap, _match_index, _propagate_halves
 
 
 def d3_ground_coeffs():
@@ -66,31 +38,48 @@ def d3_ground_coeffs():
     return coefficient_set_ansatz1(state, config), state
 
 
+def _general_sweep(p, p_prime, w, h, seeds):
+    """Outward generalized sweep over every node from seeds at nodes 0 and 1."""
+    p0, p1, p2 = _generalized_arrays(p, p_prime, w, h)
+    n = p0.shape[0]
+    values = [float(seeds[0]), float(seeds[1])] + [0.0] * (n - 2)
+    overflowed, rescales = _general_sweep_lr(p0.tolist(), p1.tolist(), p2.tolist(), values, 1, n - 1)
+    return np.asarray(values), overflowed, rescales
+
+
+def _numerov_sweep(weight, h, seeds):
+    """Outward canonical sweep over every node from seeds at nodes 0 and 1."""
+    f = _canonical_factors(weight, h).tolist()
+    n = len(f)
+    values = [float(seeds[0]), float(seeds[1])] + [0.0] * (n - 2)
+    overflowed, rescales = _numerov_sweep_lr(f, values, 1, n - 1)
+    return np.asarray(values), overflowed, rescales
+
+
 # ---------------------------------------------------------------------------
-# scalar steps
+# the sequential sweeps
 
 
-def test_generalized_step_free_equation_is_exact():
-    coeffs = make_set()
-    # phi'' = 0: linear functions advance exactly
+def test_general_sweep_free_equation_is_exact():
+    # phi'' = 0 (p = w = 0): linear functions advance exactly
+    n = 9
+    zero = np.zeros(n)
     for a, b in ((0.0, 1.0), (2.0, 1.5), (-1.0, 3.0)):
-        nxt = generalized_step(a, b, rho=1.0, delta=0.25, coeffs=coeffs)
-        assert math.isclose(nxt, 2.0 * b - a, rel_tol=1e-15)
+        values, _, _ = _general_sweep(zero, zero, zero, 0.25, (a, b))
+        assert np.array_equal(values, a + (b - a) * np.arange(n))
 
 
-def test_generalized_step_exponential_fourth_order():
+def test_general_sweep_exponential_fourth_order():
     # w = -k^2 (p = 0) has solution e^(-k rho); global error contracts ~16x per halving
     k = 0.7
 
     def run(h):
         n = int(round(4.0 / h)) + 1
         rho = np.linspace(1.0, 5.0, n)
-        coeffs = make_set(w=lambda r: np.full_like(np.asarray(r, float), -k * k))
         exact = np.exp(-k * rho)
-        y_prev, y_curr = exact[0], exact[1]
-        for i in range(1, n - 1):
-            y_prev, y_curr = y_curr, generalized_step(y_prev, y_curr, float(rho[i]), h, coeffs)
-        return abs(y_curr - exact[-1])
+        zero = np.zeros(n)
+        values, _, _ = _general_sweep(zero, zero, np.full(n, -k * k), h, exact[:2])
+        return abs(values[-1] - exact[-1])
 
     e1, e2 = run(0.02), run(0.01)
     assert 12.0 < e1 / e2 < 20.0
@@ -105,40 +94,33 @@ def test_generalized_step_d3_ground_state_smooth_region():
     n = int(round(5.0 / h)) + 1
     rho = np.linspace(1.0, 6.0, n)
     exact = rho**gamma * np.exp(-rho / 2.0)
-    y_prev, y_curr = float(exact[0]), float(exact[1])
-    values = [y_prev, y_curr]
-    from dirac_numerov.numerov import _general_sweep_lr, _generalized_arrays
-
     fields = coeffs.fields_fn(rho)
-    p0, p1, p2 = _generalized_arrays(fields["p"], fields["p_prime"], fields["w"], h)
-    buf = [0.0] * n
-    buf[0], buf[1] = y_prev, y_curr
-    _general_sweep_lr(p0.tolist(), p1.tolist(), p2.tolist(), buf, 1, n - 1)
+    values, _, _ = _general_sweep(fields["p"], fields["p_prime"], fields["w"], h, exact[:2])
     i5 = int(round(4.0 / h))
-    assert abs(buf[i5] - exact[i5]) / exact[i5] < 1e-8
+    assert abs(values[i5] - exact[i5]) / exact[i5] < 1e-8
 
 
-def test_canonical_step_straight_line_and_cosh():
-    nxt = canonical_step(0.0, 1.0, rho=1.0, delta=0.5, weight=lambda r: 0.0)
-    assert math.isclose(nxt, 2.0, rel_tol=1e-15)
+def test_numerov_sweep_straight_line_and_cosh():
+    values, _, _ = _numerov_sweep(np.zeros(3), 0.5, (0.0, 1.0))
+    assert values[2] == 2.0
 
     def run(h):
         n = int(round(2.0 / h)) + 1
         x = np.linspace(0.0, 2.0, n)
         exact = np.cosh(x)
-        y_prev, y_curr = float(exact[0]), float(exact[1])
-        for i in range(1, n - 1):
-            y_prev, y_curr = y_curr, canonical_step(y_prev, y_curr, float(x[i]), h, lambda r: -1.0)
-        return abs(y_curr - exact[-1])
+        values, _, _ = _numerov_sweep(np.full(n, -1.0), h, exact[:2])
+        return abs(values[-1] - exact[-1])
 
     e1, e2 = run(0.02), run(0.01)
     assert 12.0 < e1 / e2 < 20.0
 
 
-def test_canonical_step_singular_coefficient():
+def test_numerov_sweep_singular_coefficient():
     h = 0.1
+    weight = np.zeros(5)
+    weight[2] = -12.0 / (h * h)  # 1 + h^2 W / 12 = 0 at node 2, the first divisor
     with pytest.raises(SingularCoefficient):
-        canonical_step(1.0, 1.0, rho=0.5, delta=h, weight=lambda r: -12.0 / (h * h))
+        _numerov_sweep(weight, h, (1.0, 1.0))
 
 
 def test_schemes_agree_on_d3_ground_state():
@@ -146,47 +128,83 @@ def test_schemes_agree_on_d3_ground_state():
     # phi to 1e-7 (the canonical path is the reference)
     coeffs, state = d3_ground_coeffs()
     gamma = coeffs.indicial_exponent
-    a, b = 1.0, 6.0
-    n = 5001
-    grid = RadialGrid(rho_min=a, rho_max=b, n_points=n)
+    grid = RadialGrid(rho_min=1.0, rho_max=6.0, n_points=5001)
+    h = grid.step
     rho = grid.nodes()
     exact = rho**gamma * np.exp(-rho / 2.0)
-    seeds = (float(exact[0]), float(exact[1]))
-    gen = propagate(grid, coeffs, Direction.LEFT_TO_RIGHT, seeds, Scheme.GENERALIZED)
-    can = propagate(grid, coeffs, Direction.LEFT_TO_RIGHT, seeds, Scheme.CANONICAL)
-    rel = np.max(np.abs(gen.values - can.values) / np.abs(exact))
+    fields = coeffs.fields_fn(rho)
+    gen, _, _ = _general_sweep(fields["p"], fields["p_prime"], fields["w"], h, exact[:2])
+    factor = coeffs.integrating_factor_fn(rho)
+    chi, _, _ = _numerov_sweep(_canonical_weight(coeffs, grid), h, exact[:2] / factor[:2])
+    can = chi * factor
+    rel = np.max(np.abs(gen - can) / np.abs(exact))
     assert rel < 1e-7
-    assert np.max(np.abs(can.values - exact) / exact) < 2e-9
+    assert np.max(np.abs(can - exact) / exact) < 2e-9
+
+
+def test_general_sweep_linearity():
+    coeffs, _ = d3_ground_coeffs()
+    n = 451
+    rho = np.linspace(0.5, 5.0, n)
+    fields = coeffs.fields_fn(rho)
+    args = fields["p"], fields["p_prime"], fields["w"], rho[1] - rho[0]
+    base, _, _ = _general_sweep(*args, (1.0, 1.1))
+    # power-of-two scaling commutes exactly with the float recurrence
+    scaled, _, _ = _general_sweep(*args, (0.25, 0.275))
+    assert np.array_equal(scaled, 0.25 * base)
+    general, _, _ = _general_sweep(*args, (1.7, 1.87))
+    rel = np.abs(general - 1.7 * base) / np.abs(base)
+    assert np.max(rel) < 1e-11  # general factors accumulate rounding only
+
+
+def test_numerov_sweep_rescaling_keeps_log_derivative():
+    # strongly growing solution triggers the 1e100 renormalization
+    n = 8001
+    rho = np.linspace(0.1, 80.0, n)
+    h = rho[1] - rho[0]
+    values, overflowed, rescales = _numerov_sweep(np.full(n, -36.0), h, (1e-3, 1.1e-3))
+    assert overflowed and rescales >= 1
+    assert np.all(np.isfinite(values))
+    # e^(6 rho): the centered 3-point estimator gives sinh(6h)/h up to the
+    # recurrence's own O(h^4) mode shift, unchanged by rescaling bookkeeping
+    log_derivative = (values[6001] - values[5999]) / (2.0 * h * values[6000])
+    assert math.isclose(log_derivative, math.sinh(6.0 * h) / h, rel_tol=1e-7)
 
 
 # ---------------------------------------------------------------------------
-# grid propagation
+# the solver's sweeps from both boundaries
+
+
+def _d3_halves(grid, m, eta=None):
+    """phi samples of the two sweeps to node m at the D = 3 ground state (1/r, canonical)."""
+    coeffs, _ = d3_ground_coeffs()
+    if eta is not None:
+        config = PhysicalConfig(dimension=3, ell=0, ansatz=Ansatz.ONE_OVER_R)
+        coeffs = coefficient_set_ansatz1(dimensionless_state(config, eta), config)
+    left, right = _propagate_halves(coeffs, grid, m, Scheme.CANONICAL)
+    factor = coeffs.integrating_factor_fn(grid.nodes())
+    return coeffs, np.asarray(left) * factor, np.asarray(right) * factor
 
 
 def test_propagate_power_law_branch_small_rho():
     # from seeds (0, delta^gamma) the left sweep must follow the regular
     # power-law branch; the bound applies where the solution's sub-leading
     # factor exp(-rho/2) deviates from 1 by less than the 1% tolerance
-    coeffs, state = d3_ground_coeffs()
-    gamma = coeffs.indicial_exponent
     grid = RadialGrid(rho_min=1e-6, rho_max=2.0, n_points=20001)
-    h = grid.step
-    res = propagate(grid, coeffs, Direction.LEFT_TO_RIGHT, (0.0, h**gamma), Scheme.CANONICAL)
+    coeffs, left, _ = _d3_halves(grid, 200)
+    gamma = coeffs.indicial_exponent
+    assert left[1] == pytest.approx(grid.step**gamma, rel=1e-15)
     rho = grid.nodes()
     window = slice(10, 170)  # rho in [1e-3, 1.7e-2]
-    scale = res.values[10] / rho[10] ** gamma
-    rel = np.abs(res.values[window] / (scale * rho[window] ** gamma) - 1.0)
+    scale = left[10] / rho[10] ** gamma
+    rel = np.abs(left[window] / (scale * rho[window] ** gamma) - 1.0)
     assert np.max(rel) < 0.01
 
 
 def test_propagate_inward_decay():
-    coeffs, _ = d3_ground_coeffs()
     grid = RadialGrid(rho_min=1e-6, rho_max=40.0, n_points=40001)
-    h = grid.step
-    seeds = (math.exp(-40.0 / 2.0), math.exp(-(40.0 - h) / 2.0))
-    res = propagate(grid, coeffs, Direction.RIGHT_TO_LEFT, seeds, Scheme.CANONICAL,
-                    stop_index=20000)
-    vals = res.values[20000:]
+    _, _, right = _d3_halves(grid, 20001)
+    vals = right[20000:]
     assert np.all(np.diff(vals) < 0.0)  # monotone decay toward the boundary
 
 
@@ -194,72 +212,29 @@ def test_direction_consistency_at_converged_eigenvalue(solve_cached):
     # left sweep from the power-law seeds and right sweep from the decaying
     # seeds describe the same ray at the eigenvalue: after matching scales at
     # one node, they agree across the classically allowed region
-    from dirac_numerov import Ansatz, PhysicalConfig, dimensionless_state
-
     result = solve_cached(3, Ansatz.ONE_OVER_R)
-    config = PhysicalConfig(dimension=3, ell=0, ansatz=Ansatz.ONE_OVER_R)
-    state = dimensionless_state(config, result.eta_star)
-    coeffs = coefficient_set_ansatz1(state, config)
     grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=50001)
-    h = grid.step
-    gamma = coeffs.indicial_exponent
-    left = propagate(grid, coeffs, Direction.LEFT_TO_RIGHT, (0.0, h**gamma),
-                     Scheme.CANONICAL, stop_index=12000)
-    b = grid.rho_max
-    right = propagate(grid, coeffs, Direction.RIGHT_TO_LEFT,
-                      (math.exp(-b / 2.0), math.exp(-(b - h) / 2.0)),
-                      Scheme.CANONICAL, stop_index=2000)
+    _, left, _ = _d3_halves(grid, 11999, result.eta_star)  # left fills nodes 0..12000
+    _, _, right = _d3_halves(grid, 2001, result.eta_star)  # right fills nodes 2000..n-1
     overlap = slice(2000, 12000)  # rho in [2, 12]
-    ratio = left.values[overlap] / right.values[overlap]
+    ratio = left[overlap] / right[overlap]
     ratio /= ratio[len(ratio) // 2]
     assert np.max(np.abs(ratio - 1.0)) < 1e-6
 
 
-def test_propagate_linearity():
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+def test_log_derivative_scale_invariance(scheme):
+    # each side's samples may carry any positive power-of-two scale: the gap
+    # divides it out exactly
     coeffs, _ = d3_ground_coeffs()
-    grid = RadialGrid(rho_min=0.5, rho_max=5.0, n_points=451)
-    base = propagate(grid, coeffs, Direction.LEFT_TO_RIGHT, (1.0, 1.1), Scheme.GENERALIZED)
-    # power-of-two scaling commutes exactly with the float recurrence
-    scaled = propagate(grid, coeffs, Direction.LEFT_TO_RIGHT, (0.25, 0.275), Scheme.GENERALIZED)
-    assert np.array_equal(scaled.values, 0.25 * base.values)
-    general = propagate(grid, coeffs, Direction.LEFT_TO_RIGHT, (1.7, 1.87), Scheme.GENERALIZED)
-    rel = np.abs(general.values - 1.7 * base.values) / np.abs(base.values)
-    assert np.max(rel) < 1e-11  # general factors accumulate rounding only
-
-
-def test_propagate_rescaling_keeps_log_derivative():
-    # strongly growing solution triggers the 1e100 renormalization
-    grow = make_set(weight=lambda r: np.full_like(np.asarray(r, float), -36.0))
-    grid = RadialGrid(rho_min=0.1, rho_max=80.0, n_points=8001)
-    res = propagate(grid, grow, Direction.LEFT_TO_RIGHT, (1e-3, 1.1e-3), Scheme.CANONICAL)
-    assert res.overflowed and res.rescale_count >= 1
-    assert np.all(np.isfinite(res.values))
-    # e^(6 rho): the centered 3-point estimator gives sinh(6h)/h up to the
-    # recurrence's own O(h^4) mode shift, unchanged by rescaling bookkeeping
-    h = grid.step
-    assert math.isclose(res.log_derivative_at(6000), math.sinh(6.0 * h) / h, rel_tol=1e-7)
-
-
-def test_log_derivative_scale_invariance():
-    coeffs, _ = d3_ground_coeffs()
-    grid = RadialGrid(rho_min=0.5, rho_max=5.0, n_points=451)
-    res = propagate(grid, coeffs, Direction.LEFT_TO_RIGHT, (1.0, 1.05), Scheme.CANONICAL)
-    before = res.log_derivative_at(200)
-    res.values *= 2.0**520
-    after = res.log_derivative_at(200)
-    assert math.isclose(before, after, rel_tol=1e-12)
-
-
-def test_propagate_equals_repeated_steps():
-    coeffs, _ = d3_ground_coeffs()
-    grid = RadialGrid(rho_min=1.0, rho_max=1.15, n_points=16)
-    h = grid.step
-    res = propagate(grid, coeffs, Direction.LEFT_TO_RIGHT, (1.0, 0.995), Scheme.GENERALIZED)
-    y_prev, y_curr = 1.0, 0.995
-    rho = grid.nodes()
-    for i in range(1, 15):
-        y_prev, y_curr = y_curr, generalized_step(y_prev, y_curr, float(rho[i]), h, coeffs)
-        assert math.isclose(res.values[i + 1], y_curr, rel_tol=1e-12)
+    grid = SolverSettings().resolve_grid(coeffs.turning_scale)
+    m = _match_index(coeffs, grid, 3)
+    left, right = _propagate_halves(coeffs, grid, m, scheme)
+    left, right = left[m - 1 : m + 2], right[m - 1 : m + 2]
+    before = _log_derivative_gap(left, right, coeffs, grid, m, scheme)
+    after = _log_derivative_gap([y * 2.0**520 for y in left], [y * 2.0**-300 for y in right],
+                                coeffs, grid, m, scheme)
+    assert math.isfinite(before) and before == after
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +526,8 @@ def test_fourth_order_signature_canonical():
         n = int(round(2.0 / h)) + 1
         x = np.linspace(0.0, 2.0, n)
         exact = np.exp(-x * x / 2.0)
-        from dirac_numerov.numerov import _canonical_factors, _numerov_sweep_lr
-
-        f = _canonical_factors(1.0 - x * x, h).tolist()
-        buf = [0.0] * n
-        buf[0], buf[1] = float(exact[0]), float(exact[1])
-        _numerov_sweep_lr(f, buf, 1, n - 1)
-        return float(np.max(np.abs(np.asarray(buf) - exact)))
+        values, _, _ = _numerov_sweep(1.0 - x * x, h, exact[:2])
+        return float(np.max(np.abs(values - exact)))
 
     errors = [run(h) for h in (0.08, 0.04, 0.02, 0.01)]
     ratios = [errors[i] / errors[i + 1] for i in range(3)]

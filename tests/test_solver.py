@@ -11,7 +11,6 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from dirac_numerov import (
-    NO_TURNING_POINT,
     Ansatz,
     PhysicalConfig,
     RadialGrid,
@@ -22,7 +21,6 @@ from dirac_numerov import (
     dimension_scan,
     dimensionless_state,
     eigenfunction,
-    mismatch,
     mismatch_scan,
     reconstruct_fg,
     solve_ground_state,
@@ -236,12 +234,12 @@ def test_no_allowed_node_past_the_bound(eta, d, ell):
 def test_mismatch_small_at_analytic_eigenvalue():
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
     eta = analytic_energy(config).energy_ratio
-    delta = mismatch(eta, config, SolverSettings(scheme=Scheme.CANONICAL))
-    assert delta is not NO_TURNING_POINT
+    delta = solver._evaluate_trial(eta, config, SolverSettings(scheme=Scheme.CANONICAL))[0]
+    assert delta is not None
     assert abs(delta) <= 1e-6
     # the second-order generalized path carries a larger truncation bias but
     # must stay within an order of magnitude of it
-    delta_gen = mismatch(eta, config, SolverSettings(scheme=Scheme.GENERALIZED))
+    delta_gen = solver._evaluate_trial(eta, config, SolverSettings(scheme=Scheme.GENERALIZED))[0]
     assert abs(delta_gen) <= 1e-5
 
 
@@ -251,34 +249,32 @@ def test_mismatch_large_away_from_eigenvalue():
     # a turning point exists but no eigenvalue is nearby
     xi = dimensionless_state(config, 0.5).xi
     eta = math.sqrt(1.0 / (1.0 + (xi / 0.75) ** 2))
-    delta = mismatch(eta, config)
-    assert delta is not NO_TURNING_POINT
+    delta = solver._evaluate_trial(eta, config, SolverSettings())[0]
+    assert delta is not None
     assert abs(delta) > 1e-3
 
 
 def test_mismatch_no_turning_point_cases():
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
     # eta far below the classically-allowed regime: the level misses the well
-    assert mismatch(0.9, config) is NO_TURNING_POINT
+    assert solver._evaluate_trial(0.9, config, SolverSettings())[0] is None
     config5 = PhysicalConfig(dimension=5, ansatz=Ansatz.GENERALIZED)
     for eta in (0.6, 0.99, 0.99999):
-        assert mismatch(eta, config5) is NO_TURNING_POINT
+        assert solver._evaluate_trial(eta, config5, SolverSettings())[0] is None
     with pytest.raises(EtaOutOfRange):
-        mismatch(1.0, config)
+        solver._evaluate_trial(1.0, config, SolverSettings())[0]
 
 
 @pytest.mark.parametrize("dimension", range(3, 10))
-def test_one_over_r_weight_from_the_cached_potential_is_weight_fn(dimension):
+def test_one_over_r_weight_from_the_cached_potential_is_the_fields_weight(dimension):
     # the solver forms W from the V cached for the island test; it must be
-    # the coefficient set's own weight, and w + 1/(4 rho^2) from the six
-    # fields, bit for bit across the default window
+    # w + 1/(4 rho^2) from the six fields, bit for bit across the default window
     settings = SolverSettings()
     for eta in _scan_etas(settings.eta_window, 5):
         coeffs, _ = _coeffs_at(dimension, Ansatz.ONE_OVER_R, float(eta))
         grid = settings.resolve_grid(coeffs.turning_scale)
         nodes = grid.nodes()
         weight = _canonical_weight(coeffs, grid)
-        assert np.array_equal(weight, coeffs.weight_fn(nodes))
         assert np.array_equal(weight, coeffs.fields_fn(nodes)["w"] + 1.0 / (4.0 * nodes * nodes))
 
 
@@ -323,7 +319,7 @@ def test_d3_field_basis_holds_no_energy(scheme, eta, ell):
     grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=5001)
     cached = _weight_basis(coeffs, grid, scheme)
     fresh = _field_basis.__wrapped__(grid, scheme, (3, coeffs.k_value, coeffs.a_const,
-                                                    coeffs.c_const, coeffs.lambda_d3, 1.0))
+                                                    coeffs.c_const, coeffs.lambda_d3))
     assert len(cached) == len(fresh)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(cached, fresh))
 
@@ -409,10 +405,11 @@ def _allocating_mismatch(coeffs, grid, m, scheme):
     if scheme is Scheme.CANONICAL:
         if coeffs.c_const == 0.0:
             gamma2 = coeffs.k_value**2 - coeffs.xi**2
-            v = coefficients.ansatz1_potential(nodes, gamma2, 1.0)
+            v = coefficients.ansatz1_potential(nodes, gamma2)
             u = (tau - v) / nodes + 0.25 / (nodes * nodes)
         else:
-            u = coeffs.weight_fn(nodes)
+            fields = coeffs.fields_fn(nodes)
+            u = fields["w"] - fields["p"] * fields["p"] / 4.0 - fields["p_prime"] / 2.0
         f = 1.0 + h2_12 * u
         lower, upper = f[:-2], f[2:]
     else:
@@ -524,8 +521,8 @@ def test_bracketing_soundness(solve_cached):
     result = solve_cached(3, Ansatz.ONE_OVER_R)
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
     width = 1e-9
-    lo = mismatch(result.eta_star - width, config)
-    hi = mismatch(result.eta_star + width, config)
+    lo = solver._evaluate_trial(result.eta_star - width, config, SolverSettings())[0]
+    hi = solver._evaluate_trial(result.eta_star + width, config, SolverSettings())[0]
     assert (lo < 0.0) != (hi < 0.0)
 
 
