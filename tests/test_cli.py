@@ -57,6 +57,13 @@ def test_solve_bad_flag_is_config_error():
     assert main(["bogus-command"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", [["solve"], ["scan"], ["profile", "--quantity", "phi_plus"]])
+def test_unknown_ansatz_is_config_error(command, capsys):
+    # solve, scan and profile share one ansatz lookup
+    assert main(command + ["--ansatz", "3"]) == EXIT_CONFIG
+    assert "ansatz must be 1 or 2, got 3" in capsys.readouterr().err
+
+
 def test_solve_gauss_law_d5_not_found(tmp_path, capsys):
     out = tmp_path / "run.json"
     code = main(["solve", "--dimension", "5", "--ansatz", "2",

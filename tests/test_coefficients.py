@@ -262,3 +262,37 @@ def test_plus_branch_with_negative_k_can_vanish():
     rho_zero = math.sqrt(state.a_const / -c)
     with pytest.raises(DenominatorVanishes):
         coeffs.fields_fn(np.array([rho_zero]))["q"]
+
+
+def test_integrating_factor_rejects_a_negative_denominator():
+    # past the root of c rho^(D-3) + A (K < 0) the factor sqrt(den / rho^(D-2)) is undefined
+    cfg = _a2_config(5, k_sign=KSign.MINUS)
+    state = dimensionless_state(cfg, 0.9)
+    coeffs = coefficient_set(state, cfg)
+    c = state.k_value * state.lambda_ ** ((4.0 - 5) / 2.0)
+    rho_zero = math.sqrt(state.a_const / -c)
+    assert coeffs.integrating_factor_fn(0.5 * rho_zero) > 0.0
+    with pytest.raises(DenominatorVanishes):
+        coeffs.integrating_factor_fn(np.array([0.5 * rho_zero, 2.0 * rho_zero]))
+
+
+# ---------------------------------------------------------------------------
+# scalar and array evaluation
+
+
+@pytest.mark.parametrize("ansatz", [Ansatz.ONE_OVER_R, Ansatz.GENERALIZED])
+def test_scalar_fields_equal_array_fields(ansatz):
+    cfg = PhysicalConfig(dimension=5, ansatz=ansatz)
+    state = dimensionless_state(cfg, 0.99)
+    coeffs = coefficient_set_ansatz1(state, cfg) if ansatz is Ansatz.ONE_OVER_R \
+        else coefficient_set(state, cfg)
+    rho = np.array([0.3, 1.0, 7.5])
+    arrays = coeffs.fields_fn(rho)
+    factors = coeffs.integrating_factor_fn(rho)
+    for i, x in enumerate(rho):
+        scalars = coeffs.fields_fn(float(x))
+        assert set(scalars) == set(arrays)
+        for key, value in scalars.items():
+            assert type(value) is float and value == arrays[key][i], key
+        factor = coeffs.integrating_factor_fn(float(x))
+        assert type(factor) is float and factor == factors[i]

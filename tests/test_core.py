@@ -9,6 +9,7 @@ from dirac_numerov import (
     PhysicalConfig,
     RadialGrid,
     dimensionless_state,
+    discrete_l2_norm,
     k_value,
     reconstruct_fg,
 )
@@ -142,6 +143,17 @@ def test_radial_grid_nodes_and_step():
 def test_radial_grid_validation(bad):
     with pytest.raises(ValueError):
         RadialGrid(**bad)
+
+
+def test_discrete_l2_norm_values():
+    assert discrete_l2_norm([3.0, 4.0], 1.0) == 5.0
+    assert math.isclose(discrete_l2_norm(np.full(100, 2.0), 0.01), 2.0, rel_tol=1e-15)
+    assert discrete_l2_norm(np.zeros(5), 0.5) == 0.0
+    values = np.array([0.3, -1.2, 2.0])
+    assert math.isclose(discrete_l2_norm(-2.0 * values, 0.1),
+                        2.0 * discrete_l2_norm(values, 0.1), rel_tol=1e-15)
+    assert math.isclose(discrete_l2_norm(values, 0.4),
+                        2.0 * discrete_l2_norm(values, 0.1), rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------
