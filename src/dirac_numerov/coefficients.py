@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Ansatz, DimensionlessState, PhysicalConfig
+from .core import Ansatz, DimensionlessState, PhysicalConfig, _energy_scalars
 from .errors import DenominatorVanishes, UnsupportedDimension
 
 def coupling_xi(config: PhysicalConfig) -> float:
@@ -212,15 +212,8 @@ def coefficient_set(state: DimensionlessState, config: PhysicalConfig) -> Coeffi
     if d <= 2:
         raise UnsupportedDimension(f"the 1/r^(D-2) equation needs D >= 3, got D = {d}")
     kval = state.k_value
-    lam = state.lambda_
-    a_const = state.a_const
-    if d == 4:
-        c_const = kval
-        lam_d3 = lam
-    else:
-        c_const = kval * lam ** ((4.0 - d) / 2.0)
-        lam_d3 = 1.0 if d == 3 else lam ** (d - 3)
-    tau = state.tau
+    _, a_const, tau_prime, tau, c_const, lam_d3 = _energy_scalars(Ansatz.GENERALIZED, d, kval,
+                                                                   state.xi, state.eta)
 
     def fields_fn(rho):
         return general_fields(rho, d, kval, a_const, c_const, lam_d3, tau)
@@ -251,7 +244,7 @@ def coefficient_set(state: DimensionlessState, config: PhysicalConfig) -> Coeffi
         fields_fn=fields_fn,
         integrating_factor_fn=integrating_factor_fn,
         match_level=tau,
-        turning_scale=abs(state.tau_prime),
+        turning_scale=abs(tau_prime),
         indicial_exponent=indicial,
         singular_power=d - 2,
         dimension=d,
@@ -311,11 +304,9 @@ def coefficient_set_ansatz1(state: DimensionlessState, config: PhysicalConfig) -
         w = -1/4 + (tau + 1/2)/rho - (K^2 - xi^2)/rho^2.
     """
     kval = state.k_value
-    xi = state.xi
+    _, xi, tau_prime, tau, _, _ = _energy_scalars(Ansatz.ONE_OVER_R, config.dimension, kval,
+                                                  state.xi, state.eta)
     gamma2 = kval * kval - xi * xi
-    sqrt_lam = math.sqrt(state.lambda_)
-    tau = xi * state.eta / sqrt_lam
-    tau_prime = xi / sqrt_lam
 
     def fields_fn(rho):
         return ansatz1_fields(rho, gamma2, tau)

@@ -109,6 +109,32 @@ class DimensionlessState:
     dimension: int
 
 
+def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
+    """(lam, A, tau', tau, c, lam^(D-3)) of one trial energy, as Python floats.
+
+    The 1/r^(D-2) potential has A = 2^(D-3) xi, tau' = A lam^((D-4)/2),
+    tau = eta tau' and c = K lam^((4-D)/2); the 1/r potential has A = xi,
+    tau' = xi/sqrt(lam), tau = xi eta/sqrt(lam), c = 0 and lam^0 = 1. The
+    solver's block screen calls this once per energy, not on an array: numpy's
+    array power can differ from ``float ** float`` in the last bit, and the
+    screen must see the per-trial bits.
+    """
+    lam = (1.0 - eta) * (1.0 + eta)
+    if ansatz is Ansatz.ONE_OVER_R:
+        sqrt_lam = math.sqrt(lam)
+        return lam, xi, xi / sqrt_lam, xi * eta / sqrt_lam, 0.0, 1.0
+    a_const = 2.0 ** (d - 3) * xi
+    if d == 4:  # lam^0 handled exactly
+        tau_prime = a_const
+        c_const = kval
+        lam_d3 = lam
+    else:
+        tau_prime = a_const * lam ** ((d - 4) / 2.0)
+        c_const = kval * lam ** ((4.0 - d) / 2.0)
+        lam_d3 = 1.0 if d == 3 else lam ** (d - 3)
+    return lam, a_const, tau_prime, eta * tau_prime, c_const, lam_d3
+
+
 def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = None) -> DimensionlessState:
     """Build the dimensionless scalar bundle for a trial energy ratio.
 
@@ -133,13 +159,8 @@ def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = N
 
         xi = coupling_xi(config)
     d = config.dimension
-    lam = (1.0 - eta) * (1.0 + eta)
-    a_const = 2.0 ** (d - 3) * xi
-    if d == 4:
-        tau_prime = a_const  # lam^0 handled exactly
-    else:
-        tau_prime = a_const * lam ** ((d - 4) / 2.0)
-    tau = eta * tau_prime
+    kval = k_value(config)
+    lam, a_const, tau_prime, tau, _, _ = _energy_scalars(Ansatz.GENERALIZED, d, kval, xi, eta)
     return DimensionlessState(
         eta=eta,
         lambda_=lam,
@@ -147,7 +168,7 @@ def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = N
         a_const=a_const,
         tau=tau,
         tau_prime=tau_prime,
-        k_value=k_value(config),
+        k_value=kval,
         dimension=d,
     )
 

@@ -13,7 +13,15 @@ solver
    For that potential the sign of tau - V is the sign of a polynomial whose
    negative leading term wins past a radius in closed form
    (:func:`_allowed_radius_bound`), so only the grid prefix below it is
-   tested, a few percent of the nodes at most,
+   tested, a few percent of the nodes at most. The scan takes this step a
+   block of consecutive energies at a time (:func:`_screen_islands`), in
+   numpy, before any per-energy work. Where V holds no energy (the 1/r
+   family, and the Gauss law at D = 3) it settles every energy whose tau
+   lies below V's closed-form minimum gamma - 1/2: no node is allowed. For
+   the Gauss law at D >= 4 it evaluates H for the whole block over one
+   common prefix and settles every energy whose prefix holds only the
+   funnel: every energy of the default scans. Only the energies it leaves
+   open run steps 1-3 one at a time,
 3. propagates from both ends to the island's outer turning node and forms
    the log-derivative mismatch Delta(eta); the two solutions are needed only
    at nodes m-1, m, m+1, so :func:`numerov.match_samples` obtains them from
@@ -44,16 +52,18 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import (CoefficientSet, ansatz1_fields, ansatz1_potential, ansatz1_w,
-                           ansatz1_weight, build_coefficients, general_w, static_fields,
-                           weight_terms)
+                           ansatz1_weight, build_coefficients, coupling_xi, general_w,
+                           static_fields, weight_terms)
 from .core import (
     Ansatz,
     EigenResult,
     PhysicalConfig,
     RadialGrid,
     WaveSolution,
+    _energy_scalars,
     dimensionless_state,
     discrete_l2_norm,
+    k_value,
     reconstruct_fg,
 )
 from .errors import ConfigError, NonFiniteValue
@@ -73,6 +83,8 @@ from .numerov import (
 
 
 _MAX_GRID_POINTS = 20_000_000
+_SCREEN_ROWS = 64  # scan energies screened at once
+_BLOCK_DOUBLES = 8192  # cap on rows x prefix of each array of the screen's H
 
 
 @dataclass(frozen=True)
@@ -121,15 +133,19 @@ class SolverSettings:
         if self.min_island_nodes < 1:
             raise ConfigError("min_island_nodes must be >= 1")
 
-    def resolve_grid(self, turning_scale: float) -> RadialGrid:
-        """Concrete grid for a trial with the given outer turning scale."""
+    def _extent(self, turning_scale: float):
+        """(rho_max, node count) of the grid for the given outer turning scale."""
         if self.grid_b is not None:
             b = self.grid_b
         else:
             b = max(50.0, 4.0 * turning_scale + 44.0) * self.grid_b_scale
             b = 10.0 * math.ceil(b / 10.0)  # quantized so per-grid caches hit
         n = int(math.ceil((b - self.grid_a) / self.grid_delta)) + 1
-        n = max(n, 16)
+        return b, max(n, 16)
+
+    def resolve_grid(self, turning_scale: float) -> RadialGrid:
+        """Concrete grid for a trial with the given outer turning scale."""
+        b, n = self._extent(turning_scale)
         if n > _MAX_GRID_POINTS:
             raise ConfigError(
                 f"grid would need {n} nodes (b = {b:.3g}, delta = {self.grid_delta:.3g}); "
@@ -229,10 +245,16 @@ def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float, size: i
     return basis
 
 
-def _polynomial_tail(coeffs: CoefficientSet):
+def _trial_row(coeffs: CoefficientSet):
+    """The scalars (D, K, A, c, tau, lam^(D-3)) that H and its bound take, of a trial."""
+    return (coeffs.dimension, coeffs.k_value, coeffs.a_const, coeffs.c_const, coeffs.match_level,
+            coeffs.lambda_d3)
+
+
+def _polynomial_tail(d, kval, a, c, tau, lam):
     """(coefficient, power) terms of P = H rho^(D-2) beyond its leading part.
 
-    With e = D - 3 and lam_e = ``lambda_d3``,
+    With e = D - 3 and lam_e = ``lam`` = lam^(D-3),
 
         P = -c rho^(3e) (rho^2/4 - rho/2 + K^2) - (A/4) rho^(2e+2)
             + (c tau + (e+1) A/2) rho^(2e+1) + (c e tau - A K^2) rho^(2e)
@@ -240,10 +262,8 @@ def _polynomial_tail(coeffs: CoefficientSet):
 
     a polynomial of degree 3D - 7; this returns every term after the first.
     """
-    e = coeffs.dimension - 3
-    c, a, tau = coeffs.c_const, coeffs.a_const, coeffs.match_level
-    kk = coeffs.k_value * coeffs.k_value
-    lam = coeffs.lambda_d3
+    e = d - 3
+    kk = kval * kval
     return (
         (-0.25 * a, 2 * e + 2),
         (c * tau + 0.5 * (e + 1) * a, 2 * e + 1),
@@ -254,43 +274,56 @@ def _polynomial_tail(coeffs: CoefficientSet):
     )
 
 
-def _allowed_radius_bound(coeffs: CoefficientSet) -> float:
+def _allowed_radius_bound(d, kval, a, c, tau, lam) -> float:
     """Radius R past which tau - V < 0 (1/r^(D-2) potential, c > 0), else inf.
 
+    Takes the scalars of :func:`_trial_row`.
     rho^2/4 - rho/2 + K^2 - (1 - 1/(4K^2)) rho^2/4 = (rho/(4K) - K)^2 >= 0, so
     the leading part of P is at most -L rho^(3e+2) with L = (c/4)(1 - 1/(4K^2)).
     Each of the N positive tail terms a_k rho^k stays below L rho^(3e+2)/N once
     rho > (N a_k / L)^(1/(3e+2-k)), so P < 0 beyond the largest of these. The
     bound needs K^2 > 1/4; otherwise it is infinite.
     """
-    kk = coeffs.k_value * coeffs.k_value
+    kk = kval * kval
     if kk <= 0.25:
         return math.inf
-    lead = 0.25 * coeffs.c_const * (1.0 - 0.25 / kk)
-    top = 3 * (coeffs.dimension - 3) + 2
-    positive = [(coef, k) for coef, k in _polynomial_tail(coeffs) if coef > 0.0]
+    lead = 0.25 * c * (1.0 - 0.25 / kk)
+    top = 3 * (d - 3) + 2
+    positive = [(coef, k) for coef, k in _polynomial_tail(d, kval, a, c, tau, lam) if coef > 0.0]
     n_terms = len(positive)
-    return max((n_terms * coef / lead) ** (1.0 / (top - k)) for coef, k in positive)
+    return max([(n_terms * coef / lead) ** (1.0 / (top - k)) for coef, k in positive])
 
 
-def _gauss_allowed(coeffs: CoefficientSet, grid: RadialGrid, stop: int) -> np.ndarray:
-    """Allowed-node flags (H > 0) of the first ``stop`` nodes, 1/r^(D-2) potential."""
+def _prefix_stop(grid: RadialGrid, bound: float) -> int:
+    """Nodes the island test looks at: those up to ``bound`` plus three (see :func:`_match_index`)."""
+    n = grid.n_points
+    if bound < grid.rho_max:
+        return min(n, max(0, math.ceil((bound - grid.rho_min) / grid.step)) + 4)
+    return n
+
+
+def _gauss_allowed(grid: RadialGrid, stop: int, d, kval, a, c, tau, lam) -> np.ndarray:
+    """Allowed-node flags (H > 0) of the first ``stop`` nodes, 1/r^(D-2) potential.
+
+    Takes the scalars of :func:`_trial_row`: floats give one row of flags;
+    c, tau and lam as column vectors give one row per energy, each bit for bit
+    the row that its floats give.
+    """
     size = min(grid.n_points, 1 << (stop - 1).bit_length())
-    basis = _island_basis(grid, coeffs.dimension, coeffs.k_value, coeffs.a_const, size)
-    r34, s0r3, ur3, s0m, u = (arr[:stop] for arr in basis)
-    a2l = coeffs.a_const * coeffs.a_const * coeffs.lambda_d3
+    r34, s0r3, ur3, s0m, u = (arr[:stop] for arr in _island_basis(grid, d, kval, a, size))
+    a2l = a * a * lam
     # two scratch arrays, explicit out=: avoid temporary churn in the
     # certification scans' hot loop
-    h_sign = np.multiply(r34, coeffs.match_level * coeffs.c_const)
-    tmp = np.multiply(ur3, a2l * coeffs.c_const)
+    h_sign = np.multiply(r34, tau * c)
+    tmp = np.multiply(ur3, a2l * c)
     np.add(h_sign, tmp, out=h_sign)
-    np.multiply(s0r3, coeffs.c_const, out=tmp)
+    np.multiply(s0r3, c, out=tmp)
     np.subtract(h_sign, tmp, out=h_sign)
-    np.multiply(u, a2l * coeffs.a_const, out=tmp)
+    np.multiply(u, a2l * a, out=tmp)
     np.add(h_sign, tmp, out=h_sign)
-    np.multiply(s0m, coeffs.a_const, out=tmp)
+    np.multiply(s0m, a, out=tmp)
     np.add(h_sign, tmp, out=h_sign)
-    h_sign += coeffs.a_const * coeffs.match_level
+    h_sign += a * tau
     return h_sign > 0.0
 
 
@@ -311,14 +344,12 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
             return None
         return _island_match_index(level > v_nodes, min_nodes)
     if coeffs.k_value > 0.0 and coeffs.a_const > 0.0:
+        row = _trial_row(coeffs)
         n = grid.n_points
-        bound = _allowed_radius_bound(coeffs)
-        stop = n
-        if bound < grid.rho_max:
-            stop = min(n, max(0, math.ceil((bound - grid.rho_min) / grid.step)) + 4)
-        allowed = _gauss_allowed(coeffs, grid, stop)
+        stop = _prefix_stop(grid, _allowed_radius_bound(*row))
+        allowed = _gauss_allowed(grid, stop, *row)
         if allowed[-1] and stop < n:
-            allowed = _gauss_allowed(coeffs, grid, n)
+            allowed = _gauss_allowed(grid, n, *row)
         return _island_match_index(allowed, min_nodes)
     g = level - np.asarray(coeffs.fields_fn(grid.nodes())["v"], dtype=float)
     return _island_match_index(g > 0.0, min_nodes)
@@ -513,9 +544,13 @@ def _mismatch_at_match(coeffs, grid, m, scheme, work=None) -> float:
     return _log_derivative_gap(left, right, coeffs, grid, m, scheme)
 
 
-def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings, work=None):
-    """(delta, match_index, grid) for one trial energy, in ``work``; delta None if no island."""
-    state = dimensionless_state(config, eta)
+def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings, work=None,
+                    xi=None):
+    """(delta, match_index, grid) for one trial energy, in ``work``; delta None if no island.
+
+    ``xi`` is the solve's coupling (computed from ``config`` if None).
+    """
+    state = dimensionless_state(config, eta, xi)
     coeffs = build_coefficients(state, config)
     grid = settings.resolve_grid(coeffs.turning_scale)
     m = _match_index(coeffs, grid, settings.min_island_nodes)
@@ -540,6 +575,87 @@ def _scan_etas(window, n_points: int) -> np.ndarray:
     return etas
 
 
+def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> list:
+    """True for each energy of ``etas`` proven to have no interior island, as one block.
+
+    An energy left False goes to :func:`_evaluate_trial`, which decides it,
+    and so does every energy whose grid would exceed ``_MAX_GRID_POINTS``
+    (the trial raises there). The scalars come from
+    :func:`core._energy_scalars` one energy at a time.
+
+    * Where V holds no energy, V = rho/4 - 1/2 + gamma^2/rho with
+      gamma^2 = K^2 - A^2 has its minimum gamma - 1/2 at rho = 2 gamma: the
+      1/r family, and the Gauss law at D = 3 (A = xi, lam^0 = 1, K > 0). An
+      energy with tau at least a margin below it has no allowed node on any
+      grid; the margin exceeds the rounding of V (and of H) at the nodes.
+    * The Gauss law at D >= 4 with K > 0 evaluates H for the energies of one
+      grid together, :func:`_gauss_allowed` with the scalars as columns,
+      over the longest of their :func:`_prefix_stop` prefixes, at most
+      ``_BLOCK_DOUBLES`` values per array (an energy whose own prefix is
+      longer goes alone). Each row's flags equal those its trial computes, so
+      an energy is settled when its own prefix holds no forbidden-to-allowed
+      step and ends on a forbidden node: its trial finds no island either.
+    """
+    d = config.dimension
+    kval = k_value(config)
+    xi = coupling_xi(config)
+    rows = [_energy_scalars(config.ansatz, d, kval, xi, eta) for eta in etas]
+    extents = [settings._extent(abs(tau_prime)) for _, _, tau_prime, _, _, _ in rows]
+    settled = [False] * len(rows)
+    a = rows[0][1]  # A holds no energy
+    if config.ansatz is Ansatz.ONE_OVER_R or (d == 3 and kval > 0.0):
+        gamma2 = kval * kval - a * a
+        if gamma2 > 0.0:
+            v_min = math.sqrt(gamma2) - 0.5
+            level = v_min - 1e-9 * (1.0 + abs(v_min))
+            settled = [tau <= level and n <= _MAX_GRID_POINTS
+                       for (_, _, _, tau, _, _), (_, n) in zip(rows, extents)]
+        return settled
+    if d < 4 or kval <= 0.0:
+        return settled
+    grids: dict = {}
+    pending = []  # (index, grid, prefix stop, c, tau, lam^(D-3)) of each energy tested
+    for i, ((_, _, _, tau, c, lam), (b, n)) in enumerate(zip(rows, extents)):
+        if n <= _MAX_GRID_POINTS:
+            if b not in grids:
+                grids[b] = RadialGrid(settings.grid_a, b, n)
+            stop = _prefix_stop(grids[b], _allowed_radius_bound(d, kval, a, c, tau, lam))
+            pending.append((i, grids[b], stop, c, tau, lam))
+    start = 0
+    while start < len(pending):
+        grid, width = pending[start][1:3]
+        end = start + 1
+        while (end < len(pending) and pending[end][1] is grid
+               and (end - start + 1) * max(width, pending[end][2]) <= _BLOCK_DOUBLES):
+            width = max(width, pending[end][2])
+            end += 1
+        index, _, stops, c, tau, lam = zip(*pending[start:end])
+        stops = np.array(stops)
+        c, tau, lam = (np.array(col)[:, None] for col in (c, tau, lam))
+        allowed = _gauss_allowed(grid, width, d, kval, a, c, tau, lam)
+        allowed &= np.arange(width) < stops[:, None]  # each row's own prefix
+        rises = (allowed[:, 1:] > allowed[:, :-1]).any(axis=1)
+        ends_allowed = allowed[np.arange(len(index)), stops - 1]
+        for i, ok in zip(index, ~(rises | ends_allowed)):
+            settled[i] = bool(ok)
+        start = end
+    return settled
+
+
+def _scan_trials(config: PhysicalConfig, settings: SolverSettings, xi: float, work: Workspace):
+    """(eta, Delta) at each scan energy in ascending order; Delta None without an island.
+
+    Lazy, ``_SCREEN_ROWS`` energies at a time: :func:`_screen_islands` settles
+    what it can of a block, and only the rest run :func:`_evaluate_trial`. A
+    caller that stops early has screened at most one block past its stop.
+    """
+    etas = _scan_etas(settings.eta_window, settings.scan_points).tolist()
+    for start in range(0, len(etas), _SCREEN_ROWS):
+        block = etas[start : start + _SCREEN_ROWS]
+        for eta, settled in zip(block, _screen_islands(config, settings, block)):
+            yield eta, None if settled else _evaluate_trial(eta, config, settings, work, xi)[0]
+
+
 def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None):
     """Full (eta, Delta) sweep over the window, without root finding.
 
@@ -548,21 +664,16 @@ def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None
     :func:`solve_ground_state`, which stops at the first accepted root.
     """
     settings = settings or SolverSettings()
-    etas = _scan_etas(settings.eta_window, settings.scan_points)
-    # tau' is monotone in eta, so the grids at the two ends bound every
-    # trial's: a window whose grid is too large fails before the first trial
-    for eta in (etas[0], etas[-1]):
+    # tau' is monotone in eta, so the grids at the window's ends (the first
+    # and last scan energies) bound every trial's: a window whose grid is too
+    # large fails before the first trial
+    for eta in settings.eta_window:
         state = dimensionless_state(config, float(eta))
         settings.resolve_grid(build_coefficients(state, config).turning_scale)
-    out = []
-    work = Workspace()
-    for eta in etas:
-        delta_val, _, _ = _evaluate_trial(float(eta), config, settings, work)
-        out.append((float(eta), delta_val))
-    return out
+    return list(_scan_trials(config, settings, state.xi, Workspace()))
 
 
-def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None):
+def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None, xi=None):
     """Shrink a sign-change bracket; return (eta, delta, m, grid) or None.
 
     Bisection continues past root_tol down to machine width if the mismatch
@@ -576,7 +687,7 @@ def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None):
         mid = 0.5 * (eta_lo + eta_hi)
         if mid == eta_lo or mid == eta_hi:
             break
-        d_mid, m_mid, grid_mid = _evaluate_trial(mid, config, settings, work)
+        d_mid, m_mid, grid_mid = _evaluate_trial(mid, config, settings, work, xi)
         if d_mid is None:
             return None  # island evaporated inside the bracket: not a root
         last = (mid, d_mid, m_mid, grid_mid)
@@ -609,9 +720,8 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
     saw_island = False
     saw_bracket = False
     work = Workspace()
-    for eta in _scan_etas(settings.eta_window, settings.scan_points):
-        eta = float(eta)
-        delta_val, _, _ = _evaluate_trial(eta, config, settings, work)
+    xi = coupling_xi(config)
+    for eta, delta_val in _scan_trials(config, settings, xi, work):
         trace.append((eta, delta_val))
         if delta_val is None:
             prev_eta = prev_delta = None
@@ -624,7 +734,7 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
             and (delta_val < 0.0) != (prev_delta < 0.0)
         ):
             saw_bracket = True
-            hit = _bisect_bracket(prev_eta, prev_delta, eta, delta_val, config, settings, work)
+            hit = _bisect_bracket(prev_eta, prev_delta, eta, delta_val, config, settings, work, xi)
             if hit is not None:
                 eta_star, residual, m_star, grid_star = hit
                 if abs(residual) <= settings.mismatch_tol:

@@ -21,6 +21,7 @@ from dirac_numerov import (
     dimension_scan,
     dimensionless_state,
     eigenfunction,
+    k_value,
     mismatch_scan,
     reconstruct_fg,
     solve_ground_state,
@@ -41,6 +42,8 @@ from dirac_numerov.solver import (
     _polynomial_tail,
     _propagate_halves,
     _scan_etas,
+    _screen_islands,
+    _trial_row,
     _weight_basis,
 )
 from test_numerov import _allocating_transfer_product
@@ -137,46 +140,79 @@ CRITERION_4_VARIANTS = {
 }
 
 
+def _screened(config, settings):
+    """(eta, settled) of every scan energy, screened in the scan's blocks."""
+    etas = _scan_etas(settings.eta_window, settings.scan_points).tolist()
+    for start in range(0, len(etas), solver._SCREEN_ROWS):
+        block = etas[start : start + solver._SCREEN_ROWS]
+        yield from zip(block, _screen_islands(config, settings, block))
+
+
 @pytest.mark.parametrize("d", range(3, 11))
 def test_prefix_island_test_matches_full_grid(d):
     # every scan energy of acceptance criterion 4's variants; at D = 3 the
     # window reaches grids of millions of nodes, which are skipped. The bound
     # must hold at each energy, not only leave the match node unchanged: past
-    # it a D >= 4 funnel would only widen the prefix to the whole grid
+    # it a D >= 4 funnel would only widen the prefix to the whole grid. An
+    # energy the screen settles must have no interior island on the full grid
     config = PhysicalConfig(dimension=d, ell=0, ansatz=Ansatz.GENERALIZED)
     compared = 0
     for name, settings in CRITERION_4_VARIANTS.items():
-        for eta in _scan_etas(settings.eta_window, settings.scan_points):
-            coeffs = build_coefficients(dimensionless_state(config, float(eta)), config)
+        settled_count = 0
+        for eta, settled in _screened(config, settings):
+            settled_count += settled
+            coeffs = build_coefficients(dimensionless_state(config, eta), config)
             try:
                 grid = settings.resolve_grid(coeffs.turning_scale)
             except ConfigError:
                 continue
             if grid.n_points > 300_000:
                 continue
-            allowed = _gauss_allowed(coeffs, grid, grid.n_points)
-            cut = np.searchsorted(grid.nodes(), _allowed_radius_bound(coeffs), side="right")
-            assert not allowed[cut:].any(), (name, float(eta))
-            m = _match_index(coeffs, grid, settings.min_island_nodes)
-            assert m == _island_match_index(allowed, settings.min_island_nodes), (name, float(eta))
+            allowed = _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs))
+            cut = np.searchsorted(grid.nodes(), _allowed_radius_bound(*_trial_row(coeffs)),
+                                  side="right")
+            assert not allowed[cut:].any(), (name, eta)
+            full = _island_match_index(allowed, settings.min_island_nodes)
+            assert _match_index(coeffs, grid, settings.min_island_nodes) == full, (name, eta)
+            if settled:
+                assert full is None, (name, eta)
+                if d == 3:  # closed form: not even the funnel is allowed
+                    assert not allowed.any(), (name, eta)
             compared += 1
+        if d >= 4:
+            assert settled_count >= 0.99 * settings.scan_points, name
     assert compared >= 7000
 
 
 def test_prefix_island_test_matches_full_grid_in_bisection(monkeypatch):
     # the D = 3 Gauss-law solve bisects inside a real island: check every
-    # energy it evaluates, including each bisection step
+    # energy it evaluates, including each bisection step, and every energy
+    # the screen settles without a trial
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.GENERALIZED)
     checked = []
+
+    def full_grid_index(coeffs, grid, min_nodes):
+        flags = _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs))
+        return _island_match_index(flags, min_nodes)
 
     def checking(coeffs, grid, min_nodes):
         m = _match_index(coeffs, grid, min_nodes)
-        full = _island_match_index(_gauss_allowed(coeffs, grid, grid.n_points), min_nodes)
-        assert m == full, coeffs.eta
+        assert m == full_grid_index(coeffs, grid, min_nodes), coeffs.eta
         checked.append(m)
         return m
 
+    def checking_screen(config, settings, etas):
+        settled = _screen_islands(config, settings, etas)
+        for eta in (e for e, done in zip(etas, settled) if done):
+            coeffs = build_coefficients(dimensionless_state(config, eta), config)
+            grid = settings.resolve_grid(coeffs.turning_scale)
+            assert full_grid_index(coeffs, grid, settings.min_island_nodes) is None, eta
+            checked.append(None)
+        return settled
+
     monkeypatch.setattr(solver, "_match_index", checking)
-    result = solve_ground_state(PhysicalConfig(dimension=3, ansatz=Ansatz.GENERALIZED))
+    monkeypatch.setattr(solver, "_screen_islands", checking_screen)
+    result = solve_ground_state(config)
     assert result.found
     assert len(checked) > len(result.scan_trace)  # bisection energies are included
     assert sum(m is not None for m in checked) > 100
@@ -187,7 +223,7 @@ def _polynomial(coeffs, rho):
     e = coeffs.dimension - 3
     c, kk = coeffs.c_const, coeffs.k_value**2
     terms = [-0.25 * c * rho ** (3 * e + 2), 0.5 * c * rho ** (3 * e + 1), -c * kk * rho ** (3 * e)]
-    terms += [coef * rho**k for coef, k in _polynomial_tail(coeffs)]
+    terms += [coef * rho**k for coef, k in _polynomial_tail(*_trial_row(coeffs))]
     return sum(terms), sum(np.abs(t) for t in terms)
 
 
@@ -219,12 +255,165 @@ def test_no_allowed_node_past_the_bound(eta, d, ell):
     config = PhysicalConfig(dimension=d, ell=ell, ansatz=Ansatz.GENERALIZED)
     coeffs = build_coefficients(dimensionless_state(config, eta), config)
     grid = SolverSettings().resolve_grid(coeffs.turning_scale)
-    past = grid.nodes() > _allowed_radius_bound(coeffs)
+    past = grid.nodes() > _allowed_radius_bound(*_trial_row(coeffs))
     assert past.any()
-    assert not _gauss_allowed(coeffs, grid, grid.n_points)[past].any()
+    assert not _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs))[past].any()
     # the same from the literal level - V, node by node
     gap = coeffs.match_level - coeffs.fields_fn(grid.nodes()[past])["v"]
     assert np.all(gap <= 0.0)
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_screen_settles_no_one_over_r_energy_with_an_allowed_node(d):
+    # the closed-form minimum of V against the literal level > V on the full
+    # grid of every energy it settles; V holds no energy, so once per grid
+    config = PhysicalConfig(dimension=d, ell=0, ansatz=Ansatz.ONE_OVER_R)
+    settings = SolverSettings()
+    v_grid = v = None
+    settled_count = 0
+    for eta, settled in _screened(config, settings):
+        if not settled:
+            continue
+        coeffs = build_coefficients(dimensionless_state(config, eta), config)
+        grid = settings.resolve_grid(coeffs.turning_scale)
+        if grid != v_grid:
+            v_grid, v = grid, coeffs.fields_fn(grid.nodes())["v"]
+        assert not (coeffs.match_level > v).any(), eta
+        settled_count += 1
+    assert settled_count >= 800
+
+
+@pytest.mark.parametrize("name", ["default", "refined-grid"])
+def test_screen_block_flags_equal_the_trial_flags(monkeypatch, name):
+    # every row of every block H at D = 4..10 against the one-row flags of
+    # its trial's own coefficient set, over the trial's prefix and the block's
+    settings = CRITERION_4_VARIANTS[name]
+    blocks = []
+    original = solver._gauss_allowed
+
+    def recording(grid, stop, *scalars):
+        flags = original(grid, stop, *scalars)
+        blocks.append((grid, stop, scalars, flags.copy()))
+        return flags
+
+    monkeypatch.setattr(solver, "_gauss_allowed", recording)
+    compared = 0
+    for d in range(4, 11):
+        config = PhysicalConfig(dimension=d, ell=0, ansatz=Ansatz.GENERALIZED)
+        trials = {}
+        for eta in _scan_etas(settings.eta_window, settings.scan_points).tolist():
+            coeffs = build_coefficients(dimensionless_state(config, eta), config)
+            trials[_trial_row(coeffs)[3:]] = coeffs
+        blocks.clear()
+        for _ in _screened(config, settings):
+            pass
+        for grid, width, (_, _, _, c, tau, lam), flags in blocks:
+            assert flags.shape == (len(c), width)
+            assert flags.size <= solver._BLOCK_DOUBLES or len(c) == 1
+            for r in range(len(c)):
+                coeffs = trials[(float(c[r, 0]), float(tau[r, 0]), float(lam[r, 0]))]
+                assert settings.resolve_grid(coeffs.turning_scale) == grid
+                row = _trial_row(coeffs)
+                stop = solver._prefix_stop(grid, _allowed_radius_bound(*row))
+                assert stop <= width
+                assert np.array_equal(flags[r, :stop], original(grid, stop, *row))
+                assert np.array_equal(flags[r], original(grid, width, *row))
+                compared += 1
+    assert compared == 7 * settings.scan_points
+
+
+def test_screen_settles_a_row_only_on_a_funnel_within_its_own_prefix(monkeypatch):
+    # no scan at D >= 4 meets an island, so the block rule is checked on
+    # made-up flags: four energies of one block, each with its own prefix
+    config = PhysicalConfig(dimension=5, ansatz=Ansatz.GENERALIZED)
+    settings = SolverSettings()
+    etas = [0.5, 0.99, 0.999, 0.99999]
+    stops = []
+    for eta in etas:
+        coeffs = build_coefficients(dimensionless_state(config, eta), config)
+        grid = settings.resolve_grid(coeffs.turning_scale)
+        stops.append(solver._prefix_stop(grid, _allowed_radius_bound(*_trial_row(coeffs))))
+    width = max(stops)
+    assert stops == sorted(stops, reverse=True) and 10 < stops[-1] < width - 2
+
+    def made_up(grid, stop, *scalars):
+        assert stop == width
+        flags = np.zeros((len(etas), width), dtype=bool)
+        flags[0, :2] = True  # the funnel only: settled
+        flags[1, 5:8] = True  # an interior island: left to the trial
+        flags[2, : stops[2]] = True  # allowed up to its prefix's end: left to the trial
+        flags[3, :2] = flags[3, stops[3] + 1] = True  # allowed past its prefix only: settled
+        return flags
+
+    monkeypatch.setattr(solver, "_gauss_allowed", made_up)
+    assert _screen_islands(config, settings, etas) == [True, False, False, True]
+
+
+_CLOSED_FORM_CASES = [(d, Ansatz.ONE_OVER_R) for d in range(3, 10)] + [(3, Ansatz.GENERALIZED)]
+
+
+@hypothesis_settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=st.sampled_from(_CLOSED_FORM_CASES),
+       ell=st.integers(min_value=0, max_value=2),
+       offset=st.floats(min_value=-1e-6, max_value=1e-6))
+def test_closed_form_screen_settles_no_allowed_node(case, ell, offset):
+    # eta just below and just above the energy whose tau is V's minimum
+    # gamma - 1/2: tau = xi eta / sqrt(1 - eta^2) there (A = xi at D = 3)
+    d, ansatz = case
+    config = PhysicalConfig(dimension=d, ell=ell, ansatz=ansatz)
+    xi = coefficients.coupling_xi(config)
+    kval = k_value(config)
+    tau = (math.sqrt(kval * kval - xi * xi) - 0.5) * (1.0 + offset)
+    eta = tau / math.hypot(xi, tau)
+    settings = SolverSettings()
+    (settled,) = _screen_islands(config, settings, [eta])
+    if offset < -1e-8:
+        assert settled
+    if settled:
+        coeffs = build_coefficients(dimensionless_state(config, eta), config)
+        grid = settings.resolve_grid(coeffs.turning_scale)
+        assert not (coeffs.match_level > coeffs.fields_fn(grid.nodes())["v"]).any()
+        if ansatz is Ansatz.GENERALIZED:
+            assert not _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs)).any()
+
+
+def _per_energy_trials(config, settings, xi, work):
+    """The plain loop the screen replaces: one trial per scan energy."""
+    for eta in _scan_etas(settings.eta_window, settings.scan_points).tolist():
+        yield eta, solver._evaluate_trial(eta, config, settings, work)[0]
+
+
+def _outcome(result):
+    return (result.found, result.eta_star, repr(result.mismatch_residual), result.verdict_reason,
+            result.scan_trace)
+
+
+_IDENTITY_CASES = (
+    [(Ansatz.ONE_OVER_R, d, Scheme.CANONICAL, 2000) for d in range(3, 10)]
+    + [(Ansatz.GENERALIZED, d, Scheme.CANONICAL, 2000) for d in range(3, 11)]
+    + [(ansatz, 3, Scheme.GENERALIZED, 2000) for ansatz in Ansatz]
+    # the scan's blocks hold 64 energies: one partial block, one full one and one more
+    + [(ansatz, d, Scheme.CANONICAL, points) for points in (2, 3, 65) for ansatz in Ansatz
+       for d in (3, 5)]
+)
+
+
+@pytest.mark.parametrize("ansatz, d, scheme, points", _IDENTITY_CASES)
+def test_screened_scan_equals_the_per_energy_loop(monkeypatch, solve_cached, ansatz, d, scheme,
+                                                  points):
+    # solve_ground_state and mismatch_scan against the same calls with the
+    # plain per-energy loop in place of the screened scan; a full-window
+    # mismatch_scan through real islands sweeps ~1,000 trials, so that one
+    # is compared on the island-free Gauss law only
+    config = PhysicalConfig(dimension=d, ansatz=ansatz)
+    settings = SolverSettings(scheme=scheme, scan_points=points)
+    screened = solve_cached(d, ansatz, scheme, **({} if points == 2000 else {"scan_points": points}))
+    compare_scan = points < 2000 or (ansatz is Ansatz.GENERALIZED and d >= 4)
+    scan = mismatch_scan(config, settings) if compare_scan else None
+    monkeypatch.setattr(solver, "_scan_trials", _per_energy_trials)
+    assert _outcome(screened) == _outcome(solve_ground_state(config, settings))
+    if compare_scan:
+        assert scan == mismatch_scan(config, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +737,10 @@ def test_mismatch_scan_rejects_an_oversized_window_before_any_trial(monkeypatch)
     # at D = 3 the grid for eta = 1 - 1e-12 needs ~2e7 nodes; tau' grows with
     # eta, so checking the window's ends rejects it before the first trial
     calls = []
-    original = solver._evaluate_trial
-    monkeypatch.setattr(solver, "_evaluate_trial",
-                        lambda *args: calls.append(args) or original(*args))
+    for name in ("_evaluate_trial", "_screen_islands"):
+        original = getattr(solver, name)
+        monkeypatch.setattr(solver, name,
+                            lambda *args, fn=original: calls.append(args) or fn(*args))
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
     with pytest.raises(ConfigError, match="grid would need"):
         mismatch_scan(config, SolverSettings(eta_window=(0.01, 1.0 - 1e-12)))
