@@ -229,7 +229,7 @@ def _emit_results(command, config, settings, records, opts):
         return run
     if opts["format"] == "json":
         _write_text(opts["output"], run.serialize())
-    elif opts["format"] == "csv":
+    else:
         columns = ["dimension", "found", "eta_star", "epsilon_ev", "match_rho",
                    "mismatch_residual", "wall_time_ms"]
         rows = [
@@ -239,8 +239,6 @@ def _emit_results(command, config, settings, records, opts):
         ]
         meta = {"tool_version": manifest.TOOL_VERSION, "command": command}
         _write_text(opts["output"], manifest.render_csv(columns, rows, meta))
-    else:
-        raise ConfigError(f"format must be csv or json, got {opts['format']!r}")
     return run
 
 
@@ -482,6 +480,10 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return _cmd_selftest()
         opts = _resolve(args)
+        # --format applies with --output (table1, solve, scan): checked before any solve
+        if (args.command != "profile" and opts["output"] is not None
+                and opts["format"] not in ("csv", "json")):
+            raise ConfigError(f"format must be csv or json, got {opts['format']!r}")
         if args.command == "table1":
             return _cmd_table1(opts)
         if args.command == "solve":

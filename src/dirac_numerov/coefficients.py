@@ -10,14 +10,17 @@ potential the coefficient functions of the phi_+ component are
 
     den(rho) = c rho^(D-3) + A,        c = K lam^((4-D)/2)
     p(rho)   = (1/rho) (1 + (D-3) A / den)
-    q(rho)   = (1/rho^(D-2)) (1 + (D-3) c rho^(D-4) / den)
+    q(rho)   = m(rho) / rho^(D-2),     m = 1 + (D-3) c rho^(D-4) / den
     s(rho)   = rho^(D-2)/4 - (rho^(D-3)/2)(1 + (D-3) A / den)
                + (K^2 - A^2 lam^(D-3) / rho^(2(D-3))) rho^(D-4)
     V(rho)   = s(rho) / (rho^(D-2) q(rho))
-    w(rho)   = q(rho) tau - s(rho) / rho^(D-2)
+    w(rho)   = (tau - V) / g = q tau - s / rho^(D-2),   g = 1/q = rho^(D-2) / m
+
+Both potentials and both schemes form their weight as (tau - U)/g: U = V
+gives w, and U = V + g (p^2/4 + p'/2) the canonical W = w - p^2/4 - p'/2.
 
 These are the exact single-equation rewrite of the coupled first-order
-system; at D = 3 they collapse to p = q = 1/rho and
+system; at D = 3 they collapse to p = q = 1/rho, g = rho and
 w = -1/4 + (tau + 1/2)/rho - (K^2 - xi^2)/rho^2, the closed-form-solvable
 three-dimensional equation. The energy enters w through tau = eta tau',
 multiplying the highest inverse powers of rho when D > 3.
@@ -71,13 +74,14 @@ class CoefficientSet:
     """Immutable bundle of the coefficient functions of the phi_+ equation.
 
     Both callables accept scalars or numpy arrays of rho > 0. ``fields_fn``
-    returns every field (keys ``p``, ``p_prime``, ``q``, ``s``, ``v``, ``w``)
-    from one evaluation, and ``integrating_factor_fn`` the closed-form
+    returns every field (keys ``p``, ``p_prime``, ``q``, ``s``, ``v``, ``g``,
+    ``w``, with g = 1/q and w = (tau - V)/g) from one evaluation, and
+    ``integrating_factor_fn`` the closed-form
     exp(-1/2 int p) with phi = factor * chi, which maps the
     first-derivative-free form chi'' + W chi = 0, W = w - p^2/4 - p'/2, of
     the canonical scheme back to phi with no quadrature error.
     ``match_level`` is the energy-side constant paired with the field ``v``
-    in w = q (level - V); ``turning_scale``
+    in w = (level - V)/g; ``turning_scale``
     sets the outermost turning radius (~ 4 * turning_scale) and drives the
     automatic grid sizing. ``indicial_exponent`` is the
     positive small-rho exponent of the regular solution where one exists
@@ -139,8 +143,8 @@ def _rho_powers(rho: np.ndarray, d: int):
 def static_fields(rho, d, kval, a_const, c_const, lam_d3):
     """Every field of the 1/r^(D-2) equation but w, the only one that holds tau.
 
-    Returns p, p', q, s, V, den and ``s_over`` = s/rho^(D-2), for
-    :func:`general_w`. At D = 3 none depends on the energy at all.
+    Returns p, p', q, s, V, den and g = 1/q. At D = 3 none depends on the
+    energy at all.
     """
     arr, _ = _as_float_array(rho)
     dm3 = d - 3
@@ -153,35 +157,27 @@ def static_fields(rho, d, kval, a_const, c_const, lam_d3):
     p_prime = -(1.0 + a_over_den) / arr ** 2 - dm3 * dm3 * a_const * c_const * r_d4 / (
         arr * den * den
     )
-    q = (1.0 + dm3 * c_const * r_d4 / den) / r_d2
+    m = 1.0 + dm3 * c_const * r_d4 / den
+    q = m / r_d2
     s = (
         r_d2 / 4.0
         - (r_d3 / 2.0) * (1.0 + a_over_den)
         + (kval * kval - a_const * a_const * lam_d3 / r_2d6) * r_d4
     )
     v = s / (r_d2 * q)
-    return {"p": p, "p_prime": p_prime, "q": q, "s": s, "v": v, "den": den, "s_over": s / r_d2}
+    return {"p": p, "p_prime": p_prime, "q": q, "s": s, "v": v, "den": den, "g": r_d2 / m}
 
 
-def general_w(q, s_over, tau, out=None):
-    """w = q tau - s/rho^(D-2) from the fields of :func:`static_fields`, into ``out``."""
-    return np.subtract(np.multiply(q, tau, out=out), s_over, out=out)
-
-
-def weight_terms(p, p_prime):
-    """p^2/4 and p'/2, which W = w - p^2/4 - p'/2 subtracts from w in this order."""
-    return p * p / 4.0, p_prime / 2.0
+def _weight(level, potential, g, out=None):
+    """u = (level - U)/g, into ``out`` when given: w for U = V, W for the canonical U."""
+    return np.divide(np.subtract(level, potential, out=out), g, out=out)
 
 
 def general_fields(rho, d, kval, a_const, c_const, lam_d3, tau):
-    """Evaluate p, p', q, s, V, w for the 1/r^(D-2) equation on rho (array or scalar).
-
-    Shared by the public closures and the solver's vectorized paths so there
-    is a single transcription of the formulas.
-    """
+    """Evaluate p, p', q, s, V, g, w for the 1/r^(D-2) equation on rho (array or scalar)."""
     arr, scalar = _as_float_array(rho)
     out = static_fields(arr, d, kval, a_const, c_const, lam_d3)
-    out["w"] = general_w(out["q"], out.pop("s_over"), tau)
+    out["w"] = _weight(tau, out["v"], out["g"])
     if scalar:
         out = {key: float(val) for key, val in out.items()}
     return out
@@ -262,32 +258,12 @@ def ansatz1_potential(rho, gamma2):
     return rho / 4.0 - 0.5 + gamma2 / rho
 
 
-def ansatz1_w(rho, v, tau, out=None):
-    """w = (tau - V)/rho of the 1/r potential from its V, into ``out`` when given."""
-    return np.divide(np.subtract(tau, v, out=out), rho, out=out)
-
-
-def ansatz1_weight(rho, v, tau, out=None, scratch=None):
-    """Canonical weight W = (tau - V)/rho + 1/(4 rho^2) of the 1/r potential from its V.
-
-    With p = 1/rho, -p^2/4 - p'/2 = +1/(4 rho^2) and w = (tau - V)/rho.
-    W goes into ``out`` and the last term into ``scratch`` when given.
-    """
-    weight = ansatz1_w(rho, v, tau, out)
-    weight += np.divide(0.25, np.multiply(rho, rho, out=scratch), out=scratch)
-    return weight
-
-
 def ansatz1_fields(rho, gamma2, tau):
-    """p, p', q, s, V, w for the 1/r potential (three-dimensional structure, any D)."""
+    """p, p', q, s, V, g, w for the 1/r potential (three-dimensional structure, any D)."""
     arr, scalar = _as_float_array(rho)
-    p = 1.0 / arr
-    p_prime = -1.0 / (arr * arr)
-    q = 1.0 / arr
     s = ansatz1_potential(arr, gamma2)
-    v = s
-    w = ansatz1_w(arr, s, tau)
-    out = {"p": p, "p_prime": p_prime, "q": q, "s": s, "v": v, "w": w}
+    out = {"p": 1.0 / arr, "p_prime": -1.0 / (arr * arr), "q": 1.0 / arr, "s": s, "v": s, "g": arr,
+           "w": _weight(tau, s, arr)}
     if scalar:
         out = {key: float(val) for key, val in out.items()}
     return out

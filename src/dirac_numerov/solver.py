@@ -27,10 +27,11 @@ solver
    at nodes m-1, m, m+1, so :func:`numerov.match_samples` obtains them from
    a tree-reduced product of the recurrence's 2x2 transfer matrices instead
    of a node-by-node sweep (only :func:`eigenfunction`, which needs every
-   node, sweeps). The weight comes from tau and energy-independent arrays
-   cached per grid (V for 1/r; at D = 3 q, s/rho and the p terms for
-   1/r^(D-2)), not the coefficient fields, and every grid-sized array of
-   the trial goes with ``out=`` into the solve's reused :class:`Workspace`,
+   node, sweeps). The weight is u = (tau - U)/g for both potentials and
+   both schemes, from tau and two energy-independent arrays cached per grid
+   (:func:`_field_basis`), not the coefficient fields, and every grid-sized
+   array of the trial goes with ``out=`` into the solve's reused
+   :class:`Workspace`,
 4. bisects every sign change of Delta, accepting a root only when the final
    |Delta| passes the mismatch tolerance (log-derivative poles also flip the
    sign but never pass).
@@ -51,9 +52,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import (CoefficientSet, ansatz1_fields, ansatz1_potential, ansatz1_w,
-                           ansatz1_weight, build_coefficients, coupling_xi, general_w,
-                           static_fields, weight_terms)
+from .coefficients import (CoefficientSet, _weight, ansatz1_potential, build_coefficients,
+                           coupling_xi, static_fields)
 from .core import (
     Ansatz,
     EigenResult,
@@ -132,6 +132,8 @@ class SolverSettings:
             raise ConfigError("grid_b_scale must be positive")
         if self.min_island_nodes < 1:
             raise ConfigError("min_island_nodes must be >= 1")
+        if not isinstance(self.scheme, Scheme):
+            raise ConfigError(f"scheme must be a Scheme member, got {self.scheme!r}")
 
     def _extent(self, turning_scale: float):
         """(rho_max, node count) of the grid for the given outer turning scale."""
@@ -189,21 +191,16 @@ def _island_match_index(pos: np.ndarray, min_nodes: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def _ansatz1_potential(grid: RadialGrid, gamma2: float):
-    """V nodes and their minimum for the 1/r family (energy-independent).
+    """V nodes of the 1/r family (energy-independent).
 
-    A solve walks its grids in ascending order, so a few entries serve it.
+    A solve walks its grids in ascending order, and bisection needs at most
+    the two either side of one step in b, so two entries serve it.
     """
     v = ansatz1_potential(grid.nodes(), gamma2)
     v.setflags(write=False)
-    return v, float(v.min())
-
-
-def _ansatz1_nodes(coeffs: CoefficientSet, grid: RadialGrid):
-    """The cached (V nodes, min V) of a 1/r-family coefficient set on ``grid``."""
-    gamma2 = coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi
-    return _ansatz1_potential(grid, gamma2)
+    return v
 
 
 @lru_cache(maxsize=32)
@@ -339,10 +336,8 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
     """
     level = coeffs.match_level
     if coeffs.c_const == 0.0:  # 1/r family: V does not depend on the energy
-        v_nodes, v_min = _ansatz1_nodes(coeffs, grid)
-        if level <= v_min:
-            return None
-        return _island_match_index(level > v_nodes, min_nodes)
+        gamma2 = coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi
+        return _island_match_index(level > _ansatz1_potential(grid, gamma2), min_nodes)
     if coeffs.k_value > 0.0 and coeffs.a_const > 0.0:
         row = _trial_row(coeffs)
         n = grid.n_points
@@ -379,23 +374,32 @@ def _boundary_seeds(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
     return inner, outer
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def _field_basis(grid: RadialGrid, scheme: Scheme, scalars):
-    """Energy-independent arrays of a trial's weight on ``grid``; none holds tau.
+    """Energy-independent arrays (U, g) of a trial's weight u = (tau - U)/g on ``grid``.
 
-    ``scalars`` = (D, K, A, c, lam^(D-3)) of :func:`static_fields`,
-    whose (q, s/rho^(D-2)) come first, for w = q tau - s/rho^(D-2); None for
-    the 1/r family. Then (p^2/4, p'/2) for W = w - p^2/4 - p'/2 (canonical),
-    or p' and p h/2 at the interior nodes for p0 and p2 (generalized).
+    ``scalars`` = (gamma^2,) with gamma^2 = K^2 - xi^2 for the 1/r family,
+    else (D, K, A, c, lam^(D-3)) of :func:`static_fields`. g = 1/q. U = V
+    gives w (generalized scheme), U = V + g (p^2/4 + p'/2) gives
+    W = w - p^2/4 - p'/2 (canonical). The generalized scheme adds p h/2 and
+    p' at the interior nodes, for p0 and p2.
     """
     nodes = grid.nodes()
-    f = ansatz1_fields(nodes, 0.0, 0.0) if scalars is None else static_fields(nodes, *scalars)
-    if scheme is Scheme.CANONICAL:
-        basis = weight_terms(f["p"], f["p_prime"])
+    if len(scalars) == 1:  # ansatz1_fields' p, p' and g, and the island test's V: no other temporaries
+        p, p_prime, g, v = 1.0 / nodes, -1.0 / (nodes * nodes), nodes, _ansatz1_potential(grid, *scalars)
     else:
-        basis = (f["p_prime"][1:-1], f["p"][1:-1] * grid.step / 2.0)
-    if scalars is not None:
-        basis = (f["q"], f["s_over"], *basis)
+        f = static_fields(nodes, *scalars)
+        p, p_prime, g, v = (f[key] for key in ("p", "p_prime", "g", "v"))
+        del f  # the other fields are not held while the basis is built
+    if scheme is Scheme.CANONICAL:
+        p *= p  # U = V + g (p^2/4 + p'/2), in place: no more grid-sized temporaries
+        p /= 4.0
+        p_prime /= 2.0
+        p += p_prime
+        p *= g
+        basis = (np.add(v, p, out=p), g)
+    else:
+        basis = (v, g, p[1:-1] * grid.step / 2.0, p_prime[1:-1])
     for arr in basis:
         arr.setflags(write=False)
     return basis
@@ -404,33 +408,23 @@ def _field_basis(grid: RadialGrid, scheme: Scheme, scalars):
 def _weight_basis(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
     """:func:`_field_basis` of a trial, from the per-grid cache where it holds no energy.
 
-    The 1/r family's p = 1/rho and p' = -1/rho^2 hold none of its scalars.
+    The 1/r family's fields hold none of its scalars but gamma^2.
     For 1/r^(D-2) at D = 3 (K > 0, so den = c + A > 0) c and
     lam^(D-3) enter only multiplied by D - 3 = 0 or as lam^0 = 1, so the
     arrays for c = 0 and lam^(D-3) = 1 are those of every energy bit for bit.
     At D >= 4 they depend on c nonlinearly and are evaluated for the trial.
     """
     if coeffs.c_const == 0.0:
-        return _field_basis(grid, scheme, None)
+        return _field_basis(grid, scheme, (coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi,))
     if coeffs.dimension == 3 and coeffs.c_const > 0.0:
         return _field_basis(grid, scheme, (3, coeffs.k_value, coeffs.a_const, 0.0, 1.0))
     return _field_basis.__wrapped__(grid, scheme, (coeffs.dimension, coeffs.k_value, coeffs.a_const,
                                                    coeffs.c_const, coeffs.lambda_d3))
 
 
-def _generalized_recurrence(coeffs: CoefficientSet, grid: RadialGrid, w, lower, upper, scratch):
-    """Write w on every node, and A = p0 and C = p2 at the interior nodes 1..n-2.
-
-    w comes from tau and the cached V (1/r family) or :func:`_weight_basis`,
-    which gives p' and p h/2 too; ``scratch`` (n - 2) takes the w terms. p1
-    is not formed (the product takes S from w).
-    """
-    *w_basis, p_prime, half_step = _weight_basis(coeffs, grid, Scheme.GENERALIZED)
-    if coeffs.c_const == 0.0:  # 1/r family
-        ansatz1_w(grid.nodes(), _ansatz1_nodes(coeffs, grid)[0], coeffs.match_level, w)
-    else:
-        general_w(*w_basis, coeffs.match_level, w)
-    _generalized_p02(half_step, p_prime, w[:-2], w[2:], grid.step, (lower, upper), scratch)
+def _trial_weight(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme, out=None):
+    """u = (tau - U)/g on the nodes from :func:`_weight_basis`, into ``out``: W (canonical) or w."""
+    return _weight(coeffs.match_level, *_weight_basis(coeffs, grid, scheme)[:2], out)
 
 
 def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
@@ -452,7 +446,7 @@ def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: 
     right[n - 1], right[n - 2] = outer
 
     if scheme is Scheme.CANONICAL:
-        f = _canonical_factors(_canonical_weight(coeffs, grid), h).tolist()
+        f = _canonical_factors(_trial_weight(coeffs, grid, scheme), h).tolist()
         _numerov_sweep_lr(f, left, 1, m + 1)
         _numerov_sweep_rl(f, right, n - 2, m - 1)
     else:
@@ -485,22 +479,6 @@ def _log_derivative_gap(left, right, coeffs, grid, m, scheme) -> float:
     return d_left - d_right
 
 
-def _canonical_weight(coeffs: CoefficientSet, grid: RadialGrid, out=None, scratch=None):
-    """W on the grid nodes from tau and cached arrays, into ``out``; not from the fields.
-
-    The 1/r family uses the cached V (``scratch``, n doubles, takes the
-    1/(4 rho^2) term), the 1/r^(D-2) potential :func:`_weight_basis`.
-    """
-    if coeffs.c_const == 0.0:
-        v = _ansatz1_nodes(coeffs, grid)[0]
-        return ansatz1_weight(grid.nodes(), v, coeffs.match_level, out, scratch)
-    q, s_over, quarter, half = _weight_basis(coeffs, grid, Scheme.CANONICAL)
-    weight = general_w(q, s_over, coeffs.match_level, out)
-    weight -= quarter
-    weight -= half
-    return weight
-
-
 class Workspace:
     """The buffer a solve's swept trials write every grid-sized array into.
 
@@ -530,14 +508,15 @@ def _mismatch_at_match(coeffs, grid, m, scheme, work=None) -> float:
     space = (work or Workspace()).take(rows * n + product_space(n - 2))
     product = space[rows * n :]
     u = product[:n]
+    basis = _weight_basis(coeffs, grid, scheme)
+    _weight(coeffs.match_level, *basis[:2], u)
     if scheme is Scheme.CANONICAL:
         f, s = space[:n], space[n : 2 * n - 2]
-        _canonical_weight(coeffs, grid, u, f)
         _canonical_factors(u, h, f)
         lower, upper = f[:-2], f[2:]
     else:
         lower, upper, s = (space[i * n : (i + 1) * n - 2] for i in range(3))
-        _generalized_recurrence(coeffs, grid, u, lower, upper, s)
+        _generalized_p02(*basis[2:], u[:-2], u[2:], h, (lower, upper), s)
     _three_point_sum(u, h, s)
     inner, outer = _boundary_seeds(coeffs, grid, scheme)
     left, right = match_samples(lower, upper, s, m, (0.0, inner), outer, product)

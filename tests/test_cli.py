@@ -140,6 +140,21 @@ def test_scan_numerical_failure_exit(monkeypatch, capsys):
     assert captured.err.count("numerical failure") == 2
 
 
+@pytest.mark.parametrize("command", [["solve", "--dimension", "3", "--ansatz", "1"],
+                                     ["scan", "--d-min", "4", "--d-max", "5"], ["table1"]])
+def test_unknown_format_is_rejected_before_any_solve(monkeypatch, tmp_path, capsys, command):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the solver ran before the format was checked")
+
+    monkeypatch.setattr(solver, "solve_ground_state", must_not_run)
+    monkeypatch.setattr(solver, "dimension_scan", must_not_run)
+    out = tmp_path / "out"
+    assert main([*command, "--format", "xml", "--output", str(out), "--threads", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "format must be csv or json" in captured.err
+    assert "found" not in captured.out and not out.exists()
+
+
 def test_scan_wall_time_per_dimension(tmp_path):
     out = tmp_path / "scan.json"
     t0 = time.perf_counter()

@@ -16,7 +16,8 @@ from dirac_numerov import (
 )
 from dirac_numerov.core import FINE_STRUCTURE_CONSTANT as ALPHA
 from dirac_numerov.errors import DenominatorVanishes, UnsupportedDimension
-from dirac_numerov.solver import _canonical_weight
+from dirac_numerov.numerov import Scheme
+from dirac_numerov.solver import _trial_weight
 
 mpmath.mp.dps = 40
 
@@ -214,7 +215,7 @@ def test_canonical_weight_d3():
     grid = RadialGrid(rho_min=0.1, rho_max=30.0, n_points=100)
     rho = grid.nodes()
     expected = coeffs.fields_fn(rho)["w"] + 1.0 / (4.0 * rho**2)
-    assert np.max(np.abs(_canonical_weight(coeffs, grid) - expected)) < 1e-14
+    assert np.max(np.abs(_trial_weight(coeffs, grid, Scheme.CANONICAL) - expected)) < 1e-14
 
 
 @pytest.mark.parametrize("d,ansatz", [(3, Ansatz.ONE_OVER_R), (5, Ansatz.GENERALIZED),
@@ -240,7 +241,7 @@ def test_canonical_weight_matches_fd_p_prime():
     coeffs = coefficient_set(state, cfg)
     grid = RadialGrid(rho_min=0.8, rho_max=15.0, n_points=50)
     rho = grid.nodes()
-    exact = _canonical_weight(coeffs, grid)
+    exact = _trial_weight(coeffs, grid, Scheme.CANONICAL)
     errs = []
     for h in (1e-2, 1e-3):
         fd = (coeffs.fields_fn(rho + h)["p"] - coeffs.fields_fn(rho - h)["p"]) / (2.0 * h)

@@ -28,7 +28,7 @@ from dirac_numerov.numerov import (
     product_space,
     scheme_report,
 )
-from dirac_numerov.solver import _canonical_weight, _log_derivative_gap, _match_index, _propagate_halves
+from dirac_numerov.solver import _log_derivative_gap, _match_index, _propagate_halves, _trial_weight
 
 
 def d3_ground_coeffs():
@@ -135,7 +135,8 @@ def test_schemes_agree_on_d3_ground_state():
     fields = coeffs.fields_fn(rho)
     gen, _, _ = _general_sweep(fields["p"], fields["p_prime"], fields["w"], h, exact[:2])
     factor = coeffs.integrating_factor_fn(rho)
-    chi, _, _ = _numerov_sweep(_canonical_weight(coeffs, grid), h, exact[:2] / factor[:2])
+    weight = _trial_weight(coeffs, grid, Scheme.CANONICAL)
+    chi, _, _ = _numerov_sweep(weight, h, exact[:2] / factor[:2])
     can = chi * factor
     rel = np.max(np.abs(gen - can) / np.abs(exact))
     assert rel < 1e-7

@@ -31,7 +31,6 @@ from dirac_numerov.errors import ConfigError, EtaOutOfRange
 from dirac_numerov.numerov import Scheme
 from dirac_numerov.solver import (
     _allowed_radius_bound,
-    _canonical_weight,
     _field_basis,
     _gauss_allowed,
     _island_basis,
@@ -44,6 +43,7 @@ from dirac_numerov.solver import (
     _scan_etas,
     _screen_islands,
     _trial_row,
+    _trial_weight,
     _weight_basis,
 )
 from test_numerov import _allocating_transfer_product
@@ -454,17 +454,59 @@ def test_mismatch_no_turning_point_cases():
         solver._evaluate_trial(1.0, config, SolverSettings())[0]
 
 
+def _composed_weight(fields, tau, scheme):
+    """u = (tau - U)/g from the fields: U = V, or V + g (p^2/4 + p'/2) under the canonical scheme."""
+    potential = fields["v"]
+    if scheme is Scheme.CANONICAL:
+        potential = potential + fields["g"] * (fields["p"] * fields["p"] / 4.0
+                                               + fields["p_prime"] / 2.0)
+    return (tau - potential) / fields["g"]
+
+
+WEIGHT_CASES = ([(Ansatz.ONE_OVER_R, d) for d in range(3, 10)]
+                + [(Ansatz.GENERALIZED, d) for d in range(3, 11)])
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+@pytest.mark.parametrize("ansatz,dimension", WEIGHT_CASES)
+def test_trial_weight_is_the_composition_of_the_fields(ansatz, dimension, scheme):
+    # one formula u = (tau - U)/g for both families and both schemes: from the
+    # per-grid basis (the Gauss law at D >= 4 from the trial's own scalars) it
+    # equals the same composition of the fields bit for bit, and under the
+    # generalized scheme the fields' own w; it agrees with the textbook forms
+    # w = q tau - s/rho^(D-2) (rho^1 for the 1/r family) and
+    # W = w - p^2/4 - p'/2 within rounding of the terms they add
+    grid = RadialGrid(rho_min=1e-6, rho_max=60.0, n_points=6001)
+    nodes = grid.nodes()
+    for eta in (0.6, 0.99, 0.99997):
+        coeffs, _ = _coeffs_at(dimension, ansatz, eta)
+        f = coeffs.fields_fn(nodes)
+        tau = coeffs.match_level
+        weight = _trial_weight(coeffs, grid, scheme)
+        assert np.array_equal(weight, _composed_weight(f, tau, scheme)), eta
+        if scheme is Scheme.GENERALIZED:
+            assert np.array_equal(weight, f["w"]), eta
+        s_term = f["s"] / nodes ** coeffs.singular_power
+        reference = f["q"] * tau - s_term
+        magnitude = np.abs(f["q"] * tau) + np.abs(s_term)
+        if scheme is Scheme.CANONICAL:
+            reference = reference - f["p"] ** 2 / 4.0 - f["p_prime"] / 2.0
+            magnitude += f["p"] ** 2 / 4.0 + np.abs(f["p_prime"]) / 2.0
+        error = np.abs(weight - reference)
+        assert np.all(error <= 1e-13 * magnitude), (eta, np.max(error / magnitude))
+
+
 @pytest.mark.parametrize("dimension", range(3, 10))
 def test_one_over_r_weight_from_the_cached_potential_is_the_fields_weight(dimension):
-    # the solver forms W from the V cached for the island test; it must be
-    # w + 1/(4 rho^2) from the six fields, bit for bit across the default window
+    # the solver forms W from a basis cached per grid; it must be the
+    # composition of the fields, bit for bit across the default window
     settings = SolverSettings()
     for eta in _scan_etas(settings.eta_window, 5):
         coeffs, _ = _coeffs_at(dimension, Ansatz.ONE_OVER_R, float(eta))
         grid = settings.resolve_grid(coeffs.turning_scale)
-        nodes = grid.nodes()
-        weight = _canonical_weight(coeffs, grid)
-        assert np.array_equal(weight, coeffs.fields_fn(nodes)["w"] + 1.0 / (4.0 * nodes * nodes))
+        weight = _trial_weight(coeffs, grid, Scheme.CANONICAL)
+        fields = coeffs.fields_fn(grid.nodes())
+        assert np.array_equal(weight, _composed_weight(fields, coeffs.match_level, Scheme.CANONICAL))
 
 
 @pytest.mark.parametrize("ansatz", [Ansatz.ONE_OVER_R, Ansatz.GENERALIZED])
@@ -474,8 +516,9 @@ def test_generalized_step_coefficients_without_p1_are_the_full_ones(ansatz):
     coeffs, _ = _coeffs_at(3, ansatz, 0.99997)
     grid = SolverSettings().resolve_grid(coeffs.turning_scale)
     nodes = grid.nodes()
-    w, lower, upper, scratch = (np.full(size, np.nan) for size in (nodes.size, *[nodes.size - 2] * 3))
-    solver._generalized_recurrence(coeffs, grid, w, lower, upper, scratch)
+    w = _trial_weight(coeffs, grid, Scheme.GENERALIZED)
+    half_step, p_prime = _weight_basis(coeffs, grid, Scheme.GENERALIZED)[2:]
+    lower, upper = numerov._generalized_p02(half_step, p_prime, w[:-2], w[2:], grid.step)
     fields = coeffs.fields_fn(nodes)
     p0, _, p2 = solver._generalized_arrays(fields["p"], fields["p_prime"], fields["w"], grid.step)
     assert np.array_equal(w, fields["w"])
@@ -525,8 +568,7 @@ def test_swept_trials_evaluate_no_fields(monkeypatch, ansatz, scheme):
     solver._evaluate_trial(etas[0], config, settings, work)
     calls = []
     for owner, name in ((coefficients, "general_fields"), (coefficients, "static_fields"),
-                        (coefficients, "ansatz1_fields"), (solver, "static_fields"),
-                        (solver, "ansatz1_fields")):
+                        (coefficients, "ansatz1_fields"), (solver, "static_fields")):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _f=original: calls.append(args) or _f(*args))
     for eta in etas[1:]:
@@ -592,13 +634,7 @@ def _allocating_mismatch(coeffs, grid, m, scheme):
     h2_12 = h * h / 12.0
     tau = coeffs.match_level
     if scheme is Scheme.CANONICAL:
-        if coeffs.c_const == 0.0:
-            gamma2 = coeffs.k_value**2 - coeffs.xi**2
-            v = coefficients.ansatz1_potential(nodes, gamma2)
-            u = (tau - v) / nodes + 0.25 / (nodes * nodes)
-        else:
-            fields = coeffs.fields_fn(nodes)
-            u = fields["w"] - fields["p"] * fields["p"] / 4.0 - fields["p_prime"] / 2.0
+        u = _composed_weight(coeffs.fields_fn(nodes), tau, scheme)
         f = 1.0 + h2_12 * u
         lower, upper = f[:-2], f[2:]
     else:
@@ -756,6 +792,13 @@ def test_solver_settings_validation():
         SolverSettings(scan_points=1)
     with pytest.raises(ConfigError):
         SolverSettings(grid_delta=-1.0)
+
+
+@pytest.mark.parametrize("scheme", ["canonical", "generalized", None, 0])
+def test_solver_settings_rejects_a_scheme_that_is_not_a_scheme(scheme):
+    # a string used to be accepted and then run as the generalized scheme
+    with pytest.raises(ConfigError, match="Scheme member"):
+        SolverSettings(scheme=scheme)
 
 
 def test_dimension_scan_serial_matches_parallel():
