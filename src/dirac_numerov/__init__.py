@@ -7,13 +7,7 @@ reference results used to validate it.
 """
 
 from .analytic import AnalyticLevel, analytic_energy, analytic_ground_wavefunction_d3
-from .coefficients import (
-    CoefficientSet,
-    build_coefficients,
-    coefficient_set,
-    coefficient_set_ansatz1,
-    coupling_xi,
-)
+from .coefficients import CoefficientSet, build_coefficients, coupling_xi
 from .core import (
     Ansatz,
     DimensionlessState,
@@ -54,8 +48,6 @@ __all__ = [
     "analytic_energy",
     "analytic_ground_wavefunction_d3",
     "build_coefficients",
-    "coefficient_set",
-    "coefficient_set_ansatz1",
     "coupling_xi",
     "dimension_scan",
     "dimensionless_state",

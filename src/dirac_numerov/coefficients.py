@@ -27,14 +27,15 @@ multiplying the highest inverse powers of rho when D > 3.
 
 The 1/r potential keeps the three-dimensional structure in every D (only K
 changes), so its coefficient set uses tau = xi E / sqrt(M^2 - E^2) regardless
-of dimension.
+of dimension. The 1/r^(D-2) potential at D = 3 is built as that problem: one
+record, :class:`CoefficientSet`, holds either continuation's scalars, and
+c = 0 marks the three-dimensional structure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,32 +72,23 @@ def coupling_xi(config: PhysicalConfig) -> float:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Immutable bundle of the coefficient functions of the phi_+ equation.
+    """The scalars of one trial energy's phi_+ equation, for either continuation.
 
-    Both callables accept scalars or numpy arrays of rho > 0. ``fields_fn``
-    returns every field (keys ``p``, ``p_prime``, ``q``, ``s``, ``v``, ``g``,
-    ``w``, with g = 1/q and w = (tau - V)/g) from one evaluation, and
-    ``integrating_factor_fn`` the closed-form
-    exp(-1/2 int p) with phi = factor * chi, which maps the
-    first-derivative-free form chi'' + W chi = 0, W = w - p^2/4 - p'/2, of
-    the canonical scheme back to phi with no quadrature error.
-    ``match_level`` is the energy-side constant paired with the field ``v``
-    in w = (level - V)/g; ``turning_scale``
-    sets the outermost turning radius (~ 4 * turning_scale) and drives the
-    automatic grid sizing. ``indicial_exponent`` is the
-    positive small-rho exponent of the regular solution where one exists
-    (None in the fall-to-center regime). ``singular_power`` is the power in
-    V = s / (rho^power q).
+    ``c_const == 0`` marks the three-dimensional structure: the 1/r potential
+    in every D, and the 1/r^(D-2) potential at D = 3. ``match_level`` is the
+    energy-side constant tau paired with the field ``v`` in w = (tau - V)/g;
+    ``turning_scale`` = |tau'| sets the outermost turning radius
+    (~ 4 * turning_scale) and drives the automatic grid sizing.
+    ``indicial_exponent`` is the positive small-rho exponent of the regular
+    solution where one exists (None in the fall-to-center regime).
+    ``singular_power`` is the power in V = s / (rho^power q).
     """
 
-    fields_fn: Callable
-    integrating_factor_fn: Callable
     match_level: float
     turning_scale: float
     indicial_exponent: float | None
     singular_power: int
     dimension: int
-    # scalars needed to rebuild the functions in vectorized form
     k_value: float
     a_const: float
     c_const: float
@@ -104,14 +96,48 @@ class CoefficientSet:
     xi: float
     eta: float
 
+    def fields_fn(self, rho):
+        """Every field on rho (scalar or array), from one evaluation.
+
+        Keys ``p``, ``p_prime``, ``q``, ``s``, ``v``, ``g`` and ``w``, with
+        g = 1/q and w = (tau - V)/g.
+        """
+        if self.c_const == 0.0:
+            gamma2 = self.k_value * self.k_value - self.xi * self.xi
+            return ansatz1_fields(rho, gamma2, self.match_level)
+        return general_fields(rho, self.dimension, self.k_value, self.a_const, self.c_const,
+                              self.lambda_d3, self.match_level)
+
+    def integrating_factor_fn(self, rho):
+        """exp(-1/2 int p) on rho, scalar or array, with phi = factor * chi.
+
+        Maps the first-derivative-free form chi'' + W chi = 0,
+        W = w - p^2/4 - p'/2, of the canonical scheme back to phi with no
+        quadrature error: rho^(-1/2) for c = 0, else sqrt(den / rho^(D-2))
+        from the partial-fraction closed form int p = (D-2) ln rho - ln den.
+        """
+        arr, scalar = _as_float_array(rho)
+        if self.c_const == 0.0:
+            factor = arr ** -0.5
+        else:
+            c, a = self.c_const, self.a_const
+            r_d3, _, _, r_d2 = _rho_powers(arr, self.dimension)
+            den = c * r_d3 + a
+            if c < 0.0:
+                _check_denominator(den, arr, abs(c) * r_d3 + abs(a))
+            negative = np.atleast_1d(den < 0.0)
+            if negative.any():
+                raise DenominatorVanishes(
+                    float(np.atleast_1d(arr)[negative][0]),
+                    "integrating factor undefined where c rho^(D-3) + A < 0",
+                )
+            factor = np.sqrt(den / r_d2)
+        return float(factor) if scalar else factor
+
 
 def _as_float_array(rho):
     arr = np.asarray(rho, dtype=float)
     return arr, arr.ndim == 0
-
-
-def _maybe_scalar(values, scalar: bool):
-    return float(values) if scalar else values
 
 
 def _check_denominator(den, rho, scale):
@@ -143,8 +169,7 @@ def _rho_powers(rho: np.ndarray, d: int):
 def static_fields(rho, d, kval, a_const, c_const, lam_d3):
     """Every field of the 1/r^(D-2) equation but w, the only one that holds tau.
 
-    Returns p, p', q, s, V, den and g = 1/q. At D = 3 none depends on the
-    energy at all.
+    Returns p, p', q, s, V, den and g = 1/q.
     """
     arr, _ = _as_float_array(rho)
     dm3 = d - 3
@@ -183,76 +208,6 @@ def general_fields(rho, d, kval, a_const, c_const, lam_d3, tau):
     return out
 
 
-def coefficient_set(state: DimensionlessState, config: PhysicalConfig) -> CoefficientSet:
-    """Coefficient set of the phi_+ equation for the 1/r^(D-2) potential.
-
-    Parameters
-    ----------
-    state : DimensionlessState
-        Trial-energy scalars (eta, lambda, A, tau, tau').
-    config : PhysicalConfig
-        Must use Ansatz.GENERALIZED with D >= 3.
-
-    Raises
-    ------
-    UnsupportedDimension
-        For D <= 2 (via the coupling), delegated to callers building xi.
-    DenominatorVanishes
-        Lazily, when a closure is evaluated at a node where
-        c rho^(D-3) + A = 0 (possible for K < 0).
-    """
-    if config.ansatz is not Ansatz.GENERALIZED:
-        raise ValueError("coefficient_set expects the 1/r^(D-2) potential; "
-                         "use coefficient_set_ansatz1 for the 1/r convention")
-    d = config.dimension
-    if d <= 2:
-        raise UnsupportedDimension(f"the 1/r^(D-2) equation needs D >= 3, got D = {d}")
-    kval = state.k_value
-    _, a_const, tau_prime, tau, c_const, lam_d3 = _energy_scalars(Ansatz.GENERALIZED, d, kval,
-                                                                   state.xi, state.eta)
-
-    def fields_fn(rho):
-        return general_fields(rho, d, kval, a_const, c_const, lam_d3, tau)
-
-    def integrating_factor_fn(rho):
-        # exp(-1/2 int p) = sqrt(den / rho^(D-2)), from the partial-fraction
-        # closed form int p = (D-2) ln rho - ln den.
-        arr, scalar = _as_float_array(rho)
-        r_d3, _, _, r_d2 = _rho_powers(arr, d)
-        den = c_const * r_d3 + a_const
-        if c_const < 0.0:
-            _check_denominator(den, arr, abs(c_const) * r_d3 + abs(a_const))
-        if np.any(den < 0.0):
-            bad = arr[np.atleast_1d(den < 0.0)]
-            raise DenominatorVanishes(
-                float(np.atleast_1d(bad)[0]),
-                "integrating factor undefined where c rho^(D-3) + A < 0",
-            )
-        return _maybe_scalar(np.sqrt(den / r_d2), scalar)
-
-    # Regular small-rho exponent: only at D = 3, where the rho^-2 coefficient
-    # is K^2 - xi^2. For D >= 4 the attractive rho^(-2(D-2)) term dominates
-    # every centrifugal barrier (fall to center): no real exponent survives.
-    gamma2 = kval * kval - state.xi * state.xi
-    indicial = math.sqrt(gamma2) if (d == 3 and gamma2 > 0.0) else None
-
-    return CoefficientSet(
-        fields_fn=fields_fn,
-        integrating_factor_fn=integrating_factor_fn,
-        match_level=tau,
-        turning_scale=abs(tau_prime),
-        indicial_exponent=indicial,
-        singular_power=d - 2,
-        dimension=d,
-        k_value=kval,
-        a_const=a_const,
-        c_const=c_const,
-        lambda_d3=lam_d3,
-        xi=state.xi,
-        eta=state.eta,
-    )
-
-
 def ansatz1_potential(rho, gamma2):
     """V = s = rho/4 - 1/2 + (K^2 - xi^2)/rho of the 1/r potential (energy-independent)."""
     return rho / 4.0 - 0.5 + gamma2 / rho
@@ -269,47 +224,39 @@ def ansatz1_fields(rho, gamma2, tau):
     return out
 
 
-def coefficient_set_ansatz1(state: DimensionlessState, config: PhysicalConfig) -> CoefficientSet:
-    """Coefficient set for the 1/r potential in D dimensions.
+def build_coefficients(state: DimensionlessState, config: PhysicalConfig) -> CoefficientSet:
+    """The coefficient record of one trial energy, for the configured potential.
 
-    Under rho = 2 r sqrt(M^2 - E^2) the 1/r problem keeps its
-    three-dimensional form for every D; all dimensional dependence rides on
-    K. The energy-side constant is therefore tau = xi eta / sqrt(lambda)
-    irrespective of D, and
-
-        w = -1/4 + (tau + 1/2)/rho - (K^2 - xi^2)/rho^2.
+    Raises
+    ------
+    UnsupportedDimension
+        For the 1/r^(D-2) potential at D <= 2.
+    DenominatorVanishes
+        Lazily, when a field is evaluated at a node where
+        c rho^(D-3) + A = 0 (possible for K < 0).
     """
+    d = config.dimension
+    if config.ansatz is Ansatz.GENERALIZED and d <= 2:
+        raise UnsupportedDimension(f"the 1/r^(D-2) equation needs D >= 3, got D = {d}")
     kval = state.k_value
-    _, xi, tau_prime, tau, _, _ = _energy_scalars(Ansatz.ONE_OVER_R, config.dimension, kval,
-                                                  state.xi, state.eta)
-    gamma2 = kval * kval - xi * xi
-
-    def fields_fn(rho):
-        return ansatz1_fields(rho, gamma2, tau)
-
-    def integrating_factor_fn(rho):
-        arr, scalar = _as_float_array(rho)
-        return _maybe_scalar(arr ** -0.5, scalar)
-
+    _, a_const, tau_prime, tau, c_const, lam_d3 = _energy_scalars(config.ansatz, d, kval,
+                                                                   state.xi, state.eta)
+    # The regular small-rho exponent exists only with the three-dimensional
+    # structure, where the rho^-2 coefficient is K^2 - xi^2. For 1/r^(D-2) at
+    # D >= 4 the attractive rho^(-2(D-2)) term dominates every centrifugal
+    # barrier (fall to center): no real exponent survives.
+    three_d = c_const == 0.0
+    gamma2 = kval * kval - state.xi * state.xi
     return CoefficientSet(
-        fields_fn=fields_fn,
-        integrating_factor_fn=integrating_factor_fn,
         match_level=tau,
         turning_scale=abs(tau_prime),
-        indicial_exponent=math.sqrt(gamma2) if gamma2 > 0.0 else None,
-        singular_power=1,
-        dimension=config.dimension,
+        indicial_exponent=math.sqrt(gamma2) if (three_d and gamma2 > 0.0) else None,
+        singular_power=1 if three_d else d - 2,
+        dimension=d,
         k_value=kval,
-        a_const=xi,
-        c_const=0.0,
-        lambda_d3=1.0,
-        xi=xi,
+        a_const=a_const,
+        c_const=c_const,
+        lambda_d3=lam_d3,
+        xi=state.xi,
         eta=state.eta,
     )
-
-
-def build_coefficients(state: DimensionlessState, config: PhysicalConfig) -> CoefficientSet:
-    """Dispatch to the coefficient set matching the configured potential."""
-    if config.ansatz is Ansatz.ONE_OVER_R:
-        return coefficient_set_ansatz1(state, config)
-    return coefficient_set(state, config)

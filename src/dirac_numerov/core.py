@@ -114,13 +114,16 @@ def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
 
     The 1/r^(D-2) potential has A = 2^(D-3) xi, tau' = A lam^((D-4)/2),
     tau = eta tau' and c = K lam^((4-D)/2); the 1/r potential has A = xi,
-    tau' = xi/sqrt(lam), tau = xi eta/sqrt(lam), c = 0 and lam^0 = 1. The
-    solver's block screen calls this once per energy, not on an array: numpy's
-    array power can differ from ``float ** float`` in the last bit, and the
-    screen must see the per-trial bits.
+    tau' = xi/sqrt(lam), tau = xi eta/sqrt(lam), c = 0 and lam^0 = 1. At
+    D = 3 the 1/r^(D-2) potential takes the 1/r scalars: its c enters the
+    fields only times D - 3 = 0, and the integrating factor only through the
+    constant factor sqrt(c + A), which log-derivatives and the unit
+    normalisation remove. The solver's block screen calls this once per energy, not on an array:
+    numpy's array power can differ from ``float ** float`` in the last bit,
+    and the screen must see the per-trial bits.
     """
     lam = (1.0 - eta) * (1.0 + eta)
-    if ansatz is Ansatz.ONE_OVER_R:
+    if ansatz is Ansatz.ONE_OVER_R or d == 3:
         sqrt_lam = math.sqrt(lam)
         return lam, xi, xi / sqrt_lam, xi * eta / sqrt_lam, 0.0, 1.0
     a_const = 2.0 ** (d - 3) * xi
@@ -131,7 +134,7 @@ def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
     else:
         tau_prime = a_const * lam ** ((d - 4) / 2.0)
         c_const = kval * lam ** ((4.0 - d) / 2.0)
-        lam_d3 = 1.0 if d == 3 else lam ** (d - 3)
+        lam_d3 = lam ** (d - 3)
     return lam, a_const, tau_prime, eta * tau_prime, c_const, lam_d3
 
 

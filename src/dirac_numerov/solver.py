@@ -10,18 +10,19 @@ solver
    attached to the inner grid boundary is the fall-to-center funnel of the
    supersingular 1/r^(D-2) attraction (D >= 4), not a bound-state well, and
    certifies "no turning point" exactly as a dense evaluation of V does.
-   For that potential the sign of tau - V is the sign of a polynomial whose
-   negative leading term wins past a radius in closed form
+   Where V holds no energy (c = 0: the 1/r family, and the Gauss law at
+   D = 3, built as the 1/r problem) tau is compared with V cached per grid.
+   For the Gauss law at D >= 4 the sign of tau - V is the sign of a
+   polynomial whose negative leading term wins past a radius in closed form
    (:func:`_allowed_radius_bound`), so only the grid prefix below it is
    tested, a few percent of the nodes at most. The scan takes this step a
    block of consecutive energies at a time (:func:`_screen_islands`), in
-   numpy, before any per-energy work. Where V holds no energy (the 1/r
-   family, and the Gauss law at D = 3) it settles every energy whose tau
-   lies below V's closed-form minimum gamma - 1/2: no node is allowed. For
-   the Gauss law at D >= 4 it evaluates H for the whole block over one
-   common prefix and settles every energy whose prefix holds only the
-   funnel: every energy of the default scans. Only the energies it leaves
-   open run steps 1-3 one at a time,
+   numpy, before any per-energy work. Where c = 0 it settles every energy
+   whose tau lies below V's closed-form minimum gamma - 1/2: no node is
+   allowed. For the Gauss law at D >= 4 it evaluates H for the whole block
+   over one common prefix and settles every energy whose prefix holds only
+   the funnel: every energy of the default scans. Only the energies it
+   leaves open run steps 1-3 one at a time,
 3. propagates from both ends to the island's outer turning node and forms
    the log-derivative mismatch Delta(eta); the two solutions are needed only
    at nodes m-1, m, m+1, so :func:`numerov.match_samples` obtains them from
@@ -327,8 +328,10 @@ def _gauss_allowed(grid: RadialGrid, stop: int, d, kval, a, c, tau, lam) -> np.n
 def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> int | None:
     """Island detection with fast paths for the two production families.
 
-    The 1/r^(D-2) potential with K, A > 0 tests only the nodes up to the
-    bound of :func:`_allowed_radius_bound` plus three: every node past it is
+    With c = 0 (the 1/r family, and the 1/r^(D-2) potential at D = 3) tau is
+    compared with V cached per grid. The 1/r^(D-2) potential at D >= 4 with
+    K, A > 0 tests only the nodes up to the bound of
+    :func:`_allowed_radius_bound` plus three: every node past it is
     forbidden, and the three keep the centred stencil of an island ending at
     the bound inside the prefix, so the match index equals the full-grid one.
     A prefix whose last node is still allowed (rounding at the bound) is
@@ -378,8 +381,9 @@ def _boundary_seeds(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
 def _field_basis(grid: RadialGrid, scheme: Scheme, scalars):
     """Energy-independent arrays (U, g) of a trial's weight u = (tau - U)/g on ``grid``.
 
-    ``scalars`` = (gamma^2,) with gamma^2 = K^2 - xi^2 for the 1/r family,
-    else (D, K, A, c, lam^(D-3)) of :func:`static_fields`. g = 1/q. U = V
+    ``scalars`` = (gamma^2,) with gamma^2 = K^2 - xi^2 where c = 0 (the 1/r
+    family, and the 1/r^(D-2) potential at D = 3), else (D, K, A, c,
+    lam^(D-3)) of :func:`static_fields`. g = 1/q. U = V
     gives w (generalized scheme), U = V + g (p^2/4 + p'/2) gives
     W = w - p^2/4 - p'/2 (canonical). The generalized scheme adds p h/2 and
     p' at the interior nodes, for p0 and p2.
@@ -408,16 +412,12 @@ def _field_basis(grid: RadialGrid, scheme: Scheme, scalars):
 def _weight_basis(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
     """:func:`_field_basis` of a trial, from the per-grid cache where it holds no energy.
 
-    The 1/r family's fields hold none of its scalars but gamma^2.
-    For 1/r^(D-2) at D = 3 (K > 0, so den = c + A > 0) c and
-    lam^(D-3) enter only multiplied by D - 3 = 0 or as lam^0 = 1, so the
-    arrays for c = 0 and lam^(D-3) = 1 are those of every energy bit for bit.
-    At D >= 4 they depend on c nonlinearly and are evaluated for the trial.
+    With c = 0 (the 1/r family, and the 1/r^(D-2) potential at D = 3) the
+    fields hold none of the trial's scalars but gamma^2. For 1/r^(D-2) at
+    D >= 4 they depend on c nonlinearly and are evaluated for the trial.
     """
     if coeffs.c_const == 0.0:
         return _field_basis(grid, scheme, (coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi,))
-    if coeffs.dimension == 3 and coeffs.c_const > 0.0:
-        return _field_basis(grid, scheme, (3, coeffs.k_value, coeffs.a_const, 0.0, 1.0))
     return _field_basis.__wrapped__(grid, scheme, (coeffs.dimension, coeffs.k_value, coeffs.a_const,
                                                    coeffs.c_const, coeffs.lambda_d3))
 
@@ -562,11 +562,12 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     (the trial raises there). The scalars come from
     :func:`core._energy_scalars` one energy at a time.
 
-    * Where V holds no energy, V = rho/4 - 1/2 + gamma^2/rho with
-      gamma^2 = K^2 - A^2 has its minimum gamma - 1/2 at rho = 2 gamma: the
-      1/r family, and the Gauss law at D = 3 (A = xi, lam^0 = 1, K > 0). An
-      energy with tau at least a margin below it has no allowed node on any
-      grid; the margin exceeds the rounding of V (and of H) at the nodes.
+    * Where c = 0 (the 1/r family, and the Gauss law at D = 3, whose
+      scalars are the 1/r ones), V = rho/4 - 1/2 + gamma^2/rho with
+      gamma^2 = K^2 - A^2 holds no energy and has its minimum gamma - 1/2
+      at rho = 2 gamma. An energy with tau at least a margin below it has no
+      allowed node on any grid; the margin exceeds the rounding of V at the
+      nodes.
     * The Gauss law at D >= 4 with K > 0 evaluates H for the energies of one
       grid together, :func:`_gauss_allowed` with the scalars as columns,
       over the longest of their :func:`_prefix_stop` prefixes, at most
@@ -582,7 +583,7 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     extents = [settings._extent(abs(tau_prime)) for _, _, tau_prime, _, _, _ in rows]
     settled = [False] * len(rows)
     a = rows[0][1]  # A holds no energy
-    if config.ansatz is Ansatz.ONE_OVER_R or (d == 3 and kval > 0.0):
+    if rows[0][4] == 0.0:  # c = 0 at every energy or none
         gamma2 = kval * kval - a * a
         if gamma2 > 0.0:
             v_min = math.sqrt(gamma2) - 0.5
@@ -590,7 +591,7 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
             settled = [tau <= level and n <= _MAX_GRID_POINTS
                        for (_, _, _, tau, _, _), (_, n) in zip(rows, extents)]
         return settled
-    if d < 4 or kval <= 0.0:
+    if kval <= 0.0:
         return settled
     grids: dict = {}
     pending = []  # (index, grid, prefix stop, c, tau, lam^(D-3)) of each energy tested
@@ -732,12 +733,13 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
     if not saw_island:
         reason = "no classically-allowed island at any scanned energy (no turning point)"
         residual = math.nan
-    elif not saw_bracket:
-        reason = "mismatch never changes sign across the scan window"
-        residual = min(abs(d) for _, d in trace if d is not None and math.isfinite(d))
     else:
-        reason = "all mismatch sign changes failed the acceptance tolerance (poles)"
-        residual = min(abs(d) for _, d in trace if d is not None and math.isfinite(d))
+        finite = [abs(d) for _, d in trace if d is not None and math.isfinite(d)]
+        if not finite:
+            raise NonFiniteValue("the mismatch is non-finite at every scanned island")
+        reason = ("all mismatch sign changes failed the acceptance tolerance (poles)" if saw_bracket
+                  else "mismatch never changes sign across the scan window")
+        residual = min(finite)
     return EigenResult(
         found=False,
         eta_star=None,

@@ -9,8 +9,7 @@ from dirac_numerov import (
     KSign,
     PhysicalConfig,
     RadialGrid,
-    coefficient_set,
-    coefficient_set_ansatz1,
+    build_coefficients,
     coupling_xi,
     dimensionless_state,
 )
@@ -65,6 +64,10 @@ def test_coupling_rejects_d2_gauss_law():
 
 
 def test_d3_collapses_to_one_over_r_structure():
+    # the 1/r^(D-2) formulas at D = 3, with the trial's own c = K lam^(1/2),
+    # against the 1/r fields the record evaluates there
+    from dirac_numerov.coefficients import general_fields
+
     cfg = _a2_config(3)
     rng = np.random.default_rng(21)
     rho = np.linspace(0.05, 40.0, 300)
@@ -72,9 +75,11 @@ def test_d3_collapses_to_one_over_r_structure():
         eta = float(rng.uniform(0.05, 0.999))
         xi = float(rng.uniform(1e-3, 0.4))
         state = dimensionless_state(cfg, eta, xi=xi)
-        general = coefficient_set(state, cfg)
-        reduced = coefficient_set_ansatz1(state, _a1_config(3))
-        lhs_fields, rhs_fields = general.fields_fn(rho), reduced.fields_fn(rho)
+        reduced = build_coefficients(state, cfg)
+        assert reduced.c_const == 0.0
+        c = state.k_value * math.sqrt(state.lambda_)
+        lhs_fields = general_fields(rho, 3, state.k_value, xi, c, 1.0, reduced.match_level)
+        rhs_fields = reduced.fields_fn(rho)
         for name in ("p", "q", "v", "s", "w", "p_prime"):
             lhs = lhs_fields[name]
             rhs = rhs_fields[name]
@@ -82,12 +87,28 @@ def test_d3_collapses_to_one_over_r_structure():
             assert np.max(np.abs(lhs - rhs) / scale) < 1e-10, name
 
 
+@pytest.mark.parametrize("ell", [0, 1, 2])
+@pytest.mark.parametrize("eta", [0.05, 0.9, 0.99997, 1.0 - 1e-9])
+def test_d3_gauss_law_record_is_the_one_over_r_record(eta, ell):
+    # at D = 3 both continuations give one three-dimensional equation: the
+    # same record up to the rounding of the two couplings
+    records = [build_coefficients(dimensionless_state(cfg, eta), cfg)
+               for cfg in (_a2_config(3, ell=ell), _a1_config(3, ell=ell))]
+    gauss, coulomb = records
+    for record in records:
+        assert record.c_const == 0.0 and record.lambda_d3 == 1.0 and record.singular_power == 1
+    assert gauss.indicial_exponent == coulomb.indicial_exponent
+    for name in ("match_level", "turning_scale", "a_const"):
+        a, b = getattr(gauss, name), getattr(coulomb, name)
+        assert abs(a - b) <= 4 * math.ulp(b), name
+
+
 def test_d3_zeroth_coefficient_closed_form():
     # at D = 3 the assembled w must equal tau/rho - 1/4 + 1/(2 rho) - (K^2-xi^2)/rho^2;
     # this pins the energy term to tau (not tau') and the sign conventions
     cfg = _a2_config(3)
     state = dimensionless_state(cfg, 0.9999)
-    coeffs = coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     k2 = state.k_value**2
     rho = np.linspace(0.01, 60.0, 500)
     expected = state.tau / rho - 0.25 + 0.5 / rho - (k2 - state.xi**2) / rho**2
@@ -106,7 +127,7 @@ def test_general_w_matches_coupled_system_assembly_d5():
     cfg = _a2_config(d)
     eta = 0.998
     state = dimensionless_state(cfg, eta)
-    coeffs = coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     k = mpmath.mpf(state.k_value)
     xi = mpmath.mpf(state.xi)
     e = mpmath.mpf(eta)
@@ -146,7 +167,7 @@ def test_p_at_unity_d4_special_case():
 def test_v_q_s_identity(d, eta):
     cfg = _a2_config(d)
     state = dimensionless_state(cfg, eta)
-    coeffs = coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     rho = np.geomspace(1e-4, 80.0, 400)
     fields = coeffs.fields_fn(rho)
     lhs = fields["v"] * fields["q"] * rho ** (d - 2)
@@ -158,7 +179,7 @@ def test_v_q_s_identity(d, eta):
 def test_w_equals_q_level_minus_v(d, eta):
     cfg = _a2_config(d)
     state = dimensionless_state(cfg, eta)
-    coeffs = coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     rho = np.geomspace(1e-3, 50.0, 300)
     fields = coeffs.fields_fn(rho)
     direct = fields["w"]
@@ -171,7 +192,7 @@ def test_w_equals_q_level_minus_v(d, eta):
 def test_p_prime_matches_finite_differences(d):
     cfg = _a2_config(d)
     state = dimensionless_state(cfg, 0.97)
-    coeffs = coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     rng = np.random.default_rng(5)
     rho = rng.uniform(0.5, 20.0, size=20)
     errors = []
@@ -192,8 +213,8 @@ def test_energy_term_placement():
 
     def dw_deta(d, eta):
         cfg = _a2_config(d)
-        up = coefficient_set(dimensionless_state(cfg, eta + deta), cfg)
-        dn = coefficient_set(dimensionless_state(cfg, eta - deta), cfg)
+        up = build_coefficients(dimensionless_state(cfg, eta + deta), cfg)
+        dn = build_coefficients(dimensionless_state(cfg, eta - deta), cfg)
         return (up.fields_fn(rho)["w"] - dn.fields_fn(rho)["w"]) / (2.0 * deta)
 
     d3 = dw_deta(3, 0.9)
@@ -211,7 +232,7 @@ def test_energy_term_placement():
 def test_canonical_weight_d3():
     cfg = _a1_config(3)
     state = dimensionless_state(cfg, 0.9999)
-    coeffs = coefficient_set_ansatz1(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     grid = RadialGrid(rho_min=0.1, rho_max=30.0, n_points=100)
     rho = grid.nodes()
     expected = coeffs.fields_fn(rho)["w"] + 1.0 / (4.0 * rho**2)
@@ -224,10 +245,7 @@ def test_integrating_factor_against_quadrature(d, ansatz):
     # ln factor(rho) - ln factor(rho0) must equal -1/2 int_rho0^rho p
     cfg = PhysicalConfig(dimension=d, ansatz=ansatz)
     state = dimensionless_state(cfg, 0.995)
-    if ansatz is Ansatz.ONE_OVER_R:
-        coeffs = coefficient_set_ansatz1(state, cfg)
-    else:
-        coeffs = coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     rho0, rho1 = 0.4, 12.0
     quad = mpmath.quad(lambda t: coeffs.fields_fn(float(t))["p"], [rho0, rho1])
     lhs = math.log(coeffs.integrating_factor_fn(rho1) / coeffs.integrating_factor_fn(rho0))
@@ -238,7 +256,7 @@ def test_canonical_weight_matches_fd_p_prime():
     # W built from analytic p' agrees with w - p^2/4 - p'_fd/2 as h^2 -> 0
     cfg = _a2_config(5)
     state = dimensionless_state(cfg, 0.99)
-    coeffs = coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     grid = RadialGrid(rho_min=0.8, rho_max=15.0, n_points=50)
     rho = grid.nodes()
     exact = _trial_weight(coeffs, grid, Scheme.CANONICAL)
@@ -258,7 +276,7 @@ def test_canonical_weight_matches_fd_p_prime():
 def test_plus_branch_with_negative_k_can_vanish():
     cfg = _a2_config(5, k_sign=KSign.MINUS)
     state = dimensionless_state(cfg, 0.9)
-    coeffs = coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     c = state.k_value * state.lambda_ ** ((4.0 - 5) / 2.0)  # negative
     rho_zero = math.sqrt(state.a_const / -c)
     with pytest.raises(DenominatorVanishes):
@@ -269,12 +287,14 @@ def test_integrating_factor_rejects_a_negative_denominator():
     # past the root of c rho^(D-3) + A (K < 0) the factor sqrt(den / rho^(D-2)) is undefined
     cfg = _a2_config(5, k_sign=KSign.MINUS)
     state = dimensionless_state(cfg, 0.9)
-    coeffs = coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     c = state.k_value * state.lambda_ ** ((4.0 - 5) / 2.0)
     rho_zero = math.sqrt(state.a_const / -c)
     assert coeffs.integrating_factor_fn(0.5 * rho_zero) > 0.0
     with pytest.raises(DenominatorVanishes):
         coeffs.integrating_factor_fn(np.array([0.5 * rho_zero, 2.0 * rho_zero]))
+    with pytest.raises(DenominatorVanishes):  # a scalar, as the canonical boundary seeds pass
+        coeffs.integrating_factor_fn(2.0 * rho_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +305,7 @@ def test_integrating_factor_rejects_a_negative_denominator():
 def test_scalar_fields_equal_array_fields(ansatz):
     cfg = PhysicalConfig(dimension=5, ansatz=ansatz)
     state = dimensionless_state(cfg, 0.99)
-    coeffs = coefficient_set_ansatz1(state, cfg) if ansatz is Ansatz.ONE_OVER_R \
-        else coefficient_set(state, cfg)
+    coeffs = build_coefficients(state, cfg)
     rho = np.array([0.3, 1.0, 7.5])
     arrays = coeffs.fields_fn(rho)
     factors = coeffs.integrating_factor_fn(rho)

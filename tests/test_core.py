@@ -160,8 +160,9 @@ def test_discrete_l2_norm_values():
 # public surface
 
 DELETED_NAMES = (
-    "Direction", "NO_TURNING_POINT", "NoTurningPoint", "PropagationResult", "canonical_step",
-    "generalized_step", "mismatch", "potential_energy", "propagate", "rho_of_r",
+    "Direction", "NO_TURNING_POINT", "NoTurningPoint", "PropagationResult", "_maybe_scalar",
+    "canonical_step", "coefficient_set", "coefficient_set_ansatz1", "generalized_step", "mismatch",
+    "potential_energy", "propagate", "rho_of_r",
 )
 
 
@@ -178,3 +179,7 @@ def test_public_surface_resolves_without_deleted_names():
     assert not hasattr(coefficients, "_BRANCHES") and not hasattr(numerov, "_generalized_p012")
     assert "weight_fn" not in coefficients.CoefficientSet.__dataclass_fields__
     assert "branch" not in coefficients.CoefficientSet.__dataclass_fields__
+    # the record holds only scalars; the fields and the factor are its methods
+    for name in ("fields_fn", "integrating_factor_fn"):
+        assert name not in coefficients.CoefficientSet.__dataclass_fields__
+        assert callable(getattr(coefficients.CoefficientSet, name))

@@ -8,7 +8,7 @@ from dirac_numerov import (
     PhysicalConfig,
     RadialGrid,
     SolverSettings,
-    coefficient_set_ansatz1,
+    build_coefficients,
     dimensionless_state,
 )
 from dirac_numerov.analytic import analytic_energy
@@ -35,7 +35,7 @@ def d3_ground_coeffs():
     config = PhysicalConfig(dimension=3, ell=0, ansatz=Ansatz.ONE_OVER_R)
     eta = analytic_energy(config).energy_ratio
     state = dimensionless_state(config, eta)
-    return coefficient_set_ansatz1(state, config), state
+    return build_coefficients(state, config), state
 
 
 def _general_sweep(p, p_prime, w, h, seeds):
@@ -181,7 +181,7 @@ def _d3_halves(grid, m, eta=None):
     coeffs, _ = d3_ground_coeffs()
     if eta is not None:
         config = PhysicalConfig(dimension=3, ell=0, ansatz=Ansatz.ONE_OVER_R)
-        coeffs = coefficient_set_ansatz1(dimensionless_state(config, eta), config)
+        coeffs = build_coefficients(dimensionless_state(config, eta), config)
     left, right = _propagate_halves(coeffs, grid, m, Scheme.CANONICAL)
     factor = coeffs.integrating_factor_fn(grid.nodes())
     return coeffs, np.asarray(left) * factor, np.asarray(right) * factor

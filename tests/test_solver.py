@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dirac_numerov import (
     Ansatz,
+    KSign,
     PhysicalConfig,
     RadialGrid,
     SolverSettings,
@@ -27,7 +28,7 @@ from dirac_numerov import (
     solve_ground_state,
 )
 from dirac_numerov import coefficients, numerov, solver
-from dirac_numerov.errors import ConfigError, EtaOutOfRange
+from dirac_numerov.errors import ConfigError, DenominatorVanishes, EtaOutOfRange, NonFiniteValue
 from dirac_numerov.numerov import Scheme
 from dirac_numerov.solver import (
     _allowed_radius_bound,
@@ -153,10 +154,13 @@ def test_prefix_island_test_matches_full_grid(d):
     # every scan energy of acceptance criterion 4's variants; at D = 3 the
     # window reaches grids of millions of nodes, which are skipped. The bound
     # must hold at each energy, not only leave the match node unchanged: past
-    # it a D >= 4 funnel would only widen the prefix to the whole grid. An
-    # energy the screen settles must have no interior island on the full grid
+    # it a D >= 4 funnel would only widen the prefix to the whole grid. At
+    # D = 3, the 1/r problem (c = 0), the literal level > V flags take the
+    # place of H. An energy the screen settles must have no interior island
+    # on the full grid
     config = PhysicalConfig(dimension=d, ell=0, ansatz=Ansatz.GENERALIZED)
     compared = 0
+    v_grid = v = None  # V of the last grid at D = 3, where it holds no energy
     for name, settings in CRITERION_4_VARIANTS.items():
         settled_count = 0
         for eta, settled in _screened(config, settings):
@@ -168,10 +172,15 @@ def test_prefix_island_test_matches_full_grid(d):
                 continue
             if grid.n_points > 300_000:
                 continue
-            allowed = _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs))
-            cut = np.searchsorted(grid.nodes(), _allowed_radius_bound(*_trial_row(coeffs)),
-                                  side="right")
-            assert not allowed[cut:].any(), (name, eta)
+            if d == 3:
+                if grid != v_grid:
+                    v_grid, v = grid, coeffs.fields_fn(grid.nodes())["v"]
+                allowed = coeffs.match_level - v > 0.0
+            else:
+                allowed = _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs))
+                cut = np.searchsorted(grid.nodes(), _allowed_radius_bound(*_trial_row(coeffs)),
+                                      side="right")
+                assert not allowed[cut:].any(), (name, eta)
             full = _island_match_index(allowed, settings.min_island_nodes)
             assert _match_index(coeffs, grid, settings.min_island_nodes) == full, (name, eta)
             if settled:
@@ -184,12 +193,23 @@ def test_prefix_island_test_matches_full_grid(d):
     assert compared >= 7000
 
 
+def _gauss_law_d3_row(coeffs):
+    """A D = 3 record rebuilt with the Gauss law's own scalars: c = K lam^(1/2), lam^0 = 1."""
+    lam = (1.0 - coeffs.eta) * (1.0 + coeffs.eta)
+    return replace(coeffs, c_const=coeffs.k_value * lam**0.5, lambda_d3=1.0,
+                   match_level=coeffs.eta * coeffs.a_const * lam**-0.5)
+
+
 def test_prefix_island_test_matches_full_grid_in_bisection(monkeypatch):
-    # the D = 3 Gauss-law solve bisects inside a real island: check every
-    # energy it evaluates, including each bisection step, and every energy
-    # the screen settles without a trial
+    # the D = 3 Gauss-law solve bisects inside a real island, as the 1/r
+    # problem. At every energy it evaluates, including each bisection step,
+    # its index and that of the record rebuilt with c > 0, which runs the
+    # prefix test (bound, prefix, widening) on the island, must equal the
+    # index of the full-grid flags; every energy the screen settles must
+    # have no island
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.GENERALIZED)
     checked = []
+    prefixed = []
 
     def full_grid_index(coeffs, grid, min_nodes):
         flags = _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs))
@@ -198,6 +218,10 @@ def test_prefix_island_test_matches_full_grid_in_bisection(monkeypatch):
     def checking(coeffs, grid, min_nodes):
         m = _match_index(coeffs, grid, min_nodes)
         assert m == full_grid_index(coeffs, grid, min_nodes), coeffs.eta
+        row = _gauss_law_d3_row(coeffs)
+        assert _match_index(row, grid, min_nodes) == full_grid_index(row, grid, min_nodes), coeffs.eta
+        prefixed.append(solver._prefix_stop(grid, _allowed_radius_bound(*_trial_row(row)))
+                        < grid.n_points)
         checked.append(m)
         return m
 
@@ -216,6 +240,16 @@ def test_prefix_island_test_matches_full_grid_in_bisection(monkeypatch):
     assert result.found
     assert len(checked) > len(result.scan_trace)  # bisection energies are included
     assert sum(m is not None for m in checked) > 100
+    assert all(prefixed)
+
+
+def test_d3_gauss_law_solve_builds_no_island_basis():
+    # the Gauss law at D = 3 is the 1/r problem: its island test compares tau
+    # with the cached V and builds none of the prefix arrays
+    _island_basis.cache_clear()
+    result = solve_ground_state(PhysicalConfig(dimension=3, ansatz=Ansatz.GENERALIZED))
+    assert result.found
+    assert _island_basis.cache_info().misses == 0
 
 
 def _polynomial(coeffs, rho):
@@ -544,16 +578,22 @@ def test_one_over_r_mismatch_does_not_evaluate_the_fields(monkeypatch):
 @hypothesis_settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(eta=st.floats(min_value=0.01, max_value=1.0 - 1e-9), ell=st.integers(0, 2))
 def test_d3_field_basis_holds_no_energy(scheme, eta, ell):
-    # the cache serves every energy at D = 3: its arrays, evaluated with c = 0
-    # and lam^(D-3) = 1, are those of the trial's own c and lam bit for bit
+    # the cache serves every energy at D = 3: a Gauss-law trial's basis is the
+    # one cached c = 0 basis of its grid, the same object, and agrees with the
+    # Gauss-law formulas at the trial's own c = K lam^(1/2) within rounding
     config = PhysicalConfig(dimension=3, ell=ell, ansatz=Ansatz.GENERALIZED)
     coeffs = build_coefficients(dimensionless_state(config, eta), config)
     grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=5001)
+    gamma2 = coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi
     cached = _weight_basis(coeffs, grid, scheme)
-    fresh = _field_basis.__wrapped__(grid, scheme, (3, coeffs.k_value, coeffs.a_const,
-                                                    coeffs.c_const, coeffs.lambda_d3))
+    assert coeffs.c_const == 0.0
+    assert cached is _field_basis(grid, scheme, (gamma2,))
+    own = _gauss_law_d3_row(coeffs)
+    fresh = _field_basis.__wrapped__(grid, scheme, (3, own.k_value, own.a_const, own.c_const,
+                                                    own.lambda_d3))
     assert len(cached) == len(fresh)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(cached, fresh))
+    for a, b in zip(cached, fresh):
+        assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b))
 
 
 @pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
@@ -749,6 +789,34 @@ def test_bracketing_soundness(solve_cached):
     lo = solver._evaluate_trial(result.eta_star - width, config, SolverSettings())[0]
     hi = solver._evaluate_trial(result.eta_star + width, config, SolverSettings())[0]
     assert (lo < 0.0) != (hi < 0.0)
+
+
+def test_non_finite_mismatch_at_every_island_is_a_numerical_failure(monkeypatch):
+    # D = 5 with K < 0: every island's generalized mismatch is inf, which is
+    # no verdict on a bound state; the canonical scheme's integrating factor
+    # is undefined past the root of c rho^2 + A
+    config = PhysicalConfig(dimension=5, ansatz=Ansatz.GENERALIZED, k_sign=KSign.MINUS)
+    settings = SolverSettings(scheme=Scheme.GENERALIZED, scan_points=20)
+    with pytest.raises(NonFiniteValue):
+        solve_ground_state(config, settings)
+    with pytest.raises(DenominatorVanishes):
+        solve_ground_state(config, replace(settings, scheme=Scheme.CANONICAL))
+    original = solver.solve_ground_state
+    monkeypatch.setattr(solver, "solve_ground_state",
+                        lambda config, settings: original(replace(config, k_sign=KSign.MINUS),
+                                                          settings))
+    ((d, result),) = dimension_scan((5, 5), Ansatz.GENERALIZED, settings)
+    assert d == 5 and not result.found and result.error is NonFiniteValue
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+def test_d3_gauss_law_with_negative_k_finds_the_one_over_r_root(scheme):
+    # at D = 3 the Gauss law is the 1/r problem for either sign of K
+    settings = SolverSettings(scheme=scheme)
+    found = [solve_ground_state(PhysicalConfig(dimension=3, ansatz=ansatz, k_sign=KSign.MINUS),
+                                settings) for ansatz in Ansatz]
+    assert all(result.found for result in found)
+    assert abs(found[0].eta_star - found[1].eta_star) <= 1e-10
 
 
 def test_gauss_law_not_found_d4(solve_cached):
