@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import analytic, manifest, solver
-from .core import Ansatz, ELECTRON_MASS_EV, PhysicalConfig
+from .core import Ansatz, PhysicalConfig
 from .errors import ConfigError
 from .numerov import Scheme, scheme_report
 
@@ -39,53 +39,34 @@ EXIT_NOT_FOUND = 3
 _RATIO_TOL = 5e-8      # |E/M numeric - closed form| acceptance per dimension
 _EPSILON_REL_TOL = 0.01
 
-_OPTION_TYPES = {
-    "dimension": int,
-    "ell": int,
-    "ansatz": int,
-    "d-min": int,
-    "d-max": int,
-    "eta-min": float,
-    "eta-max": float,
-    "grid-a": float,
-    "grid-b": float,
-    "grid-delta": float,
-    "scan-points": int,
-    "mismatch-tol": float,
-    "root-tol": float,
-    "scheme": str,
-    "threads": int,
-    "output": str,
-    "format": str,
-    "quantity": str,
-    "eta": str,
-    "mass": float,
-}
-
 _SOLVER_DEFAULTS = solver.SolverSettings()
+_PHYSICAL_DEFAULTS = PhysicalConfig(dimension=3)
 
-_DEFAULTS = {
-    "dimension": 3,
-    "ell": 0,
-    "ansatz": 2,
-    "d-min": 4,
-    "d-max": 10,
-    "eta-min": _SOLVER_DEFAULTS.eta_window[0],
-    "eta-max": _SOLVER_DEFAULTS.eta_window[1],
-    "grid-a": _SOLVER_DEFAULTS.grid_a,
-    "grid-b": _SOLVER_DEFAULTS.grid_b,
-    "grid-delta": _SOLVER_DEFAULTS.grid_delta,
-    "scan-points": _SOLVER_DEFAULTS.scan_points,
-    "mismatch-tol": _SOLVER_DEFAULTS.mismatch_tol,
-    "root-tol": _SOLVER_DEFAULTS.root_tol,
-    "scheme": _SOLVER_DEFAULTS.scheme.value,
-    "threads": None,
-    "output": None,
-    "format": "csv",
-    "quantity": "phi_plus",
-    "eta": "ground",
-    "mass": ELECTRON_MASS_EV,
+# every option: (type, built-in default)
+_OPTIONS = {
+    "dimension": (int, _PHYSICAL_DEFAULTS.dimension),
+    "ell": (int, _PHYSICAL_DEFAULTS.ell),
+    "ansatz": (int, _PHYSICAL_DEFAULTS.ansatz.value),
+    "d-min": (int, 4),
+    "d-max": (int, 10),
+    "eta-min": (float, _SOLVER_DEFAULTS.eta_window[0]),
+    "eta-max": (float, _SOLVER_DEFAULTS.eta_window[1]),
+    "grid-a": (float, _SOLVER_DEFAULTS.grid_a),
+    "grid-b": (float, _SOLVER_DEFAULTS.grid_b),
+    "grid-delta": (float, _SOLVER_DEFAULTS.grid_delta),
+    "scan-points": (int, _SOLVER_DEFAULTS.scan_points),
+    "mismatch-tol": (float, _SOLVER_DEFAULTS.mismatch_tol),
+    "root-tol": (float, _SOLVER_DEFAULTS.root_tol),
+    "scheme": (str, _SOLVER_DEFAULTS.scheme.value),
+    "threads": (int, None),
+    "output": (str, None),
+    "format": (str, "csv"),
+    "quantity": (str, "phi_plus"),
+    "eta": (str, "ground"),
+    "mass": (float, _PHYSICAL_DEFAULTS.mass),
 }
+
+_DEFAULTS = {name: default for name, (_, default) in _OPTIONS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,8 +82,7 @@ def _build_parser() -> _Parser:
     def add_common(p, *names):
         p.add_argument("--config", help="key = value option file (flags take precedence)")
         for name in names:
-            kind = _OPTION_TYPES[name]
-            p.add_argument(f"--{name}", type=kind, default=None, dest=name.replace("-", "_"))
+            p.add_argument(f"--{name}", type=_OPTIONS[name][0], default=None, dest=name.replace("-", "_"))
 
     p_table = sub.add_parser("table1", help="1/r ground states, D = 3..9, vs the closed form")
     add_common(p_table, "scheme", "threads", "output", "format",
@@ -140,9 +120,9 @@ def _read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _OPTION_TYPES:
+                if key not in _OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-                values[key] = _OPTION_TYPES[key](value.strip())
+                values[key] = _OPTIONS[key][0](value.strip())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -154,7 +134,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         merged.update(_read_config_file(config_path))
-    for key in _OPTION_TYPES:
+    for key in _OPTIONS:
         flag_value = getattr(args, key.replace("-", "_"), None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -362,17 +342,12 @@ def _cmd_profile(opts) -> int:
         except ValueError as exc:
             raise ConfigError(f"--eta must be a number or 'ground', got {opts['eta']!r}") from exc
     meta["eta"] = manifest.format_float(eta_star)
-
-    from .coefficients import build_coefficients
-    from .core import dimensionless_state
-
-    state = dimensionless_state(config, eta_star)
-    coeffs = build_coefficients(state, config)
+    # a grid too large for eta_star is a configuration error (exit 1), not a missing turning point
+    coeffs, grid = solver._trial_setup(eta_star, config, settings)
     meta["tau"] = manifest.format_float(coeffs.match_level)
     meta["tau_prime"] = manifest.format_float(coeffs.turning_scale)
 
     if quantity == "effective_potential":
-        grid = settings.resolve_grid(coeffs.turning_scale)
         nodes = grid.nodes()
         gap = coeffs.match_level - np.asarray(coeffs.fields_fn(nodes)["v"], dtype=float)
         rows = [[float(r), float(g)] for r, g in zip(nodes, gap)]
@@ -412,18 +387,20 @@ def _cmd_selftest() -> int:
             checks.append((name, False, str(exc)))
 
     def scalar_identities():
+        # tau'^2 - tau^2 = A^2 lam^(D-3) for both continuations, through the
+        # state's own lam^(D-3) (1 for the 1/r potential)
         rng = np.random.default_rng(7)
         from .core import dimensionless_state
         for _ in range(1000):
             d = int(rng.integers(3, 11))
             eta = float(rng.uniform(-0.999999, 0.999999))
-            config = PhysicalConfig(dimension=d, ansatz=Ansatz.GENERALIZED)
-            st = dimensionless_state(config, eta)
-            lhs = (st.tau_prime - st.tau) * (st.tau_prime + st.tau)
-            rhs = st.a_const**2 * st.lambda_ ** (d - 3)
-            stable = st.tau_prime**2 * st.lambda_
-            assert abs(stable - rhs) <= 1e-12 * abs(rhs) + 1e-300, (d, eta)
-            assert abs(lhs - rhs) <= 1e-9 * abs(rhs) + 1e-300, (d, eta)
+            for ansatz in Ansatz:
+                st = dimensionless_state(PhysicalConfig(dimension=d, ansatz=ansatz), eta)
+                lhs = (st.tau_prime - st.tau) * (st.tau_prime + st.tau)
+                rhs = st.a_const**2 * st.lambda_d3
+                stable = st.tau_prime**2 * st.lambda_
+                assert abs(stable - rhs) <= 1e-12 * abs(rhs) + 1e-300, (ansatz, d, eta)
+                assert abs(lhs - rhs) <= 1e-9 * abs(rhs) + 1e-300, (ansatz, d, eta)
 
     def closed_form_energies():
         # three-dimensional ground state must sit at the textbook value

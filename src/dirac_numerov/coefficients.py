@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ansatz, DimensionlessState, PhysicalConfig, _energy_scalars
+from .core import Ansatz, DimensionlessState, PhysicalConfig
 from .errors import DenominatorVanishes, UnsupportedDimension
 
 def coupling_xi(config: PhysicalConfig) -> float:
@@ -79,14 +79,11 @@ class CoefficientSet:
     energy-side constant tau paired with the field ``v`` in w = (tau - V)/g;
     ``turning_scale`` = |tau'| sets the outermost turning radius
     (~ 4 * turning_scale) and drives the automatic grid sizing.
-    ``indicial_exponent`` is the positive small-rho exponent of the regular
-    solution where one exists (None in the fall-to-center regime).
     ``singular_power`` is the power in V = s / (rho^power q).
     """
 
     match_level: float
     turning_scale: float
-    indicial_exponent: float | None
     singular_power: int
     dimension: int
     k_value: float
@@ -96,6 +93,22 @@ class CoefficientSet:
     xi: float
     eta: float
 
+    @property
+    def gamma2(self) -> float:
+        """K^2 - xi^2, the rho^-2 coefficient of the three-dimensional structure (c = 0)."""
+        return self.k_value * self.k_value - self.xi * self.xi
+
+    @property
+    def indicial_exponent(self) -> float | None:
+        """The positive small-rho exponent gamma of the regular solution, None where none exists.
+
+        It exists only with the three-dimensional structure and gamma^2 > 0.
+        For 1/r^(D-2) at D >= 4 the attractive rho^(-2(D-2)) term dominates
+        every centrifugal barrier (fall to center): no real exponent survives.
+        """
+        gamma2 = self.gamma2
+        return math.sqrt(gamma2) if (self.c_const == 0.0 and gamma2 > 0.0) else None
+
     def fields_fn(self, rho):
         """Every field on rho (scalar or array), from one evaluation.
 
@@ -103,8 +116,7 @@ class CoefficientSet:
         g = 1/q and w = (tau - V)/g.
         """
         if self.c_const == 0.0:
-            gamma2 = self.k_value * self.k_value - self.xi * self.xi
-            return ansatz1_fields(rho, gamma2, self.match_level)
+            return ansatz1_fields(rho, self.gamma2, self.match_level)
         return general_fields(rho, self.dimension, self.k_value, self.a_const, self.c_const,
                               self.lambda_d3, self.match_level)
 
@@ -225,7 +237,7 @@ def ansatz1_fields(rho, gamma2, tau):
 
 
 def build_coefficients(state: DimensionlessState, config: PhysicalConfig) -> CoefficientSet:
-    """The coefficient record of one trial energy, for the configured potential.
+    """The coefficient record of one trial energy, from the scalars ``state`` already holds.
 
     Raises
     ------
@@ -238,25 +250,15 @@ def build_coefficients(state: DimensionlessState, config: PhysicalConfig) -> Coe
     d = config.dimension
     if config.ansatz is Ansatz.GENERALIZED and d <= 2:
         raise UnsupportedDimension(f"the 1/r^(D-2) equation needs D >= 3, got D = {d}")
-    kval = state.k_value
-    _, a_const, tau_prime, tau, c_const, lam_d3 = _energy_scalars(config.ansatz, d, kval,
-                                                                   state.xi, state.eta)
-    # The regular small-rho exponent exists only with the three-dimensional
-    # structure, where the rho^-2 coefficient is K^2 - xi^2. For 1/r^(D-2) at
-    # D >= 4 the attractive rho^(-2(D-2)) term dominates every centrifugal
-    # barrier (fall to center): no real exponent survives.
-    three_d = c_const == 0.0
-    gamma2 = kval * kval - state.xi * state.xi
     return CoefficientSet(
-        match_level=tau,
-        turning_scale=abs(tau_prime),
-        indicial_exponent=math.sqrt(gamma2) if (three_d and gamma2 > 0.0) else None,
-        singular_power=1 if three_d else d - 2,
+        match_level=state.tau,
+        turning_scale=abs(state.tau_prime),
+        singular_power=1 if state.c_const == 0.0 else d - 2,
         dimension=d,
-        k_value=kval,
-        a_const=a_const,
-        c_const=c_const,
-        lambda_d3=lam_d3,
+        k_value=state.k_value,
+        a_const=state.a_const,
+        c_const=state.c_const,
+        lambda_d3=state.lambda_d3,
         xi=state.xi,
         eta=state.eta,
     )

@@ -87,16 +87,19 @@ def k_value(config: PhysicalConfig) -> float:
 
 @dataclass(frozen=True)
 class DimensionlessState:
-    """Derived scalars of one trial energy, in mass units (M = 1).
+    """Derived scalars of one trial energy, in mass units (M = 1), for the configured potential.
 
-    With eta = E/M and lam = 1 - eta^2:
+    With eta = E/M and lam = 1 - eta^2, the 1/r^(D-2) potential has
 
         a_const   = 2^(D-3) xi
         tau_prime = 2^(D-3) xi / sqrt(M^2 - E^2)^(4-D) = a_const * lam^((D-4)/2)
-        tau       = eta * tau_prime
+        c_const   = K lam^((4-D)/2),    lambda_d3 = lam^(D-3),
 
-    The identities tau/tau_prime = eta and tau_prime^2 - tau^2 =
-    a_const^2 lam^(D-3) hold by construction.
+    and the 1/r potential, like the 1/r^(D-2) one at D = 3, the
+    three-dimensional scalars a_const = xi, tau_prime = xi/sqrt(lam),
+    c_const = 0 and lambda_d3 = 1. Both have tau = eta * tau_prime, so the
+    identities tau/tau_prime = eta and tau_prime^2 - tau^2 =
+    a_const^2 lambda_d3 hold by construction.
     """
 
     eta: float
@@ -105,6 +108,8 @@ class DimensionlessState:
     a_const: float
     tau: float
     tau_prime: float
+    c_const: float
+    lambda_d3: float
     k_value: float
     dimension: int
 
@@ -118,9 +123,11 @@ def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
     D = 3 the 1/r^(D-2) potential takes the 1/r scalars: its c enters the
     fields only times D - 3 = 0, and the integrating factor only through the
     constant factor sqrt(c + A), which log-derivatives and the unit
-    normalisation remove. The solver's block screen calls this once per energy, not on an array:
-    numpy's array power can differ from ``float ** float`` in the last bit,
-    and the screen must see the per-trial bits.
+    normalisation remove. A trial takes these once, through
+    :func:`dimensionless_state`. The solver's block screen calls this once per
+    energy, not on an array: numpy's array power can differ from
+    ``float ** float`` in the last bit, and the screen must see the per-trial
+    bits.
     """
     lam = (1.0 - eta) * (1.0 + eta)
     if ansatz is Ansatz.ONE_OVER_R or d == 3:
@@ -139,7 +146,7 @@ def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
 
 
 def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = None) -> DimensionlessState:
-    """Build the dimensionless scalar bundle for a trial energy ratio.
+    """The scalars of a trial energy ratio for the configured potential, computed once.
 
     Parameters
     ----------
@@ -163,7 +170,7 @@ def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = N
         xi = coupling_xi(config)
     d = config.dimension
     kval = k_value(config)
-    lam, a_const, tau_prime, tau, _, _ = _energy_scalars(Ansatz.GENERALIZED, d, kval, xi, eta)
+    lam, a_const, tau_prime, tau, c_const, lam_d3 = _energy_scalars(config.ansatz, d, kval, xi, eta)
     return DimensionlessState(
         eta=eta,
         lambda_=lam,
@@ -171,6 +178,8 @@ def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = N
         a_const=a_const,
         tau=tau,
         tau_prime=tau_prime,
+        c_const=c_const,
+        lambda_d3=lam_d3,
         k_value=kval,
         dimension=d,
     )

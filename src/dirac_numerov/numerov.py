@@ -16,9 +16,15 @@ Two interchangeable discretizations are provided:
 
 * ``Scheme.CANONICAL`` -- classical Numerov on the first-derivative-free form
   chi'' + W chi = 0, W = w - p^2/4 - p'/2, with phi = factor * chi through the
-  closed-form integrating factor. This is the production path: textbook
-  fourth order everywhere. Eigenvalues from the two paths are cross-checked
-  in the acceptance suite.
+  closed-form integrating factor. This is the production path. It is fourth
+  order where the solution is smooth (``scheme_report`` measures this on a
+  smooth test function), but not on the D = 3 ground state: the regular
+  solution chi ~ rho^(gamma+1/2) has high derivatives that blow up at the
+  origin, and eta* converges at second order there (errors against the
+  closed form of 6.6e-11, 1.6e-11, 4.2e-12 and 1.2e-12 at steps of 4, 2, 1
+  and 0.5 x 10^-3). For D >= 5 the 1/r error is flat at about 1e-14
+  (rounding). Eigenvalues from the two paths are cross-checked in the
+  acceptance suite.
 
 Eigenvalue searches compare log-derivatives, which are invariant under the
 overall scale of a propagated solution, so seeds may be supplied in any

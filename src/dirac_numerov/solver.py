@@ -339,8 +339,7 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
     """
     level = coeffs.match_level
     if coeffs.c_const == 0.0:  # 1/r family: V does not depend on the energy
-        gamma2 = coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi
-        return _island_match_index(level > _ansatz1_potential(grid, gamma2), min_nodes)
+        return _island_match_index(level > _ansatz1_potential(grid, coeffs.gamma2), min_nodes)
     if coeffs.k_value > 0.0 and coeffs.a_const > 0.0:
         row = _trial_row(coeffs)
         n = grid.n_points
@@ -417,7 +416,7 @@ def _weight_basis(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
     D >= 4 they depend on c nonlinearly and are evaluated for the trial.
     """
     if coeffs.c_const == 0.0:
-        return _field_basis(grid, scheme, (coeffs.k_value * coeffs.k_value - coeffs.xi * coeffs.xi,))
+        return _field_basis(grid, scheme, (coeffs.gamma2,))
     return _field_basis.__wrapped__(grid, scheme, (coeffs.dimension, coeffs.k_value, coeffs.a_const,
                                                    coeffs.c_const, coeffs.lambda_d3))
 
@@ -523,15 +522,19 @@ def _mismatch_at_match(coeffs, grid, m, scheme, work=None) -> float:
     return _log_derivative_gap(left, right, coeffs, grid, m, scheme)
 
 
-def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings, work=None,
-                    xi=None):
-    """(delta, match_index, grid) for one trial energy, in ``work``; delta None if no island.
+def _trial_setup(eta: float, config: PhysicalConfig, settings: SolverSettings):
+    """(coeffs, grid) of one trial energy: its coefficient record and the grid that covers it.
 
-    ``xi`` is the solve's coupling (computed from ``config`` if None).
+    The record takes the scalars :func:`core.dimensionless_state` computed
+    once for the configured potential.
     """
-    state = dimensionless_state(config, eta, xi)
-    coeffs = build_coefficients(state, config)
-    grid = settings.resolve_grid(coeffs.turning_scale)
+    coeffs = build_coefficients(dimensionless_state(config, eta), config)
+    return coeffs, settings.resolve_grid(coeffs.turning_scale)
+
+
+def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings, work=None):
+    """(delta, match_index, grid) for one trial energy, in ``work``; delta None if no island."""
+    coeffs, grid = _trial_setup(eta, config, settings)
     m = _match_index(coeffs, grid, settings.min_island_nodes)
     if m is None:
         return None, None, grid
@@ -622,7 +625,7 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     return settled
 
 
-def _scan_trials(config: PhysicalConfig, settings: SolverSettings, xi: float, work: Workspace):
+def _scan_trials(config: PhysicalConfig, settings: SolverSettings, work: Workspace):
     """(eta, Delta) at each scan energy in ascending order; Delta None without an island.
 
     Lazy, ``_SCREEN_ROWS`` energies at a time: :func:`_screen_islands` settles
@@ -633,7 +636,7 @@ def _scan_trials(config: PhysicalConfig, settings: SolverSettings, xi: float, wo
     for start in range(0, len(etas), _SCREEN_ROWS):
         block = etas[start : start + _SCREEN_ROWS]
         for eta, settled in zip(block, _screen_islands(config, settings, block)):
-            yield eta, None if settled else _evaluate_trial(eta, config, settings, work, xi)[0]
+            yield eta, None if settled else _evaluate_trial(eta, config, settings, work)[0]
 
 
 def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None):
@@ -648,12 +651,11 @@ def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None
     # and last scan energies) bound every trial's: a window whose grid is too
     # large fails before the first trial
     for eta in settings.eta_window:
-        state = dimensionless_state(config, float(eta))
-        settings.resolve_grid(build_coefficients(state, config).turning_scale)
-    return list(_scan_trials(config, settings, state.xi, Workspace()))
+        _trial_setup(float(eta), config, settings)
+    return list(_scan_trials(config, settings, Workspace()))
 
 
-def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None, xi=None):
+def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None):
     """Shrink a sign-change bracket; return (eta, delta, m, grid) or None.
 
     Bisection continues past root_tol down to machine width if the mismatch
@@ -667,7 +669,7 @@ def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None, xi=
         mid = 0.5 * (eta_lo + eta_hi)
         if mid == eta_lo or mid == eta_hi:
             break
-        d_mid, m_mid, grid_mid = _evaluate_trial(mid, config, settings, work, xi)
+        d_mid, m_mid, grid_mid = _evaluate_trial(mid, config, settings, work)
         if d_mid is None:
             return None  # island evaporated inside the bracket: not a root
         last = (mid, d_mid, m_mid, grid_mid)
@@ -700,8 +702,7 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
     saw_island = False
     saw_bracket = False
     work = Workspace()
-    xi = coupling_xi(config)
-    for eta, delta_val in _scan_trials(config, settings, xi, work):
+    for eta, delta_val in _scan_trials(config, settings, work):
         trace.append((eta, delta_val))
         if delta_val is None:
             prev_eta = prev_delta = None
@@ -714,7 +715,7 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
             and (delta_val < 0.0) != (prev_delta < 0.0)
         ):
             saw_bracket = True
-            hit = _bisect_bracket(prev_eta, prev_delta, eta, delta_val, config, settings, work, xi)
+            hit = _bisect_bracket(prev_eta, prev_delta, eta, delta_val, config, settings, work)
             if hit is not None:
                 eta_star, residual, m_star, grid_star = hit
                 if abs(residual) <= settings.mismatch_tol:
@@ -816,9 +817,7 @@ def eigenfunction(config: PhysicalConfig, settings: SolverSettings | None, eta_s
     from which F and G follow. F and G are reported in mass-normalized units.
     """
     settings = settings or SolverSettings()
-    state = dimensionless_state(config, eta_star)
-    coeffs = build_coefficients(state, config)
-    grid = settings.resolve_grid(coeffs.turning_scale)
+    coeffs, grid = _trial_setup(eta_star, config, settings)
     m = _match_index(coeffs, grid, settings.min_island_nodes)
     if m is None:
         raise ConfigError(f"no interior turning point at eta = {eta_star!r}; not an eigenvalue")
@@ -849,5 +848,5 @@ def eigenfunction(config: PhysicalConfig, settings: SolverSettings | None, eta_s
     level_prime = coeffs.turning_scale
     denom = coeffs.k_value / nodes + level_prime / rho_pow
     phi_minus = -(dphi - (level / rho_pow - 0.5) * phi) / denom
-    f_comp, g_comp = reconstruct_fg(phi, phi_minus, 1.0, state.eta)
+    f_comp, g_comp = reconstruct_fg(phi, phi_minus, 1.0, coeffs.eta)
     return WaveSolution(grid=grid, phi_plus=phi, f_component=f_comp, g_component=g_comp, norm=norm)

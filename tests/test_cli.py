@@ -223,6 +223,16 @@ def test_profile_mismatch_scan_rejects_an_oversized_window(capsys):
     assert "grid would need" in capsys.readouterr().err
 
 
+def test_profile_grid_too_large_is_a_configuration_error(capsys):
+    # the record and grid are resolved before the eigenfunction: a grid past
+    # the node limit exits 1 for every quantity, not 3 ("no turning point")
+    for quantity in ("phi_plus", "F", "G", "effective_potential"):
+        code = main(["profile", "--quantity", quantity, "--eta", "0.999999999999",
+                     "--dimension", "3", "--ansatz", "1", "--output", os.devnull])
+        assert code == EXIT_CONFIG, quantity
+        assert "grid would need" in capsys.readouterr().err
+
+
 def test_cli_defaults_are_the_solver_defaults():
     assert cli._settings(cli._DEFAULTS) == solver.SolverSettings()
 

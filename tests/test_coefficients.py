@@ -30,6 +30,28 @@ def _a1_config(d, **kw):
 
 
 # ---------------------------------------------------------------------------
+# one trial's scalars
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+@pytest.mark.parametrize("d", range(3, 11))
+def test_state_and_record_hold_the_same_scalars(ansatz, d):
+    # the record takes the scalars the state computed for the configured
+    # potential: each shared field bit for bit, and tau'^2 - tau^2 =
+    # A^2 lam^(D-3) (in the cancellation-free grouping tau'^2 lam)
+    config = PhysicalConfig(dimension=d, ansatz=ansatz)
+    for eta in (-0.999, -0.3, 0.0, 0.5, 0.99, 0.99997, 1.0 - 1e-9):
+        state = dimensionless_state(config, eta)
+        record = build_coefficients(state, config)
+        ours = (state.a_const, state.tau, state.tau_prime, state.c_const, state.lambda_d3)
+        theirs = (record.a_const, record.match_level, record.turning_scale, record.c_const,
+                  record.lambda_d3)
+        assert [x.hex() for x in ours] == [x.hex() for x in theirs], eta
+        rhs = state.a_const**2 * state.lambda_d3
+        assert abs(state.tau_prime**2 * state.lambda_ - rhs) <= 1e-12 * rhs, eta
+
+
+# ---------------------------------------------------------------------------
 # coupling
 
 

@@ -39,6 +39,20 @@ def test_state_at_zero_energy_d3():
     assert state.a_const == state.xi
 
 
+def test_state_takes_the_configured_potential():
+    # the 1/r potential keeps A = xi, tau' = xi/sqrt(lam), c = 0 and lam^0 = 1
+    # in every D; the Gauss law at D = 5 has A = 4 xi and lam^(D-3) = lam^2
+    eta = 0.99
+    lam = (1.0 - eta) * (1.0 + eta)
+    coulomb = dimensionless_state(PhysicalConfig(dimension=5, ansatz=Ansatz.ONE_OVER_R), eta)
+    assert coulomb.a_const == coulomb.xi
+    assert math.isclose(coulomb.tau, coulomb.xi * eta / math.sqrt(lam), rel_tol=1e-15)
+    assert (coulomb.c_const, coulomb.lambda_d3) == (0.0, 1.0)
+    gauss = dimensionless_state(PhysicalConfig(dimension=5, ansatz=Ansatz.GENERALIZED), eta)
+    assert gauss.a_const == 4.0 * gauss.xi and gauss.lambda_d3 == lam**2
+    assert gauss.c_const > 0.0
+
+
 def test_state_d5_against_closed_formulas():
     # direct evaluation of the tau/tau' definitions at D=5, M=1, xi=1, eta=0.6;
     # expected values recomputed with 40-digit arithmetic agree with the

@@ -27,7 +27,7 @@ from dirac_numerov import (
     reconstruct_fg,
     solve_ground_state,
 )
-from dirac_numerov import coefficients, numerov, solver
+from dirac_numerov import coefficients, core, numerov, solver
 from dirac_numerov.errors import ConfigError, DenominatorVanishes, EtaOutOfRange, NonFiniteValue
 from dirac_numerov.numerov import Scheme
 from dirac_numerov.solver import (
@@ -411,7 +411,7 @@ def test_closed_form_screen_settles_no_allowed_node(case, ell, offset):
             assert not _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs)).any()
 
 
-def _per_energy_trials(config, settings, xi, work):
+def _per_energy_trials(config, settings, work):
     """The plain loop the screen replaces: one trial per scan energy."""
     for eta in _scan_etas(settings.eta_window, settings.scan_points).tolist():
         yield eta, solver._evaluate_trial(eta, config, settings, work)[0]
@@ -486,6 +486,25 @@ def test_mismatch_no_turning_point_cases():
         assert solver._evaluate_trial(eta, config5, SolverSettings())[0] is None
     with pytest.raises(EtaOutOfRange):
         solver._evaluate_trial(1.0, config, SolverSettings())[0]
+
+
+def test_a_trial_computes_its_scalars_once(monkeypatch):
+    # the record takes the scalars of the state: one _energy_scalars call per
+    # trial, wherever a module binds it, with an island and without
+    original = core._energy_scalars
+    calls = []
+    for module in (core, coefficients, solver):
+        if hasattr(module, "_energy_scalars"):
+            monkeypatch.setattr(module, "_energy_scalars",
+                                lambda *args: calls.append(args) or original(*args))
+    for d, ansatz, eta, swept in ((3, Ansatz.ONE_OVER_R, 0.99997, True),
+                                  (3, Ansatz.GENERALIZED, 0.99997, True),
+                                  (5, Ansatz.GENERALIZED, 0.99, False)):
+        calls.clear()
+        _, m, _ = solver._evaluate_trial(eta, PhysicalConfig(dimension=d, ansatz=ansatz),
+                                         SolverSettings())
+        assert (m is not None) == swept
+        assert len(calls) == 1, (d, ansatz)
 
 
 def _composed_weight(fields, tau, scheme):
