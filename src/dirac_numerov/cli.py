@@ -178,16 +178,12 @@ def _ansatz(opts: dict) -> Ansatz:
 
 
 def _physical(opts: dict, dimension=None) -> PhysicalConfig:
-    ansatz = _ansatz(opts)
-    try:
-        return PhysicalConfig(
-            dimension=int(dimension if dimension is not None else opts["dimension"]),
-            ell=opts["ell"],
-            mass=opts["mass"],
-            ansatz=ansatz,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PhysicalConfig(
+        dimension=int(dimension if dimension is not None else opts["dimension"]),
+        ell=opts["ell"],
+        mass=opts["mass"],
+        ansatz=_ansatz(opts),
+    )
 
 
 def _write_text(path, text):
@@ -457,19 +453,12 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return _cmd_selftest()
         opts = _resolve(args)
-        # --format applies with --output (table1, solve, scan): checked before any solve
-        if (args.command != "profile" and opts["output"] is not None
-                and opts["format"] not in ("csv", "json")):
+        # table1, solve and scan take --format: checked before any solve, with or without --output
+        if args.command != "profile" and opts["format"] not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {opts['format']!r}")
-        if args.command == "table1":
-            return _cmd_table1(opts)
-        if args.command == "solve":
-            return _cmd_solve(opts)
-        if args.command == "scan":
-            return _cmd_scan(opts)
-        if args.command == "profile":
-            return _cmd_profile(opts)
-        raise ConfigError(f"unknown command {args.command!r}")
+        commands = {"table1": _cmd_table1, "solve": _cmd_solve, "scan": _cmd_scan,
+                    "profile": _cmd_profile}
+        return commands[args.command](opts)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         code, label = _failure(type(exc))
         print(f"{label}: {exc}", file=sys.stderr)

@@ -19,6 +19,12 @@ potential the coefficient functions of the phi_+ component are
 Both potentials and both schemes form their weight as (tau - U)/g: U = V
 gives w, and U = V + g (p^2/4 + p'/2) the canonical W = w - p^2/4 - p'/2.
 
+At D >= 4 the 1/r^(D-2) potential is solved for K > 0 only. Then c > 0 and
+A = 2^(D-3) xi > 0, so den >= A > 0 at every rho and no field has a pole.
+With K < 0, den vanishes at rho = (A/-c)^(1/(D-3)): p, q and V have a pole
+there and the canonical integrating factor is undefined beyond it, so
+:class:`~dirac_numerov.core.PhysicalConfig` rejects that configuration.
+
 These are the exact single-equation rewrite of the coupled first-order
 system; at D = 3 they collapse to p = q = 1/rho, g = rho and
 w = -1/4 + (tau + 1/2)/rho - (K^2 - xi^2)/rho^2, the closed-form-solvable
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Ansatz, DimensionlessState, PhysicalConfig
-from .errors import DenominatorVanishes, UnsupportedDimension
+from .errors import UnsupportedDimension
 
 def coupling_xi(config: PhysicalConfig) -> float:
     """Coulomb coupling strength xi for the configured potential convention.
@@ -132,33 +138,14 @@ class CoefficientSet:
         if self.c_const == 0.0:
             factor = arr ** -0.5
         else:
-            c, a = self.c_const, self.a_const
             r_d3, _, _, r_d2 = _rho_powers(arr, self.dimension)
-            den = c * r_d3 + a
-            if c < 0.0:
-                _check_denominator(den, arr, abs(c) * r_d3 + abs(a))
-            negative = np.atleast_1d(den < 0.0)
-            if negative.any():
-                raise DenominatorVanishes(
-                    float(np.atleast_1d(arr)[negative][0]),
-                    "integrating factor undefined where c rho^(D-3) + A < 0",
-                )
-            factor = np.sqrt(den / r_d2)
+            factor = np.sqrt((self.c_const * r_d3 + self.a_const) / r_d2)
         return float(factor) if scalar else factor
 
 
 def _as_float_array(rho):
     arr = np.asarray(rho, dtype=float)
     return arr, arr.ndim == 0
-
-
-def _check_denominator(den, rho, scale):
-    # relative test: a denominator cancelled to ~1e-12 of its term magnitudes
-    # sits numerically on the pole and any value there would be garbage
-    bad = np.abs(den) <= 1e-12 * scale
-    if np.any(bad):
-        rho_bad = np.atleast_1d(np.asarray(rho))[np.atleast_1d(bad)]
-        raise DenominatorVanishes(float(rho_bad[0]))
 
 
 def _rho_powers(rho: np.ndarray, d: int):
@@ -187,8 +174,6 @@ def static_fields(rho, d, kval, a_const, c_const, lam_d3):
     dm3 = d - 3
     r_d3, r_d4, r_2d6, r_d2 = _rho_powers(arr, d)
     den = c_const * r_d3 + a_const
-    if c_const < 0.0:
-        _check_denominator(den, arr, abs(c_const) * r_d3 + abs(a_const))
     a_over_den = dm3 * a_const / den
     p = (1.0 + a_over_den) / arr
     p_prime = -(1.0 + a_over_den) / arr ** 2 - dm3 * dm3 * a_const * c_const * r_d4 / (
@@ -243,9 +228,6 @@ def build_coefficients(state: DimensionlessState, config: PhysicalConfig) -> Coe
     ------
     UnsupportedDimension
         For the 1/r^(D-2) potential at D <= 2.
-    DenominatorVanishes
-        Lazily, when a field is evaluated at a node where
-        c rho^(D-3) + A = 0 (possible for K < 0).
     """
     d = config.dimension
     if config.ansatz is Ansatz.GENERALIZED and d <= 2:

@@ -55,7 +55,11 @@ class PhysicalConfig:
     ansatz : Ansatz
         Coulomb continuation convention.
     k_sign : KSign
-        Branch of K. The ground-state column reproduced here uses PLUS.
+        Branch of K. The ground-state column reproduced here uses PLUS. The
+        1/r^(D-2) potential at D >= 4 takes PLUS only: with K < 0 its
+        denominator c rho^(D-3) + A, c = K lam^((4-D)/2), vanishes at
+        rho = (A/-c)^(1/(D-3)), a pole that neither scheme can propagate
+        through, so the configuration is rejected when it is built.
     """
 
     dimension: int
@@ -77,6 +81,11 @@ class PhysicalConfig:
             raise ValueError(f"ansatz must be an Ansatz member, got {self.ansatz!r}")
         if not isinstance(self.k_sign, KSign):
             raise ValueError(f"k_sign must be a KSign member, got {self.k_sign!r}")
+        if self.ansatz is Ansatz.GENERALIZED and self.dimension >= 4 and self.k_sign is KSign.MINUS:
+            raise ValueError(
+                f"the 1/r^(D-2) potential at D = {self.dimension} needs K > 0: with K < 0 the "
+                "phi_+ equation has a pole where c rho^(D-3) + A = 0"
+            )
 
 
 def k_value(config: PhysicalConfig) -> float:

@@ -21,14 +21,6 @@ class SupercriticalCoupling(ValueError):
     """|K| <= coupling: the indicial exponent turns imaginary."""
 
 
-class DenominatorVanishes(ArithmeticError):
-    """A coefficient denominator hits zero on the working interval."""
-
-    def __init__(self, rho, message=None):
-        self.rho = rho
-        super().__init__(message or f"coefficient denominator vanishes near rho = {rho!r}")
-
-
 class SingularCoefficient(ArithmeticError):
     """A finite-difference step coefficient vanished; the recurrence cannot advance."""
 

@@ -78,16 +78,6 @@ class RunManifest:
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def parse(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
-        return cls(
-            tool_version=data["tool_version"],
-            command=data["command"],
-            config_echo=data["config_echo"],
-            results=data["results"],
-        )
-
 
 def render_csv(columns, rows, metadata=None) -> str:
     """CSV text with '#' metadata comments; floats in 15-digit scientific form."""

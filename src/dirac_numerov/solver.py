@@ -12,8 +12,10 @@ solver
    certifies "no turning point" exactly as a dense evaluation of V does.
    Where V holds no energy (c = 0: the 1/r family, and the Gauss law at
    D = 3, built as the 1/r problem) tau is compared with V cached per grid.
-   For the Gauss law at D >= 4 the sign of tau - V is the sign of a
-   polynomial whose negative leading term wins past a radius in closed form
+   For the Gauss law at D >= 4, solved for K > 0 only (with K < 0 the
+   phi_+ equation has a pole where c rho^(D-3) + A = 0, and the
+   configuration is rejected when built), the sign of tau - V is the sign of
+   a polynomial whose negative leading term wins past a radius in closed form
    (:func:`_allowed_radius_bound`), so only the grid prefix below it is
    tested, a few percent of the nodes at most. The scan takes this step a
    block of consecutive energies at a time (:func:`_screen_islands`), in
@@ -208,8 +210,9 @@ def _ansatz1_potential(grid: RadialGrid, gamma2: float):
 def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float, size: int):
     """Energy-independent arrays for the sign of tau - V, 1/r^(D-2) potential.
 
-    With Q = rho^(D-2) q, den = c rho^(D-3) + A (both positive for K > 0),
-    the allowed-region indicator sign(tau - V) equals sign(H) where
+    With Q = rho^(D-2) q and den = c rho^(D-3) + A, both positive since the
+    potential is built only for K > 0 at D >= 4 (c, A > 0), the
+    allowed-region indicator sign(tau - V) equals sign(H) where
 
         H = (tau - V) Q den
           = c [tau (rho^(D-3) + (D-3) rho^(D-4)) - s0 rho^(D-3) + A^2 lam^(D-3) u rho^(D-3)]
@@ -273,19 +276,16 @@ def _polynomial_tail(d, kval, a, c, tau, lam):
 
 
 def _allowed_radius_bound(d, kval, a, c, tau, lam) -> float:
-    """Radius R past which tau - V < 0 (1/r^(D-2) potential, c > 0), else inf.
+    """Radius R past which tau - V < 0 (1/r^(D-2) potential at D >= 4, K > 0).
 
     Takes the scalars of :func:`_trial_row`.
     rho^2/4 - rho/2 + K^2 - (1 - 1/(4K^2)) rho^2/4 = (rho/(4K) - K)^2 >= 0, so
     the leading part of P is at most -L rho^(3e+2) with L = (c/4)(1 - 1/(4K^2)).
     Each of the N positive tail terms a_k rho^k stays below L rho^(3e+2)/N once
-    rho > (N a_k / L)^(1/(3e+2-k)), so P < 0 beyond the largest of these. The
-    bound needs K^2 > 1/4; otherwise it is infinite.
+    rho > (N a_k / L)^(1/(3e+2-k)), so P < 0 beyond the largest of these.
+    L > 0 because c > 0 and K^2 >= 9/4 (K = (2l + D - 1)/2 with D >= 4).
     """
-    kk = kval * kval
-    if kk <= 0.25:
-        return math.inf
-    lead = 0.25 * c * (1.0 - 0.25 / kk)
+    lead = 0.25 * c * (1.0 - 0.25 / (kval * kval))
     top = 3 * (d - 3) + 2
     positive = [(coef, k) for coef, k in _polynomial_tail(d, kval, a, c, tau, lam) if coef > 0.0]
     n_terms = len(positive)
@@ -326,30 +326,27 @@ def _gauss_allowed(grid: RadialGrid, stop: int, d, kval, a, c, tau, lam) -> np.n
 
 
 def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> int | None:
-    """Island detection with fast paths for the two production families.
+    """Island detection for the two potentials.
 
     With c = 0 (the 1/r family, and the 1/r^(D-2) potential at D = 3) tau is
-    compared with V cached per grid. The 1/r^(D-2) potential at D >= 4 with
-    K, A > 0 tests only the nodes up to the bound of
-    :func:`_allowed_radius_bound` plus three: every node past it is
-    forbidden, and the three keep the centred stencil of an island ending at
-    the bound inside the prefix, so the match index equals the full-grid one.
-    A prefix whose last node is still allowed (rounding at the bound) is
-    widened to the whole grid.
+    compared with V cached per grid. The 1/r^(D-2) potential at D >= 4,
+    which is built only for K > 0 (so c, A > 0), tests only the nodes up to
+    the bound of :func:`_allowed_radius_bound` plus three: every node past
+    it is forbidden, and the three keep the centred stencil of an island
+    ending at the bound inside the prefix, so the match index equals the
+    full-grid one. A prefix whose last node is still allowed (rounding at
+    the bound) is widened to the whole grid.
     """
-    level = coeffs.match_level
     if coeffs.c_const == 0.0:  # 1/r family: V does not depend on the energy
-        return _island_match_index(level > _ansatz1_potential(grid, coeffs.gamma2), min_nodes)
-    if coeffs.k_value > 0.0 and coeffs.a_const > 0.0:
-        row = _trial_row(coeffs)
-        n = grid.n_points
-        stop = _prefix_stop(grid, _allowed_radius_bound(*row))
-        allowed = _gauss_allowed(grid, stop, *row)
-        if allowed[-1] and stop < n:
-            allowed = _gauss_allowed(grid, n, *row)
-        return _island_match_index(allowed, min_nodes)
-    g = level - np.asarray(coeffs.fields_fn(grid.nodes())["v"], dtype=float)
-    return _island_match_index(g > 0.0, min_nodes)
+        return _island_match_index(coeffs.match_level > _ansatz1_potential(grid, coeffs.gamma2),
+                                   min_nodes)
+    row = _trial_row(coeffs)
+    n = grid.n_points
+    stop = _prefix_stop(grid, _allowed_radius_bound(*row))
+    allowed = _gauss_allowed(grid, stop, *row)
+    if allowed[-1] and stop < n:
+        allowed = _gauss_allowed(grid, n, *row)
+    return _island_match_index(allowed, min_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +568,7 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
       at rho = 2 gamma. An energy with tau at least a margin below it has no
       allowed node on any grid; the margin exceeds the rounding of V at the
       nodes.
-    * The Gauss law at D >= 4 with K > 0 evaluates H for the energies of one
+    * The Gauss law at D >= 4 (K > 0 only) evaluates H for the energies of one
       grid together, :func:`_gauss_allowed` with the scalars as columns,
       over the longest of their :func:`_prefix_stop` prefixes, at most
       ``_BLOCK_DOUBLES`` values per array (an energy whose own prefix is
@@ -593,8 +590,6 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
             level = v_min - 1e-9 * (1.0 + abs(v_min))
             settled = [tau <= level and n <= _MAX_GRID_POINTS
                        for (_, _, _, tau, _, _), (_, n) in zip(rows, extents)]
-        return settled
-    if kval <= 0.0:
         return settled
     grids: dict = {}
     pending = []  # (index, grid, prefix stop, c, tau, lam^(D-3)) of each energy tested
@@ -681,8 +676,6 @@ def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None):
             eta_hi = mid
         if (eta_hi - eta_lo) <= settings.root_tol and abs(d_mid) <= settings.mismatch_tol:
             break
-    if last is None:
-        return None
     return last
 
 

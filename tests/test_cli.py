@@ -69,10 +69,10 @@ def test_solve_gauss_law_d5_not_found(tmp_path, capsys):
     code = main(["solve", "--dimension", "5", "--ansatz", "2",
                  "--output", str(out), "--format", "json"])
     assert code == EXIT_NOT_FOUND
-    manifest = RunManifest.parse(out.read_text())
-    assert manifest.results[0]["found"] is False
-    assert manifest.results[0]["eta_star"] is None
-    assert manifest.config_echo["physical"]["dimension"] == 5
+    manifest = json.loads(out.read_text())
+    assert manifest["results"][0]["found"] is False
+    assert manifest["results"][0]["eta_star"] is None
+    assert manifest["config_echo"]["physical"]["dimension"] == 5
     assert "not found" in capsys.readouterr().out
 
 
@@ -81,7 +81,7 @@ def test_solve_d3_gauss_law_finds_hydrogen(tmp_path, capsys):
     code = main(["solve", "--dimension", "3", "--ansatz", "2",
                  "--output", str(out), "--format", "json"])
     assert code == EXIT_OK
-    record = RunManifest.parse(out.read_text()).results[0]
+    record = json.loads(out.read_text())["results"][0]
     assert record["found"] is True
     assert abs(record["epsilon_ev"] - (-13.606)) < 1.5e-3
     assert "found" in capsys.readouterr().out
@@ -94,10 +94,9 @@ def test_manifest_roundtrip_and_determinism(tmp_path):
             "--format", "json"]
     assert main(args + ["--output", str(out1)]) == EXIT_NOT_FOUND
     assert main(args + ["--output", str(out2)]) == EXIT_NOT_FOUND
-    m1 = RunManifest.parse(out1.read_text())
-    m2 = RunManifest.parse(out2.read_text())
-    assert RunManifest.parse(m1.serialize()) == m1  # parse(serialize(m)) = m
-    d1, d2 = m1.to_dict(), m2.to_dict()
+    d1, d2 = (json.loads(out.read_text()) for out in (out1, out2))
+    m1 = RunManifest(**d1)
+    assert json.loads(m1.serialize()) == m1.to_dict() == d1  # serialize round-trips
     for d in (d1, d2):
         for record in d["results"]:
             record.pop("wall_time_ms")
@@ -153,6 +152,11 @@ def test_unknown_format_is_rejected_before_any_solve(monkeypatch, tmp_path, caps
     captured = capsys.readouterr()
     assert "format must be csv or json" in captured.err
     assert "found" not in captured.out and not out.exists()
+    # without --output too: the format is checked whatever the destination
+    assert main([*command, "--format", "xml", "--threads", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "format must be csv or json" in captured.err
+    assert "found" not in captured.out
 
 
 def test_scan_wall_time_per_dimension(tmp_path):
@@ -162,7 +166,7 @@ def test_scan_wall_time_per_dimension(tmp_path):
                  "--threads", "1", "--output", str(out), "--format", "json"])
     elapsed_ms = 1000.0 * (time.perf_counter() - t0)
     assert code == EXIT_OK
-    times = [r["wall_time_ms"] for r in RunManifest.parse(out.read_text()).results]
+    times = [r["wall_time_ms"] for r in json.loads(out.read_text())["results"]]
     # each dimension timed on its own, not the total split evenly
     assert len(times) == 3 and len(set(times)) > 1
     assert sum(times) <= elapsed_ms
@@ -175,14 +179,14 @@ def test_config_file_precedence(tmp_path):
     # config file applies when the flag is absent...
     code = main(["solve", "--config", str(cfg), "--output", str(out), "--format", "json"])
     assert code == EXIT_NOT_FOUND
-    assert RunManifest.parse(out.read_text()).config_echo["physical"]["dimension"] == 5
+    assert json.loads(out.read_text())["config_echo"]["physical"]["dimension"] == 5
     # ...and explicit flags win over the file
     code = main(["solve", "--config", str(cfg), "--dimension", "4",
                  "--output", str(out), "--format", "json"])
     assert code == EXIT_NOT_FOUND
-    manifest = RunManifest.parse(out.read_text())
-    assert manifest.config_echo["physical"]["dimension"] == 4
-    assert manifest.config_echo["settings"]["scan_points"] == 150
+    manifest = json.loads(out.read_text())
+    assert manifest["config_echo"]["physical"]["dimension"] == 4
+    assert manifest["config_echo"]["settings"]["scan_points"] == 150
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -199,7 +203,7 @@ def test_threads_env_override(tmp_path, monkeypatch):
                  "--scan-points", "120", "--threads", "1",
                  "--output", str(out), "--format", "json"])
     assert code == EXIT_OK
-    assert len(RunManifest.parse(out.read_text()).results) == 2
+    assert len(json.loads(out.read_text())["results"]) == 2
     monkeypatch.setenv("DIRAC_NUMEROV_THREADS", "zebra")
     assert main(["scan", "--d-min", "4", "--d-max", "5", "--ansatz", "2"]) == EXIT_CONFIG
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from dirac_numerov import (
     dimensionless_state,
 )
 from dirac_numerov.core import FINE_STRUCTURE_CONSTANT as ALPHA
-from dirac_numerov.errors import DenominatorVanishes, UnsupportedDimension
+from dirac_numerov.errors import UnsupportedDimension
 from dirac_numerov.numerov import Scheme
 from dirac_numerov.solver import _trial_weight
 
@@ -292,31 +293,22 @@ def test_canonical_weight_matches_fd_p_prime():
 
 
 # ---------------------------------------------------------------------------
-# vanishing denominator
+# K < 0
 
 
-def test_plus_branch_with_negative_k_can_vanish():
-    cfg = _a2_config(5, k_sign=KSign.MINUS)
-    state = dimensionless_state(cfg, 0.9)
-    coeffs = build_coefficients(state, cfg)
-    c = state.k_value * state.lambda_ ** ((4.0 - 5) / 2.0)  # negative
-    rho_zero = math.sqrt(state.a_const / -c)
-    with pytest.raises(DenominatorVanishes):
-        coeffs.fields_fn(np.array([rho_zero]))["q"]
-
-
-def test_integrating_factor_rejects_a_negative_denominator():
-    # past the root of c rho^(D-3) + A (K < 0) the factor sqrt(den / rho^(D-2)) is undefined
-    cfg = _a2_config(5, k_sign=KSign.MINUS)
-    state = dimensionless_state(cfg, 0.9)
-    coeffs = build_coefficients(state, cfg)
-    c = state.k_value * state.lambda_ ** ((4.0 - 5) / 2.0)
-    rho_zero = math.sqrt(state.a_const / -c)
-    assert coeffs.integrating_factor_fn(0.5 * rho_zero) > 0.0
-    with pytest.raises(DenominatorVanishes):
-        coeffs.integrating_factor_fn(np.array([0.5 * rho_zero, 2.0 * rho_zero]))
-    with pytest.raises(DenominatorVanishes):  # a scalar, as the canonical boundary seeds pass
-        coeffs.integrating_factor_fn(2.0 * rho_zero)
+@pytest.mark.parametrize("d", range(4, 11))
+@pytest.mark.parametrize("ell", range(3))
+def test_gauss_law_with_negative_k_is_rejected_at_d4_and_above(d, ell):
+    # with K < 0, c rho^(D-3) + A vanishes at rho = (A/-c)^(1/(D-3)): a pole
+    # of the phi_+ equation that no scheme propagates through
+    with pytest.raises(ValueError, match=r"c rho\^\(D-3\) \+ A = 0"):
+        _a2_config(d, ell=ell, k_sign=KSign.MINUS)
+    with pytest.raises(ValueError, match=r"c rho\^\(D-3\) \+ A = 0"):
+        replace(_a2_config(d, ell=ell), k_sign=KSign.MINUS)
+    # the Gauss law at D = 3 is the 1/r problem, and 1/r has no pole: both keep K < 0
+    for cfg in (_a2_config(3, ell=ell, k_sign=KSign.MINUS),
+                *(_a1_config(d1, ell=ell, k_sign=KSign.MINUS) for d1 in range(3, 10))):
+        assert build_coefficients(dimensionless_state(cfg, 0.9), cfg).k_value < 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dirac_numerov import (
     solve_ground_state,
 )
 from dirac_numerov import coefficients, core, numerov, solver
-from dirac_numerov.errors import ConfigError, DenominatorVanishes, EtaOutOfRange, NonFiniteValue
+from dirac_numerov.errors import ConfigError, EtaOutOfRange, NonFiniteValue
 from dirac_numerov.numerov import Scheme
 from dirac_numerov.solver import (
     _allowed_radius_bound,
@@ -811,21 +811,14 @@ def test_bracketing_soundness(solve_cached):
 
 
 def test_non_finite_mismatch_at_every_island_is_a_numerical_failure(monkeypatch):
-    # D = 5 with K < 0: every island's generalized mismatch is inf, which is
-    # no verdict on a bound state; the canonical scheme's integrating factor
-    # is undefined past the root of c rho^2 + A
-    config = PhysicalConfig(dimension=5, ansatz=Ansatz.GENERALIZED, k_sign=KSign.MINUS)
-    settings = SolverSettings(scheme=Scheme.GENERALIZED, scan_points=20)
+    # a mismatch that is inf at every island is no verdict on a bound state
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
+    settings = SolverSettings(scan_points=20)
+    monkeypatch.setattr(solver, "_mismatch_at_match", lambda *args, **kwargs: math.inf)
     with pytest.raises(NonFiniteValue):
         solve_ground_state(config, settings)
-    with pytest.raises(DenominatorVanishes):
-        solve_ground_state(config, replace(settings, scheme=Scheme.CANONICAL))
-    original = solver.solve_ground_state
-    monkeypatch.setattr(solver, "solve_ground_state",
-                        lambda config, settings: original(replace(config, k_sign=KSign.MINUS),
-                                                          settings))
-    ((d, result),) = dimension_scan((5, 5), Ansatz.GENERALIZED, settings)
-    assert d == 5 and not result.found and result.error is NonFiniteValue
+    ((d, result),) = dimension_scan((3, 3), Ansatz.ONE_OVER_R, settings)
+    assert d == 3 and not result.found and result.error is NonFiniteValue
 
 
 @pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
