@@ -10,7 +10,6 @@ from .analytic import AnalyticLevel, analytic_energy, analytic_ground_wavefuncti
 from .coefficients import CoefficientSet, build_coefficients, coupling_xi
 from .core import (
     Ansatz,
-    DimensionlessState,
     EigenResult,
     ELECTRON_MASS_EV,
     FINE_STRUCTURE_CONSTANT,
@@ -33,7 +32,6 @@ __all__ = [
     "AnalyticLevel",
     "Ansatz",
     "CoefficientSet",
-    "DimensionlessState",
     "EigenResult",
     "ELECTRON_MASS_EV",
     "FINE_STRUCTURE_CONSTANT",

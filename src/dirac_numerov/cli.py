@@ -154,10 +154,10 @@ def _threads(opts: dict) -> int:
 
 
 def _settings(opts: dict) -> solver.SolverSettings:
-    scheme_name = str(opts["scheme"]).lower()
-    schemes = {"canonical": Scheme.CANONICAL, "generalized": Scheme.GENERALIZED}
-    if scheme_name not in schemes:
-        raise ConfigError(f"scheme must be canonical or generalized, got {opts['scheme']!r}")
+    try:
+        scheme = Scheme(str(opts["scheme"]).lower())
+    except ValueError:
+        raise ConfigError(f"scheme must be canonical or generalized, got {opts['scheme']!r}") from None
     return solver.SolverSettings(
         eta_window=(opts["eta-min"], opts["eta-max"]),
         scan_points=opts["scan-points"],
@@ -166,15 +166,15 @@ def _settings(opts: dict) -> solver.SolverSettings:
         grid_a=opts["grid-a"],
         grid_b=opts["grid-b"],
         grid_delta=opts["grid-delta"],
-        scheme=schemes[scheme_name],
+        scheme=scheme,
     )
 
 
 def _ansatz(opts: dict) -> Ansatz:
-    ansatz = {1: Ansatz.ONE_OVER_R, 2: Ansatz.GENERALIZED}.get(opts["ansatz"])
-    if ansatz is None:
-        raise ConfigError(f"ansatz must be 1 or 2, got {opts['ansatz']!r}")
-    return ansatz
+    try:
+        return Ansatz(opts["ansatz"])
+    except ValueError:
+        raise ConfigError(f"ansatz must be 1 or 2, got {opts['ansatz']!r}") from None
 
 
 def _physical(opts: dict, dimension=None) -> PhysicalConfig:
@@ -195,15 +195,16 @@ def _write_text(path, text):
 
 
 def _emit_results(command, config, settings, records, opts):
-    run = manifest.RunManifest(
-        tool_version=manifest.TOOL_VERSION,
-        command=command,
-        config_echo=manifest.config_echo(config, settings),
-        results=records,
-    )
+    """Write the records to ``--output`` as a JSON manifest or CSV; without it, write nothing."""
     if opts["output"] is None:
-        return run
+        return
     if opts["format"] == "json":
+        run = manifest.RunManifest(
+            tool_version=manifest.TOOL_VERSION,
+            command=command,
+            config_echo=manifest.config_echo(config, settings),
+            results=records,
+        )
         _write_text(opts["output"], run.serialize())
     else:
         columns = ["dimension", "found", "eta_star", "epsilon_ev", "match_rho",
@@ -215,7 +216,6 @@ def _emit_results(command, config, settings, records, opts):
         ]
         meta = {"tool_version": manifest.TOOL_VERSION, "command": command}
         _write_text(opts["output"], manifest.render_csv(columns, rows, meta))
-    return run
 
 
 def _cmd_table1(opts) -> int:
@@ -271,9 +271,7 @@ def _cmd_solve(opts) -> int:
               f"match rho = {result.match_rho:.6f}, residual = {result.mismatch_residual:.3e}")
     else:
         print(f"not found: {result.verdict_reason}")
-    run = _emit_results("solve", config, settings, records, opts)
-    if opts["output"] is None:
-        sys.stdout.write(run.serialize())
+    _emit_results("solve", config, settings, records, opts)
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 
 
@@ -340,12 +338,12 @@ def _cmd_profile(opts) -> int:
     meta["eta"] = manifest.format_float(eta_star)
     # a grid too large for eta_star is a configuration error (exit 1), not a missing turning point
     coeffs, grid = solver._trial_setup(eta_star, config, settings)
-    meta["tau"] = manifest.format_float(coeffs.match_level)
-    meta["tau_prime"] = manifest.format_float(coeffs.turning_scale)
+    meta["tau"] = manifest.format_float(coeffs.tau)
+    meta["tau_prime"] = manifest.format_float(coeffs.tau_prime)
 
     if quantity == "effective_potential":
         nodes = grid.nodes()
-        gap = coeffs.match_level - np.asarray(coeffs.fields_fn(nodes)["v"], dtype=float)
+        gap = coeffs.tau - np.asarray(coeffs.fields_fn(nodes)["v"], dtype=float)
         rows = [[float(r), float(g)] for r, g in zip(nodes, gap)]
         _write_text(opts["output"], manifest.render_csv(["rho", "level_minus_potential"], rows, meta))
         return EXIT_OK

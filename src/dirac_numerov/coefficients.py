@@ -35,7 +35,9 @@ The 1/r potential keeps the three-dimensional structure in every D (only K
 changes), so its coefficient set uses tau = xi E / sqrt(M^2 - E^2) regardless
 of dimension. The 1/r^(D-2) potential at D = 3 is built as that problem: one
 record, :class:`CoefficientSet`, holds either continuation's scalars, and
-c = 0 marks the three-dimensional structure.
+c = 0 marks the three-dimensional structure. A trial energy has one such
+record: :func:`~dirac_numerov.core.dimensionless_state` builds it and
+:func:`build_coefficients` checks it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ansatz, DimensionlessState, PhysicalConfig
+from .core import Ansatz, PhysicalConfig
 from .errors import UnsupportedDimension
 
 def coupling_xi(config: PhysicalConfig) -> float:
@@ -78,26 +80,44 @@ def coupling_xi(config: PhysicalConfig) -> float:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The scalars of one trial energy's phi_+ equation, for either continuation.
+    """The scalars of one trial energy's phi_+ equation, for either continuation (M = 1).
 
-    ``c_const == 0`` marks the three-dimensional structure: the 1/r potential
-    in every D, and the 1/r^(D-2) potential at D = 3. ``match_level`` is the
-    energy-side constant tau paired with the field ``v`` in w = (tau - V)/g;
-    ``turning_scale`` = |tau'| sets the outermost turning radius
-    (~ 4 * turning_scale) and drives the automatic grid sizing.
-    ``singular_power`` is the power in V = s / (rho^power q).
+    :func:`~dirac_numerov.core.dimensionless_state` builds it. With eta = E/M
+    and lam = 1 - eta^2, the 1/r^(D-2) potential has
+
+        a_const   = 2^(D-3) xi
+        tau_prime = 2^(D-3) xi / sqrt(M^2 - E^2)^(4-D) = a_const * lam^((D-4)/2)
+        c_const   = K lam^((4-D)/2),    lambda_d3 = lam^(D-3),
+
+    and the 1/r potential, like the 1/r^(D-2) one at D = 3, the
+    three-dimensional scalars a_const = xi, tau_prime = xi/sqrt(lam),
+    c_const = 0 and lambda_d3 = 1. Both have tau = eta * tau_prime, so the
+    identities tau/tau_prime = eta and tau_prime^2 - tau^2 =
+    a_const^2 lambda_d3 hold by construction. ``c_const == 0`` marks the
+    three-dimensional structure. ``tau`` is the energy-side constant paired
+    with the field ``v`` in w = (tau - V)/g.
     """
 
-    match_level: float
-    turning_scale: float
-    singular_power: int
-    dimension: int
-    k_value: float
+    eta: float
+    lambda_: float
+    xi: float
     a_const: float
+    tau: float
+    tau_prime: float
     c_const: float
     lambda_d3: float
-    xi: float
-    eta: float
+    k_value: float
+    dimension: int
+
+    @property
+    def turning_scale(self) -> float:
+        """|tau'|: sets the outermost turning radius (~ 4 * turning_scale) and the automatic grid."""
+        return abs(self.tau_prime)
+
+    @property
+    def singular_power(self) -> int:
+        """The power in V = s / (rho^power q): 1 for c = 0, else D - 2."""
+        return 1 if self.c_const == 0.0 else self.dimension - 2
 
     @property
     def gamma2(self) -> float:
@@ -122,9 +142,9 @@ class CoefficientSet:
         g = 1/q and w = (tau - V)/g.
         """
         if self.c_const == 0.0:
-            return ansatz1_fields(rho, self.gamma2, self.match_level)
+            return ansatz1_fields(rho, self.gamma2, self.tau)
         return general_fields(rho, self.dimension, self.k_value, self.a_const, self.c_const,
-                              self.lambda_d3, self.match_level)
+                              self.lambda_d3, self.tau)
 
     def integrating_factor_fn(self, rho):
         """exp(-1/2 int p) on rho, scalar or array, with phi = factor * chi.
@@ -221,8 +241,8 @@ def ansatz1_fields(rho, gamma2, tau):
     return out
 
 
-def build_coefficients(state: DimensionlessState, config: PhysicalConfig) -> CoefficientSet:
-    """The coefficient record of one trial energy, from the scalars ``state`` already holds.
+def build_coefficients(state: CoefficientSet, config: PhysicalConfig) -> CoefficientSet:
+    """``state`` itself, the record of one trial energy, once its dimension is checked.
 
     Raises
     ------
@@ -232,15 +252,4 @@ def build_coefficients(state: DimensionlessState, config: PhysicalConfig) -> Coe
     d = config.dimension
     if config.ansatz is Ansatz.GENERALIZED and d <= 2:
         raise UnsupportedDimension(f"the 1/r^(D-2) equation needs D >= 3, got D = {d}")
-    return CoefficientSet(
-        match_level=state.tau,
-        turning_scale=abs(state.tau_prime),
-        singular_power=1 if state.c_const == 0.0 else d - 2,
-        dimension=d,
-        k_value=state.k_value,
-        a_const=state.a_const,
-        c_const=state.c_const,
-        lambda_d3=state.lambda_d3,
-        xi=state.xi,
-        eta=state.eta,
-    )
+    return state

@@ -1,5 +1,7 @@
-"""Physical configuration, dimensionless scalars, grids, and result containers.
+"""Physical configuration, the scalars of a trial energy, grids, and result containers.
 
+:func:`dimensionless_state` computes a trial energy's scalars once and returns
+them as the one record :class:`~dirac_numerov.coefficients.CoefficientSet`.
 Everything downstream works in units of the particle mass (M = 1, hbar = c = 1).
 Electron-volt values appear only at the reporting boundary, where the binding
 energy is multiplied by the electron rest energy.
@@ -94,35 +96,6 @@ def k_value(config: PhysicalConfig) -> float:
     return magnitude if config.k_sign is KSign.PLUS else -magnitude
 
 
-@dataclass(frozen=True)
-class DimensionlessState:
-    """Derived scalars of one trial energy, in mass units (M = 1), for the configured potential.
-
-    With eta = E/M and lam = 1 - eta^2, the 1/r^(D-2) potential has
-
-        a_const   = 2^(D-3) xi
-        tau_prime = 2^(D-3) xi / sqrt(M^2 - E^2)^(4-D) = a_const * lam^((D-4)/2)
-        c_const   = K lam^((4-D)/2),    lambda_d3 = lam^(D-3),
-
-    and the 1/r potential, like the 1/r^(D-2) one at D = 3, the
-    three-dimensional scalars a_const = xi, tau_prime = xi/sqrt(lam),
-    c_const = 0 and lambda_d3 = 1. Both have tau = eta * tau_prime, so the
-    identities tau/tau_prime = eta and tau_prime^2 - tau^2 =
-    a_const^2 lambda_d3 hold by construction.
-    """
-
-    eta: float
-    lambda_: float
-    xi: float
-    a_const: float
-    tau: float
-    tau_prime: float
-    c_const: float
-    lambda_d3: float
-    k_value: float
-    dimension: int
-
-
 def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
     """(lam, A, tau', tau, c, lam^(D-3)) of one trial energy, as Python floats.
 
@@ -132,8 +105,8 @@ def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
     D = 3 the 1/r^(D-2) potential takes the 1/r scalars: its c enters the
     fields only times D - 3 = 0, and the integrating factor only through the
     constant factor sqrt(c + A), which log-derivatives and the unit
-    normalisation remove. A trial takes these once, through
-    :func:`dimensionless_state`. The solver's block screen calls this once per
+    normalisation remove. A trial takes these once, into the record that
+    :func:`dimensionless_state` returns. The solver's block screen calls this once per
     energy, not on an array: numpy's array power can differ from
     ``float ** float`` in the last bit, and the screen must see the per-trial
     bits.
@@ -154,8 +127,8 @@ def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
     return lam, a_const, tau_prime, eta * tau_prime, c_const, lam_d3
 
 
-def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = None) -> DimensionlessState:
-    """The scalars of a trial energy ratio for the configured potential, computed once.
+def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = None):
+    """The :class:`~dirac_numerov.coefficients.CoefficientSet` of a trial energy ratio, computed once.
 
     Parameters
     ----------
@@ -173,14 +146,14 @@ def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = N
     """
     if not abs(eta) < 1.0:
         raise EtaOutOfRange(f"|eta| must be < 1, got eta = {eta!r}")
-    if xi is None:
-        from .coefficients import coupling_xi
+    from .coefficients import CoefficientSet, coupling_xi
 
+    if xi is None:
         xi = coupling_xi(config)
     d = config.dimension
     kval = k_value(config)
     lam, a_const, tau_prime, tau, c_const, lam_d3 = _energy_scalars(config.ansatz, d, kval, xi, eta)
-    return DimensionlessState(
+    return CoefficientSet(
         eta=eta,
         lambda_=lam,
         xi=xi,

@@ -248,7 +248,7 @@ def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float, size: i
 
 def _trial_row(coeffs: CoefficientSet):
     """The scalars (D, K, A, c, tau, lam^(D-3)) that H and its bound take, of a trial."""
-    return (coeffs.dimension, coeffs.k_value, coeffs.a_const, coeffs.c_const, coeffs.match_level,
+    return (coeffs.dimension, coeffs.k_value, coeffs.a_const, coeffs.c_const, coeffs.tau,
             coeffs.lambda_d3)
 
 
@@ -338,7 +338,7 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
     the bound) is widened to the whole grid.
     """
     if coeffs.c_const == 0.0:  # 1/r family: V does not depend on the energy
-        return _island_match_index(coeffs.match_level > _ansatz1_potential(grid, coeffs.gamma2),
+        return _island_match_index(coeffs.tau > _ansatz1_potential(grid, coeffs.gamma2),
                                    min_nodes)
     row = _trial_row(coeffs)
     n = grid.n_points
@@ -420,7 +420,7 @@ def _weight_basis(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
 
 def _trial_weight(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme, out=None):
     """u = (tau - U)/g on the nodes from :func:`_weight_basis`, into ``out``: W (canonical) or w."""
-    return _weight(coeffs.match_level, *_weight_basis(coeffs, grid, scheme)[:2], out)
+    return _weight(coeffs.tau, *_weight_basis(coeffs, grid, scheme)[:2], out)
 
 
 def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
@@ -505,7 +505,7 @@ def _mismatch_at_match(coeffs, grid, m, scheme, work=None) -> float:
     product = space[rows * n :]
     u = product[:n]
     basis = _weight_basis(coeffs, grid, scheme)
-    _weight(coeffs.match_level, *basis[:2], u)
+    _weight(coeffs.tau, *basis[:2], u)
     if scheme is Scheme.CANONICAL:
         f, s = space[:n], space[n : 2 * n - 2]
         _canonical_factors(u, h, f)
@@ -522,8 +522,8 @@ def _mismatch_at_match(coeffs, grid, m, scheme, work=None) -> float:
 def _trial_setup(eta: float, config: PhysicalConfig, settings: SolverSettings):
     """(coeffs, grid) of one trial energy: its coefficient record and the grid that covers it.
 
-    The record takes the scalars :func:`core.dimensionless_state` computed
-    once for the configured potential.
+    :func:`core.dimensionless_state` computes the record once for the
+    configured potential.
     """
     coeffs = build_coefficients(dimensionless_state(config, eta), config)
     return coeffs, settings.resolve_grid(coeffs.turning_scale)
@@ -837,9 +837,7 @@ def eigenfunction(config: PhysicalConfig, settings: SolverSettings | None, eta_s
     power = coeffs.singular_power
     rho_pow = nodes**power if power != 1 else nodes
     dphi = np.gradient(phi, h)
-    level = coeffs.match_level
-    level_prime = coeffs.turning_scale
-    denom = coeffs.k_value / nodes + level_prime / rho_pow
-    phi_minus = -(dphi - (level / rho_pow - 0.5) * phi) / denom
+    denom = coeffs.k_value / nodes + coeffs.tau_prime / rho_pow
+    phi_minus = -(dphi - (coeffs.tau / rho_pow - 0.5) * phi) / denom
     f_comp, g_comp = reconstruct_fg(phi, phi_minus, 1.0, coeffs.eta)
     return WaveSolution(grid=grid, phi_plus=phi, f_component=f_comp, g_component=g_comp, norm=norm)

@@ -11,6 +11,7 @@ from dirac_numerov.core import EigenResult
 from dirac_numerov.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERICAL, EXIT_OK, main
 from dirac_numerov.errors import ConfigError, NonFiniteValue
 from dirac_numerov.manifest import RunManifest, format_float, render_csv
+from dirac_numerov.numerov import Scheme
 
 
 def read_csv(path):
@@ -62,6 +63,38 @@ def test_unknown_ansatz_is_config_error(command, capsys):
     # solve, scan and profile share one ansatz lookup
     assert main(command + ["--ansatz", "3"]) == EXIT_CONFIG
     assert "ansatz must be 1 or 2, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["scan"], ["table1"], ["profile"]])
+def test_unknown_scheme_is_config_error(command, capsys):
+    assert main(command + ["--scheme", "foo"]) == EXIT_CONFIG
+    assert "scheme must be canonical or generalized, got 'foo'" in capsys.readouterr().err
+
+
+def test_scheme_name_is_case_insensitive(monkeypatch):
+    seen = []
+
+    def record(config, settings):
+        seen.append(settings.scheme)
+        return EigenResult(found=False, eta_star=None, epsilon_ev=None, match_rho=None,
+                           mismatch_residual=math.nan, verdict_reason="stub")
+
+    monkeypatch.setattr(solver, "solve_ground_state", record)
+    assert main(["solve", "--scheme", "CANONICAL"]) == EXIT_NOT_FOUND
+    assert main(["solve", "--scheme", "Generalized"]) == EXIT_NOT_FOUND
+    assert seen == [Scheme.CANONICAL, Scheme.GENERALIZED]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dimension, ansatz, code, verdict", [
+    ("3", "1", EXIT_OK, "found: eta* = "), ("5", "2", EXIT_NOT_FOUND, "not found: "),
+], ids=["found", "not-found"])
+def test_solve_without_output_prints_only_its_verdict(capsys, fmt, dimension, ansatz, code, verdict):
+    # like table1 and scan, solve writes a manifest only to --output
+    assert main(["solve", "--dimension", dimension, "--ansatz", ansatz, "--format", fmt]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(verdict)
+    assert "{" not in lines[0]
 
 
 def test_solve_gauss_law_d5_not_found(tmp_path, capsys):

@@ -37,17 +37,13 @@ def _a1_config(d, **kw):
 @pytest.mark.parametrize("ansatz", list(Ansatz))
 @pytest.mark.parametrize("d", range(3, 11))
 def test_state_and_record_hold_the_same_scalars(ansatz, d):
-    # the record takes the scalars the state computed for the configured
-    # potential: each shared field bit for bit, and tau'^2 - tau^2 =
-    # A^2 lam^(D-3) (in the cancellation-free grouping tau'^2 lam)
+    # the state is the record: build_coefficients checks it and returns it,
+    # and tau'^2 - tau^2 = A^2 lam^(D-3) (in the cancellation-free grouping
+    # tau'^2 lam)
     config = PhysicalConfig(dimension=d, ansatz=ansatz)
     for eta in (-0.999, -0.3, 0.0, 0.5, 0.99, 0.99997, 1.0 - 1e-9):
         state = dimensionless_state(config, eta)
-        record = build_coefficients(state, config)
-        ours = (state.a_const, state.tau, state.tau_prime, state.c_const, state.lambda_d3)
-        theirs = (record.a_const, record.match_level, record.turning_scale, record.c_const,
-                  record.lambda_d3)
-        assert [x.hex() for x in ours] == [x.hex() for x in theirs], eta
+        assert build_coefficients(state, config) is state, eta
         rhs = state.a_const**2 * state.lambda_d3
         assert abs(state.tau_prime**2 * state.lambda_ - rhs) <= 1e-12 * rhs, eta
 
@@ -101,7 +97,7 @@ def test_d3_collapses_to_one_over_r_structure():
         reduced = build_coefficients(state, cfg)
         assert reduced.c_const == 0.0
         c = state.k_value * math.sqrt(state.lambda_)
-        lhs_fields = general_fields(rho, 3, state.k_value, xi, c, 1.0, reduced.match_level)
+        lhs_fields = general_fields(rho, 3, state.k_value, xi, c, 1.0, reduced.tau)
         rhs_fields = reduced.fields_fn(rho)
         for name in ("p", "q", "v", "s", "w", "p_prime"):
             lhs = lhs_fields[name]
@@ -121,7 +117,7 @@ def test_d3_gauss_law_record_is_the_one_over_r_record(eta, ell):
     for record in records:
         assert record.c_const == 0.0 and record.lambda_d3 == 1.0 and record.singular_power == 1
     assert gauss.indicial_exponent == coulomb.indicial_exponent
-    for name in ("match_level", "turning_scale", "a_const"):
+    for name in ("tau", "turning_scale", "a_const"):
         a, b = getattr(gauss, name), getattr(coulomb, name)
         assert abs(a - b) <= 4 * math.ulp(b), name
 
@@ -206,7 +202,7 @@ def test_w_equals_q_level_minus_v(d, eta):
     rho = np.geomspace(1e-3, 50.0, 300)
     fields = coeffs.fields_fn(rho)
     direct = fields["w"]
-    assembled = fields["q"] * (coeffs.match_level - fields["v"])
+    assembled = fields["q"] * (coeffs.tau - fields["v"])
     scale = np.maximum(np.abs(direct), 1e-300)
     assert np.max(np.abs(direct - assembled) / scale) < 5e-14
 

@@ -174,9 +174,9 @@ def test_discrete_l2_norm_values():
 # public surface
 
 DELETED_NAMES = (
-    "Direction", "NO_TURNING_POINT", "NoTurningPoint", "PropagationResult", "_maybe_scalar",
-    "canonical_step", "coefficient_set", "coefficient_set_ansatz1", "generalized_step", "mismatch",
-    "potential_energy", "propagate", "rho_of_r",
+    "DimensionlessState", "Direction", "NO_TURNING_POINT", "NoTurningPoint", "PropagationResult",
+    "_maybe_scalar", "canonical_step", "coefficient_set", "coefficient_set_ansatz1",
+    "generalized_step", "mismatch", "potential_energy", "propagate", "rho_of_r",
 )
 
 
@@ -197,3 +197,12 @@ def test_public_surface_resolves_without_deleted_names():
     for name in ("fields_fn", "integrating_factor_fn"):
         assert name not in coefficients.CoefficientSet.__dataclass_fields__
         assert callable(getattr(coefficients.CoefficientSet, name))
+    # a trial's one record: the state is the coefficient set, and what
+    # follows from its fields is derived, not stored
+    assert isinstance(core.dimensionless_state(core.PhysicalConfig(dimension=5), 0.9),
+                      coefficients.CoefficientSet)
+    fields = coefficients.CoefficientSet.__dataclass_fields__
+    assert "match_level" not in fields
+    for name in ("turning_scale", "singular_power"):
+        assert name not in fields
+        assert isinstance(getattr(coefficients.CoefficientSet, name), property)

@@ -70,11 +70,11 @@ def test_match_point_d3_ground_state():
     assert 0.0 < rho_m < 50.0
     # dense-grid oracle: outermost crossing of the smooth effective potential
     dense = np.linspace(1e-6, 50.0, 1_000_000)
-    gap = coeffs.match_level - coeffs.fields_fn(dense)["v"]
+    gap = coeffs.tau - coeffs.fields_fn(dense)["v"]
     crossings = dense[1:][np.diff(np.sign(gap)) != 0]
     assert abs(rho_m - crossings[-1]) < 2 * grid.step
     # the turning radius of rho/4 - 1/2 + gamma^2/rho at level tau in closed form
-    tau, gamma2 = coeffs.match_level, coeffs.k_value**2 - coeffs.xi**2
+    tau, gamma2 = coeffs.tau, coeffs.k_value**2 - coeffs.xi**2
     outer = 2.0 * (tau + 0.5) + 2.0 * math.sqrt((tau + 0.5) ** 2 - gamma2)
     assert abs(rho_m - outer) < 2 * grid.step
 
@@ -84,7 +84,7 @@ def test_match_point_none_when_level_below_well():
     grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=5001)
     assert _match_index(coeffs, grid, 3) is None
     # constant level far above/below any crossing
-    assert _match_index(replace(coeffs, match_level=-50.0), grid, 3) is None
+    assert _match_index(replace(coeffs, tau=-50.0), grid, 3) is None
 
 
 def test_match_point_none_for_gauss_law_d5():
@@ -94,7 +94,7 @@ def test_match_point_none_for_gauss_law_d5():
     grid = RadialGrid(rho_min=1e-6, rho_max=50.0, n_points=50001)
     assert _match_index(coeffs, grid, 3) is None
     nodes = grid.nodes()
-    gap = coeffs.match_level - coeffs.fields_fn(nodes)["v"]
+    gap = coeffs.tau - coeffs.fields_fn(nodes)["v"]
     allowed = np.flatnonzero(gap > 0.0)
     assert allowed.size > 0 and allowed[0] == 0  # funnel attached to the cutoff
     assert np.all(gap[nodes >= 0.05] < 0.0)  # outer region everywhere forbidden
@@ -126,7 +126,7 @@ def test_fast_island_paths_agree_with_generic():
         coeffs, _ = _coeffs_at(d, ansatz, eta)
         fast = _match_index(coeffs, grid, 3)
         generic = _island_match_index(
-            (coeffs.match_level - coeffs.fields_fn(grid.nodes())["v"]) > 0.0, 3
+            (coeffs.tau - coeffs.fields_fn(grid.nodes())["v"]) > 0.0, 3
         )
         assert fast == generic, (d, eta, ansatz)
 
@@ -175,7 +175,7 @@ def test_prefix_island_test_matches_full_grid(d):
             if d == 3:
                 if grid != v_grid:
                     v_grid, v = grid, coeffs.fields_fn(grid.nodes())["v"]
-                allowed = coeffs.match_level - v > 0.0
+                allowed = coeffs.tau - v > 0.0
             else:
                 allowed = _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs))
                 cut = np.searchsorted(grid.nodes(), _allowed_radius_bound(*_trial_row(coeffs)),
@@ -197,7 +197,7 @@ def _gauss_law_d3_row(coeffs):
     """A D = 3 record rebuilt with the Gauss law's own scalars: c = K lam^(1/2), lam^0 = 1."""
     lam = (1.0 - coeffs.eta) * (1.0 + coeffs.eta)
     return replace(coeffs, c_const=coeffs.k_value * lam**0.5, lambda_d3=1.0,
-                   match_level=coeffs.eta * coeffs.a_const * lam**-0.5)
+                   tau=coeffs.eta * coeffs.a_const * lam**-0.5)
 
 
 def test_prefix_island_test_matches_full_grid_in_bisection(monkeypatch):
@@ -273,7 +273,7 @@ def test_sign_polynomial_matches_island_basis(d, ell):
         r34, s0r3, ur3, s0m, u = (arr[index] for arr in
                                   _island_basis(grid, d, coeffs.k_value, coeffs.a_const,
                                                 grid.n_points))
-        c, a, tau = coeffs.c_const, coeffs.a_const, coeffs.match_level
+        c, a, tau = coeffs.c_const, coeffs.a_const, coeffs.tau
         a2l = a * a * coeffs.lambda_d3
         h = c * (tau * r34 - s0r3 + a2l * ur3) + a * (tau + s0m + a2l * u)
         p, scale = _polynomial(coeffs, rho)
@@ -293,7 +293,7 @@ def test_no_allowed_node_past_the_bound(eta, d, ell):
     assert past.any()
     assert not _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs))[past].any()
     # the same from the literal level - V, node by node
-    gap = coeffs.match_level - coeffs.fields_fn(grid.nodes()[past])["v"]
+    gap = coeffs.tau - coeffs.fields_fn(grid.nodes()[past])["v"]
     assert np.all(gap <= 0.0)
 
 
@@ -312,7 +312,7 @@ def test_screen_settles_no_one_over_r_energy_with_an_allowed_node(d):
         grid = settings.resolve_grid(coeffs.turning_scale)
         if grid != v_grid:
             v_grid, v = grid, coeffs.fields_fn(grid.nodes())["v"]
-        assert not (coeffs.match_level > v).any(), eta
+        assert not (coeffs.tau > v).any(), eta
         settled_count += 1
     assert settled_count >= 800
 
@@ -406,7 +406,7 @@ def test_closed_form_screen_settles_no_allowed_node(case, ell, offset):
     if settled:
         coeffs = build_coefficients(dimensionless_state(config, eta), config)
         grid = settings.resolve_grid(coeffs.turning_scale)
-        assert not (coeffs.match_level > coeffs.fields_fn(grid.nodes())["v"]).any()
+        assert not (coeffs.tau > coeffs.fields_fn(grid.nodes())["v"]).any()
         if ansatz is Ansatz.GENERALIZED:
             assert not _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs)).any()
 
@@ -534,7 +534,7 @@ def test_trial_weight_is_the_composition_of_the_fields(ansatz, dimension, scheme
     for eta in (0.6, 0.99, 0.99997):
         coeffs, _ = _coeffs_at(dimension, ansatz, eta)
         f = coeffs.fields_fn(nodes)
-        tau = coeffs.match_level
+        tau = coeffs.tau
         weight = _trial_weight(coeffs, grid, scheme)
         assert np.array_equal(weight, _composed_weight(f, tau, scheme)), eta
         if scheme is Scheme.GENERALIZED:
@@ -559,7 +559,7 @@ def test_one_over_r_weight_from_the_cached_potential_is_the_fields_weight(dimens
         grid = settings.resolve_grid(coeffs.turning_scale)
         weight = _trial_weight(coeffs, grid, Scheme.CANONICAL)
         fields = coeffs.fields_fn(grid.nodes())
-        assert np.array_equal(weight, _composed_weight(fields, coeffs.match_level, Scheme.CANONICAL))
+        assert np.array_equal(weight, _composed_weight(fields, coeffs.tau, Scheme.CANONICAL))
 
 
 @pytest.mark.parametrize("ansatz", [Ansatz.ONE_OVER_R, Ansatz.GENERALIZED])
@@ -691,7 +691,7 @@ def _allocating_mismatch(coeffs, grid, m, scheme):
     """Delta as every trial formed it before the workspace: fresh arrays, fields, allocating product."""
     nodes, h = grid.nodes(), grid.step
     h2_12 = h * h / 12.0
-    tau = coeffs.match_level
+    tau = coeffs.tau
     if scheme is Scheme.CANONICAL:
         u = _composed_weight(coeffs.fields_fn(nodes), tau, scheme)
         f = 1.0 + h2_12 * u
@@ -954,7 +954,7 @@ def test_eigenfunction_satisfies_first_order_system(d3_wave):
     phi_minus = wave.phi_plus - wave.f_component / math.sqrt(1.0 + eta)
     sl = slice(2000, 20000)
     dminus = np.gradient(phi_minus, h)[sl]
-    tau, tau_p = coeffs.match_level, coeffs.turning_scale
+    tau, tau_p = coeffs.tau, coeffs.turning_scale
     lhs = dminus + (tau / nodes[sl] - 0.5) * phi_minus[sl]
     rhs = -(state.k_value / nodes[sl] - tau_p / nodes[sl]) * wave.phi_plus[sl]
     assert np.max(np.abs(lhs - rhs)) < 5e-6
