@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import analytic, manifest, solver
-from .core import Ansatz, PhysicalConfig
+from .core import Ansatz, PhysicalConfig, dimensionless_state
 from .errors import ConfigError
 from .numerov import Scheme, scheme_report
 
@@ -122,7 +122,10 @@ def _read_config_file(path: str) -> dict:
                 key = key.strip()
                 if key not in _OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-                values[key] = _OPTIONS[key][0](value.strip())
+                try:
+                    values[key] = _OPTIONS[key][0](value.strip())
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -384,7 +387,6 @@ def _cmd_selftest() -> int:
         # tau'^2 - tau^2 = A^2 lam^(D-3) for both continuations, through the
         # state's own lam^(D-3) (1 for the 1/r potential)
         rng = np.random.default_rng(7)
-        from .core import dimensionless_state
         for _ in range(1000):
             d = int(rng.integers(3, 11))
             eta = float(rng.uniform(-0.999999, 0.999999))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ansatz, PhysicalConfig
+from .core import FINE_STRUCTURE_CONSTANT, Ansatz, PhysicalConfig
 from .errors import UnsupportedDimension
 
 def coupling_xi(config: PhysicalConfig) -> float:
@@ -61,8 +61,6 @@ def coupling_xi(config: PhysicalConfig) -> float:
     electric charge is assumed not to run with dimensionality). The 1/r
     convention uses xi = alpha in every dimension. At D = 3 both give alpha.
     """
-    from .core import FINE_STRUCTURE_CONSTANT
-
     d = config.dimension
     if config.ansatz is Ansatz.ONE_OVER_R:
         return FINE_STRUCTURE_CONSTANT
@@ -124,17 +122,6 @@ class CoefficientSet:
         """K^2 - xi^2, the rho^-2 coefficient of the three-dimensional structure (c = 0)."""
         return self.k_value * self.k_value - self.xi * self.xi
 
-    @property
-    def indicial_exponent(self) -> float | None:
-        """The positive small-rho exponent gamma of the regular solution, None where none exists.
-
-        It exists only with the three-dimensional structure and gamma^2 > 0.
-        For 1/r^(D-2) at D >= 4 the attractive rho^(-2(D-2)) term dominates
-        every centrifugal barrier (fall to center): no real exponent survives.
-        """
-        gamma2 = self.gamma2
-        return math.sqrt(gamma2) if (self.c_const == 0.0 and gamma2 > 0.0) else None
-
     def fields_fn(self, rho):
         """Every field on rho (scalar or array), from one evaluation.
 
@@ -149,10 +136,12 @@ class CoefficientSet:
     def integrating_factor_fn(self, rho):
         """exp(-1/2 int p) on rho, scalar or array, with phi = factor * chi.
 
-        Maps the first-derivative-free form chi'' + W chi = 0,
-        W = w - p^2/4 - p'/2, of the canonical scheme back to phi with no
-        quadrature error: rho^(-1/2) for c = 0, else sqrt(den / rho^(D-2))
-        from the partial-fraction closed form int p = (D-2) ln rho - ln den.
+        The canonical scheme propagates chi, the solution of the
+        first-derivative-free form chi'' + W chi = 0, W = w - p^2/4 - p'/2,
+        and matches it in chi; only the exported eigenfunction is mapped back
+        to phi, with no quadrature error: rho^(-1/2) for c = 0, else
+        sqrt(den / rho^(D-2)) from the partial-fraction closed form
+        int p = (D-2) ln rho - ln den.
         """
         arr, scalar = _as_float_array(rho)
         if self.c_const == 0.0:

@@ -77,8 +77,8 @@ class PhysicalConfig:
             raise ValueError(f"dimension must be >= 2, got {self.dimension}")
         if not isinstance(self.ell, int) or self.ell < 0:
             raise ValueError(f"ell must be a non-negative integer, got {self.ell!r}")
-        if not (self.mass > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass!r}")
+        if not (self.mass > 0.0 and math.isfinite(self.mass)):
+            raise ValueError(f"mass must be positive and finite, got {self.mass!r}")
         if not isinstance(self.ansatz, Ansatz):
             raise ValueError(f"ansatz must be an Ansatz member, got {self.ansatz!r}")
         if not isinstance(self.k_sign, KSign):
@@ -116,14 +116,9 @@ def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
         sqrt_lam = math.sqrt(lam)
         return lam, xi, xi / sqrt_lam, xi * eta / sqrt_lam, 0.0, 1.0
     a_const = 2.0 ** (d - 3) * xi
-    if d == 4:  # lam^0 handled exactly
-        tau_prime = a_const
-        c_const = kval
-        lam_d3 = lam
-    else:
-        tau_prime = a_const * lam ** ((d - 4) / 2.0)
-        c_const = kval * lam ** ((4.0 - d) / 2.0)
-        lam_d3 = lam ** (d - 3)
+    tau_prime = a_const * lam ** ((d - 4) / 2.0)
+    c_const = kval * lam ** ((4.0 - d) / 2.0)
+    lam_d3 = lam ** (d - 3)
     return lam, a_const, tau_prime, eta * tau_prime, c_const, lam_d3
 
 

@@ -26,9 +26,11 @@ Two interchangeable discretizations are provided:
   (rounding). Eigenvalues from the two paths are cross-checked in the
   acceptance suite.
 
-Eigenvalue searches compare log-derivatives, which are invariant under the
-overall scale of a propagated solution, so seeds may be supplied in any
-convenient normalization, and they need each solution only at the match
+Eigenvalue searches compare log-derivatives of the propagated variable (chi
+under the canonical scheme, phi under the generalized one; the two gaps share
+every zero and sign, see ``solver._log_derivative_gap``). These are invariant
+under the overall scale of a propagated solution, so seeds may be supplied in
+any convenient normalization, and they need each solution only at the match
 nodes m-1, m, m+1. ``match_samples`` therefore propagates without visiting
 the nodes one by one: writing each step A_i y[i-1] = B_i y[i] - C_i y[i+1]
 in the difference form

@@ -26,15 +26,19 @@ solver
    the funnel: every energy of the default scans. Only the energies it
    leaves open run steps 1-3 one at a time,
 3. propagates from both ends to the island's outer turning node and forms
-   the log-derivative mismatch Delta(eta); the two solutions are needed only
-   at nodes m-1, m, m+1, so :func:`numerov.match_samples` obtains them from
-   a tree-reduced product of the recurrence's 2x2 transfer matrices instead
-   of a node-by-node sweep (only :func:`eigenfunction`, which needs every
-   node, sweeps). The weight is u = (tau - U)/g for both potentials and
-   both schemes, from tau and two energy-independent arrays cached per grid
-   (:func:`_field_basis`), not the coefficient fields, and every grid-sized
-   array of the trial goes with ``out=`` into the solve's reused
-   :class:`Workspace`,
+   the log-derivative mismatch Delta(eta) of the variable the scheme
+   propagates, chi = phi/F (F the integrating factor) under the canonical
+   scheme and phi under the generalized one, from fixed seeds: the two gaps
+   share every zero and sign (:func:`_log_derivative_gap`), so no trial
+   evaluates F, and only the exported eigenfunction is mapped back to phi.
+   The two solutions are needed only at nodes m-1, m, m+1, so
+   :func:`numerov.match_samples` obtains them from a tree-reduced product
+   of the recurrence's 2x2 transfer matrices instead of a node-by-node
+   sweep (only :func:`eigenfunction`, which needs every node, sweeps). The
+   weight is u = (tau - U)/g for both potentials and both schemes, from tau
+   and two energy-independent arrays cached per grid (:func:`_field_basis`),
+   not the coefficient fields, and every grid-sized array of the trial goes
+   with ``out=`` into the solve's reused :class:`Workspace`,
 4. bisects every sign change of Delta, accepting a root only when the final
    |Delta| passes the mismatch tolerance (log-derivative poles also flip the
    sign but never pass).
@@ -55,9 +59,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import (CoefficientSet, _weight, ansatz1_potential, build_coefficients,
-                           coupling_xi, static_fields)
+from .coefficients import (CoefficientSet, _rho_powers, _weight, ansatz1_potential,
+                           build_coefficients, coupling_xi, static_fields)
 from .core import (
+    ELECTRON_MASS_EV,
     Ansatz,
     EigenResult,
     PhysicalConfig,
@@ -123,16 +128,12 @@ class SolverSettings:
             )
         if self.scan_points < 2:
             raise ConfigError(f"scan_points must be >= 2, got {self.scan_points}")
-        if not (self.root_tol > 0.0 and self.mismatch_tol > 0.0):
-            raise ConfigError("tolerances must be positive")
-        if not self.grid_a > 0.0:
-            raise ConfigError(f"grid_a must be positive, got {self.grid_a}")
-        if not self.grid_delta > 0.0:
-            raise ConfigError(f"grid_delta must be positive, got {self.grid_delta}")
-        if self.grid_b is not None and self.grid_b <= self.grid_a:
-            raise ConfigError("grid_b must exceed grid_a")
-        if not self.grid_b_scale > 0.0:
-            raise ConfigError("grid_b_scale must be positive")
+        for name in ("root_tol", "mismatch_tol", "grid_a", "grid_delta", "grid_b_scale"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        if self.grid_b is not None and not (self.grid_a < self.grid_b < math.inf):
+            raise ConfigError(f"grid_b must be finite and exceed grid_a, got {self.grid_b!r}")
         if self.min_island_nodes < 1:
             raise ConfigError("min_island_nodes must be >= 1")
         if not isinstance(self.scheme, Scheme):
@@ -226,8 +227,6 @@ def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float, size: i
     rounded up to a power of two (the cache then holds a handful of short
     arrays per dimension, not five full-grid ones).
     """
-    from .coefficients import _rho_powers
-
     rho = grid.nodes()[:size]
     r_d3, r_d4, r_2d6, r_d2 = _rho_powers(rho, d)
     dm3 = d - 3
@@ -353,26 +352,6 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
 # mismatch evaluation
 
 
-def _boundary_seeds(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
-    """Seeds y[1] (with y[0] = 0) and (y[n-1], y[n-2]) of the two propagations.
-
-    Values are chi samples under the canonical scheme and phi samples under
-    the generalized one.
-    """
-    nodes = grid.nodes()
-    n = grid.n_points
-    h = grid.step
-    gamma = coeffs.indicial_exponent
-    inner = h**gamma if gamma is not None else h
-    outer = (1.0, math.exp(h / 2.0))
-    if scheme is Scheme.CANONICAL:
-        factor = coeffs.integrating_factor_fn
-        inner /= float(factor(float(nodes[1])))
-        outer = (outer[0] / float(factor(float(nodes[n - 1]))),
-                 outer[1] / float(factor(float(nodes[n - 2]))))
-    return inner, outer
-
-
 @lru_cache(maxsize=2)
 def _field_basis(grid: RadialGrid, scheme: Scheme, scalars):
     """Energy-independent arrays (U, g) of a trial's weight u = (tau - U)/g on ``grid``.
@@ -429,17 +408,17 @@ def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: 
     Returns (left, right) python lists: left holds nodes 0..m+1, right holds
     nodes m-1..N-1 (entries outside each range are zero fillers). Values are
     chi samples under the canonical scheme and phi samples under the
-    generalized one. Only :func:`eigenfunction` needs every node; the
-    mismatch uses :func:`numerov.match_samples`.
+    generalized one, seeded as :func:`_mismatch_at_match` seeds them. Only
+    :func:`eigenfunction` needs every node; the mismatch uses
+    :func:`numerov.match_samples`.
     """
     nodes = grid.nodes()
     n = grid.n_points
     h = grid.step
-    inner, outer = _boundary_seeds(coeffs, grid, scheme)
     left = [0.0] * n
-    left[1] = inner
+    left[1] = 1.0
     right = [0.0] * n
-    right[n - 1], right[n - 2] = outer
+    right[n - 1], right[n - 2] = 1.0, math.exp(h / 2.0)
 
     if scheme is Scheme.CANONICAL:
         f = _canonical_factors(_trial_weight(coeffs, grid, scheme), h).tolist()
@@ -455,23 +434,28 @@ def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: 
     return left, right
 
 
-def _log_derivative_gap(left, right, coeffs, grid, m, scheme) -> float:
-    """[phi'/phi]_left - [phi'/phi]_right at node m, centered on the samples at m-1, m, m+1."""
-    h = grid.step
-    if scheme is Scheme.CANONICAL:
-        nodes = grid.nodes()
-        factors = [float(coeffs.integrating_factor_fn(float(nodes[j]))) for j in (m - 1, m, m + 1)]
-    else:
-        factors = [1.0, 1.0, 1.0]
-    phi_l = [y * f for y, f in zip(left, factors)]
-    phi_r = [y * f for y, f in zip(right, factors)]
-    for val in (*phi_l, *phi_r):
+def _log_derivative_gap(left, right, h) -> float:
+    """[y'/y]_left - [y'/y]_right at node m, centred on each side's samples at m-1, m, m+1.
+
+    y is the variable the scheme propagates: chi = phi/F under the canonical
+    scheme (F the integrating factor), phi under the generalized one. The chi
+    gap has every zero and every sign of the phi gap. With a = y[m+1]/y[m]
+    and b = y[m-1]/y[m] of each side, both sides obey the recurrence
+    A y[m-1] = B y[m] - C y[m+1] at m, so b_L - b_R = -(C/A)(a_L - a_R) and
+
+        Delta_chi = (a_L - a_R)(1 + C/A) / (2h),
+        Delta_phi = (a_L - a_R)(F[m+1]/F[m] + (F[m-1]/F[m]) C/A) / (2h).
+
+    Both brackets are positive where F > 0 and C/A > 0, and their ratio is
+    1 + O(h^2), so the mismatch needs no factor.
+    """
+    for val in (*left, *right):
         if not math.isfinite(val):
             raise NonFiniteValue("non-finite samples at the match node")
-    if phi_l[1] == 0.0 or phi_r[1] == 0.0:
+    if left[1] == 0.0 or right[1] == 0.0:
         return math.inf
-    d_left = (phi_l[2] - phi_l[0]) / (2.0 * h * phi_l[1])
-    d_right = (phi_r[2] - phi_r[0]) / (2.0 * h * phi_r[1])
+    d_left = (left[2] - left[0]) / (2.0 * h * left[1])
+    d_right = (right[2] - right[0]) / (2.0 * h * right[1])
     return d_left - d_right
 
 
@@ -492,11 +476,15 @@ class Workspace:
 
 
 def _mismatch_at_match(coeffs, grid, m, scheme, work=None) -> float:
-    """Delta = [phi'/phi]_left - [phi'/phi]_right at the match node m, without a sweep.
+    """Delta = [y'/y]_left - [y'/y]_right at the match node m, without a sweep.
 
-    Every array is a view of ``work`` (fresh if None): f and S (p0, p2, S), then
-    the product's space, 6n doubles in all (7n), whose start holds the weight
-    u until the product overwrites it.
+    y is chi (canonical) or phi (generalized), see :func:`_log_derivative_gap`.
+    Both schemes and potentials take the seeds (y[0], y[1]) = (0, 1) and
+    (y[n-1], y[n-2]) = (1, e^(h/2)): the inner scale cancels in the
+    log-derivative, and the outer ratio's O(h/b) error is suppressed by the
+    grid's decay margin. Every array is a view of ``work`` (fresh if None): f
+    and S (p0, p2, S), then the product's space, 6n doubles in all (7n), whose
+    start holds the weight u until the product overwrites it.
     """
     n = grid.n_points
     h = grid.step
@@ -514,9 +502,8 @@ def _mismatch_at_match(coeffs, grid, m, scheme, work=None) -> float:
         lower, upper, s = (space[i * n : (i + 1) * n - 2] for i in range(3))
         _generalized_p02(*basis[2:], u[:-2], u[2:], h, (lower, upper), s)
     _three_point_sum(u, h, s)
-    inner, outer = _boundary_seeds(coeffs, grid, scheme)
-    left, right = match_samples(lower, upper, s, m, (0.0, inner), outer, product)
-    return _log_derivative_gap(left, right, coeffs, grid, m, scheme)
+    left, right = match_samples(lower, upper, s, m, (0.0, 1.0), (1.0, math.exp(h / 2.0)), product)
+    return _log_derivative_gap(left, right, h)
 
 
 def _trial_setup(eta: float, config: PhysicalConfig, settings: SolverSettings):
@@ -782,8 +769,6 @@ def dimension_scan(
     in separate processes, merged in D order so the output matches a serial
     run.
     """
-    from .core import ELECTRON_MASS_EV
-
     d_lo, d_hi = d_range
     if d_lo > d_hi:
         raise ConfigError(f"empty dimension range {d_range!r}")
@@ -801,8 +786,10 @@ def dimension_scan(
 def eigenfunction(config: PhysicalConfig, settings: SolverSettings | None, eta_star: float) -> WaveSolution:
     """Stitched, unit-norm phi_+ at an accepted eigenvalue, with F and G.
 
-    The two propagations are joined at the match node (the right half is
-    rescaled to agree there), normalized to unit discrete L2 norm, and the
+    The two propagations are joined at the match node in the variable the
+    scheme propagates (the right half is rescaled to agree there), mapped
+    from chi to phi by the integrating factor under the canonical scheme,
+    normalized to unit discrete L2 norm, and the
     partner component phi_- is recovered from the first-order relation
 
         phi_- = -[phi_+' - (tau/rho^power - 1/2) phi_+] / (K/rho + tau'/rho^power),
@@ -818,17 +805,14 @@ def eigenfunction(config: PhysicalConfig, settings: SolverSettings | None, eta_s
     n = grid.n_points
     h = grid.step
     left, right = _propagate_halves(coeffs, grid, m, settings.scheme)
-    left = np.asarray(left)
-    right = np.asarray(right)
-    if settings.scheme is Scheme.CANONICAL:
-        factor = np.asarray(coeffs.integrating_factor_fn(nodes), dtype=float)
-        left = left * factor
-        right = right * factor
     if right[m] == 0.0:
         raise NonFiniteValue("right propagation vanishes at the match node", eta=eta_star)
     phi = np.empty(n)
     phi[: m + 1] = left[: m + 1]
-    phi[m:] = right[m:] * (left[m] / right[m])
+    phi[m:] = right[m:]
+    phi[m:] *= left[m] / right[m]
+    if settings.scheme is Scheme.CANONICAL:
+        phi *= coeffs.integrating_factor_fn(nodes)  # chi -> phi, once, on the stitched samples
     norm = discrete_l2_norm(phi, h)
     phi = phi / norm
     if phi[np.argmax(np.abs(phi))] < 0.0:

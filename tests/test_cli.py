@@ -229,6 +229,24 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+def test_config_file_bad_value_names_the_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("dimension = 3\n# comment\nscan-points = abc\n")
+    assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: scan-points:" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("flag", ["--grid-a", "--grid-b", "--grid-delta", "--root-tol",
+                                  "--mismatch-tol", "--mass"])
+def test_non_finite_flag_is_config_error(flag, capsys):
+    # these ran before: a "not found" verdict (exit 3), an integer conversion
+    # failure (exit 2), or epsilon = -inf eV (exit 0)
+    code = main(["solve", "--dimension", "3", "--ansatz", "1", "--scan-points", "50", flag, "inf"])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_threads_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("DIRAC_NUMEROV_THREADS", "2")
     out = tmp_path / "scan.json"

@@ -116,7 +116,7 @@ def test_d3_gauss_law_record_is_the_one_over_r_record(eta, ell):
     gauss, coulomb = records
     for record in records:
         assert record.c_const == 0.0 and record.lambda_d3 == 1.0 and record.singular_power == 1
-    assert gauss.indicial_exponent == coulomb.indicial_exponent
+    assert math.sqrt(gauss.gamma2) == math.sqrt(coulomb.gamma2)
     for name in ("tau", "turning_scale", "a_const"):
         a, b = getattr(gauss, name), getattr(coulomb, name)
         assert abs(a - b) <= 4 * math.ulp(b), name

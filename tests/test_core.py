@@ -24,7 +24,8 @@ def test_k_value_branches():
 
 
 @pytest.mark.parametrize("bad", [dict(dimension=1), dict(dimension=3, ell=-1),
-                                 dict(dimension=3, mass=0.0), dict(dimension=3, mass=-2.0)])
+                                 dict(dimension=3, mass=0.0), dict(dimension=3, mass=-2.0),
+                                 dict(dimension=3, mass=math.inf), dict(dimension=3, mass=math.nan)])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         PhysicalConfig(**bad)
@@ -51,6 +52,16 @@ def test_state_takes_the_configured_potential():
     gauss = dimensionless_state(PhysicalConfig(dimension=5, ansatz=Ansatz.GENERALIZED), eta)
     assert gauss.a_const == 4.0 * gauss.xi and gauss.lambda_d3 == lam**2
     assert gauss.c_const > 0.0
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 0.99997, 1.0 - 1e-9, -0.7])
+def test_state_d4_gauss_law_takes_the_general_powers_exactly(eta, ell):
+    # lam^0 = 1 and lam^1 = lam exactly (C99 Annex F), so D = 4 needs no branch of its own
+    state = dimensionless_state(PhysicalConfig(dimension=4, ell=ell, ansatz=Ansatz.GENERALIZED), eta)
+    assert state.tau_prime == state.a_const
+    assert state.c_const == state.k_value
+    assert state.lambda_d3 == state.lambda_
 
 
 def test_state_d5_against_closed_formulas():
@@ -175,7 +186,7 @@ def test_discrete_l2_norm_values():
 
 DELETED_NAMES = (
     "DimensionlessState", "Direction", "NO_TURNING_POINT", "NoTurningPoint", "PropagationResult",
-    "_maybe_scalar", "canonical_step", "coefficient_set", "coefficient_set_ansatz1",
+    "_boundary_seeds", "_maybe_scalar", "canonical_step", "coefficient_set", "coefficient_set_ansatz1",
     "generalized_step", "mismatch", "potential_energy", "propagate", "rho_of_r",
 )
 
@@ -193,6 +204,8 @@ def test_public_surface_resolves_without_deleted_names():
     assert not hasattr(coefficients, "_BRANCHES") and not hasattr(numerov, "_generalized_p012")
     assert "weight_fn" not in coefficients.CoefficientSet.__dataclass_fields__
     assert "branch" not in coefficients.CoefficientSet.__dataclass_fields__
+    # no production code needs the small-rho exponent; a test takes sqrt(gamma2)
+    assert not hasattr(coefficients.CoefficientSet, "indicial_exponent")
     # the record holds only scalars; the fields and the factor are its methods
     for name in ("fields_fn", "integrating_factor_fn"):
         assert name not in coefficients.CoefficientSet.__dataclass_fields__

@@ -89,7 +89,7 @@ def test_generalized_step_d3_ground_state_smooth_region():
     # seeding the closed-form phi_+ at rho = 1 must track it to rho = 5
     # within 1e-8 at delta = 1e-3 (second-order transport, small error constant)
     coeffs, state = d3_ground_coeffs()
-    gamma = coeffs.indicial_exponent
+    gamma = math.sqrt(coeffs.gamma2)
     h = 1e-3
     n = int(round(5.0 / h)) + 1
     rho = np.linspace(1.0, 6.0, n)
@@ -127,7 +127,7 @@ def test_schemes_agree_on_d3_ground_state():
     # both schemes transported from identical smooth-region seeds agree on
     # phi to 1e-7 (the canonical path is the reference)
     coeffs, state = d3_ground_coeffs()
-    gamma = coeffs.indicial_exponent
+    gamma = math.sqrt(coeffs.gamma2)
     grid = RadialGrid(rho_min=1.0, rho_max=6.0, n_points=5001)
     h = grid.step
     rho = grid.nodes()
@@ -188,13 +188,15 @@ def _d3_halves(grid, m, eta=None):
 
 
 def test_propagate_power_law_branch_small_rho():
-    # from seeds (0, delta^gamma) the left sweep must follow the regular
+    # from the chi seeds (0, 1) the left sweep must follow the regular
     # power-law branch; the bound applies where the solution's sub-leading
     # factor exp(-rho/2) deviates from 1 by less than the 1% tolerance
     grid = RadialGrid(rho_min=1e-6, rho_max=2.0, n_points=20001)
     coeffs, left, _ = _d3_halves(grid, 200)
-    gamma = coeffs.indicial_exponent
-    assert left[1] == pytest.approx(grid.step**gamma, rel=1e-15)
+    chi_left, chi_right = _propagate_halves(coeffs, grid, 200, Scheme.CANONICAL)
+    assert chi_left[:2] == [0.0, 1.0]
+    assert chi_right[-2:] == [math.exp(grid.step / 2.0), 1.0]
+    gamma = math.sqrt(coeffs.gamma2)
     rho = grid.nodes()
     window = slice(10, 170)  # rho in [1e-3, 1.7e-2]
     scale = left[10] / rho[10] ** gamma
@@ -232,9 +234,9 @@ def test_log_derivative_scale_invariance(scheme):
     m = _match_index(coeffs, grid, 3)
     left, right = _propagate_halves(coeffs, grid, m, scheme)
     left, right = left[m - 1 : m + 2], right[m - 1 : m + 2]
-    before = _log_derivative_gap(left, right, coeffs, grid, m, scheme)
+    before = _log_derivative_gap(left, right, grid.step)
     after = _log_derivative_gap([y * 2.0**520 for y in left], [y * 2.0**-300 for y in right],
-                                coeffs, grid, m, scheme)
+                                grid.step)
     assert math.isfinite(before) and before == after
 
 

@@ -702,11 +702,27 @@ def _allocating_mismatch(coeffs, grid, m, scheme):
         lower = 1.0 - p * h / 2.0 + (u[:-2] + p_prime) * h2_12
         upper = 1.0 + p * h / 2.0 + (u[2:] + p_prime) * h2_12
     s = h2_12 * (u[:-2] + 10.0 * u[1:-1] + u[2:])
-    inner, outer = solver._boundary_seeds(coeffs, grid, scheme)
     with mock.patch.object(numerov, "_transfer_product",
                            lambda lower, upper, s, space: _allocating_transfer_product(lower, upper, s)):
-        left, right = numerov.match_samples(lower, upper, s, m, (0.0, inner), outer)
-    return _log_derivative_gap(left, right, coeffs, grid, m, scheme)
+        left, right = numerov.match_samples(lower, upper, s, m, (0.0, 1.0), (1.0, math.exp(h / 2.0)))
+    return _log_derivative_gap(left, right, h)
+
+
+def test_swept_trials_never_evaluate_the_integrating_factor(monkeypatch):
+    # the canonical scheme matches in chi, the variable it propagates: the
+    # factor maps only the exported eigenfunction back to phi
+    calls = []
+    original = coefficients.CoefficientSet.integrating_factor_fn
+    monkeypatch.setattr(coefficients.CoefficientSet, "integrating_factor_fn",
+                        lambda self, rho: calls.append(rho) or original(self, rho))
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
+    settings = SolverSettings(scheme=Scheme.CANONICAL)
+    result = solve_ground_state(config, settings)
+    assert result.found
+    assert sum(1 for _, delta in result.scan_trace if delta is not None) > 0
+    assert calls == []
+    eigenfunction(config, settings, result.eta_star)
+    assert len(calls) == 1 and np.ndim(calls[0]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +738,7 @@ def _product_and_sweep_mismatch(eta, config, settings):
     m = _match_index(coeffs, grid, settings.min_island_nodes)
     assert m is not None, eta
     left, right = _propagate_halves(coeffs, grid, m, settings.scheme)
-    sweep = _log_derivative_gap(left[m - 1 : m + 2], right[m - 1 : m + 2],
-                                coeffs, grid, m, settings.scheme)
+    sweep = _log_derivative_gap(left[m - 1 : m + 2], right[m - 1 : m + 2], grid.step)
     return _mismatch_at_match(coeffs, grid, m, settings.scheme), sweep, right
 
 
@@ -872,6 +887,16 @@ def test_solver_settings_validation():
         SolverSettings(scan_points=1)
     with pytest.raises(ConfigError):
         SolverSettings(grid_delta=-1.0)
+
+
+@pytest.mark.parametrize("field", ["grid_a", "grid_b", "grid_b_scale", "grid_delta", "root_tol",
+                                   "mismatch_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_solver_settings_rejects_a_non_finite_value(field, value):
+    # an infinite step or cutoff used to run and report "not found" or an
+    # integer conversion failure; an infinite tolerance accepted any sign change
+    with pytest.raises(ConfigError, match=field):
+        SolverSettings(**{field: value})
 
 
 @pytest.mark.parametrize("scheme", ["canonical", "generalized", None, 0])
