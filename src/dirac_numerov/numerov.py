@@ -13,6 +13,7 @@ Two interchangeable discretizations are provided:
   coincides with classical Numerov); with a first-derivative term present its
   truncation error degrades to second order. ``scheme_report`` measures this
   empirically, including the transcription-ambiguous sign of the p'/5 term.
+  p1 enters only through p0 + p2 - p1, from which p' cancels (see S below).
 
 * ``Scheme.CANONICAL`` -- classical Numerov on the first-derivative-free form
   chi'' + W chi = 0, W = w - p^2/4 - p'/2, with phi = factor * chi through the
@@ -59,9 +60,16 @@ Every level, with its scratch, is written with ``out=`` into one flat
 trials pass one workspace, so they allocate no grid-sized array.
 
 Only ``solver.eigenfunction`` and ``scheme_report`` need every node; they
-use the sequential sweeps below, which visit the nodes one by one. They
-renormalize magnitudes beyond 1e100 by an exact power of two, applied
-retroactively so the stored samples remain one globally-scaled solution.
+use the sequential sweeps below, which visit the nodes one by one. The
+sweeps step the product's own A, C and S in the same difference form,
+
+    C_i (y[i+1] - y[i]) = A_i (y[i] - y[i-1]) - S_i y[i]     (outward),
+    A_i (y[i-1] - y[i]) = C_i (y[i] - y[i+1]) - S_i y[i]     (inward),
+
+so B = 12 - 10f and p1 are never formed, and a sweep's samples at the match
+nodes are the product's to rounding. They renormalize magnitudes beyond
+1e100 by an exact power of two, applied retroactively so the stored samples
+remain one globally-scaled solution.
 """
 
 from __future__ import annotations
@@ -87,8 +95,14 @@ class Scheme(Enum):
 # step coefficients
 
 
-def _generalized_p02(half_step, p_prime, w_prev, w_next, delta, out=(None, None), scratch=None):
-    """The outer step coefficients p0 and p2 (the transfer product needs no p1).
+def _canonical_factors(weight_values, delta, out=None):
+    """f = 1 + (delta^2/12) W, into ``out`` when given: A = f[i-1] and C = f[i+1] at node i."""
+    f = np.multiply(delta * delta / 12.0, np.asarray(weight_values, dtype=float), out=out)
+    return np.add(1.0, f, out=f)
+
+
+def _generalized_arrays(half_step, p_prime, w_prev, w_next, delta, out=(None, None), scratch=None):
+    """The outer step coefficients p0 and p2 (the recurrence never needs p1).
 
     p0 = (1 - p delta/2) + (w_prev + p') delta^2/12, p2 likewise with + and
     w_next, from ``half_step`` = p delta/2; into ``out``, via ``scratch``.
@@ -101,80 +115,6 @@ def _generalized_p02(half_step, p_prime, w_prev, w_next, delta, out=(None, None)
     return p0, p2
 
 
-# ---------------------------------------------------------------------------
-# tight sweep loops (python lists; numpy scalar indexing is several times
-# slower inside a per-node loop)
-
-
-def _sweep(prev, here, nxt, values, start, stop, step):
-    """Fill values[start+step .. stop]: y[i+step] = (here_i y_i - prev_i y[i-step]) / nxt_i.
-
-    values[start - step] and values[start] seed it. A sample past the threshold
-    rescales the part already filled: the samples stay one scaled solution.
-    """
-    y0 = values[start - step]
-    y1 = values[start]
-    overflowed = False
-    rescales = 0
-    try:
-        for i in range(start, stop, step):
-            y2 = (here[i] * y1 - prev[i] * y0) / nxt[i]
-            if y2 > RESCALE_THRESHOLD or y2 < -RESCALE_THRESHOLD:
-                overflowed = True
-                rescales += 1
-                y1 *= _RESCALE_FACTOR
-                y2 *= _RESCALE_FACTOR
-                for j in range(i + 1) if step > 0 else range(i, len(values)):
-                    values[j] *= _RESCALE_FACTOR
-            values[i + step] = y2
-            y0, y1 = y1, y2
-    except ZeroDivisionError:
-        raise SingularCoefficient(f"the step from node {i} divides by zero") from None
-    return overflowed, rescales
-
-
-def _numerov_sweep_lr(f, values, start, stop):
-    """Fill values[start+1 .. stop] with y[i+1] = ((12-10 f_i) y_i - f_{i-1} y_{i-1}) / f_{i+1}."""
-    below, above = [0.0] + f[:-1], f[1:] + [0.0]
-    return _sweep(below, [12.0 - 10.0 * v for v in f], above, values, start, stop, 1)
-
-
-def _numerov_sweep_rl(f, values, start, stop):
-    """Fill values[start-1 .. stop] with y[i-1] = ((12-10 f_i) y_i - f_{i+1} y_{i+1}) / f_{i-1}."""
-    below, above = [0.0] + f[:-1], f[1:] + [0.0]
-    return _sweep(above, [12.0 - 10.0 * v for v in f], below, values, start, stop, -1)
-
-
-def _general_sweep_lr(p0, p1, p2, values, start, stop):
-    """Fill values[start+1 .. stop] with y[i+1] = (p1_i y_i - p0_i y_{i-1}) / p2_i."""
-    return _sweep(p0, p1, p2, values, start, stop, 1)
-
-
-def _general_sweep_rl(p0, p1, p2, values, start, stop):
-    """Fill values[start-1 .. stop] with y[i-1] = (p1_i y_i - p2_i y_{i+1}) / p0_i."""
-    return _sweep(p2, p1, p0, values, start, stop, -1)
-
-
-def _canonical_factors(weight_values, delta, out=None):
-    """f = 1 + (delta^2/12) W, into ``out`` when given."""
-    f = np.multiply(delta * delta / 12.0, np.asarray(weight_values, dtype=float), out=out)
-    return np.add(1.0, f, out=f)
-
-
-def _generalized_arrays(p, p_prime, w, delta):
-    """Vectorized p0/p1/p2 over all nodes (edge entries are fillers, never stepped from)."""
-    p, p_prime, w = (np.asarray(x, dtype=float) for x in (p, p_prime, w))
-    w_prev = np.concatenate(([w[0]], w[:-1]))
-    w_next = np.concatenate((w[1:], [w[-1]]))
-    p0, p2 = _generalized_p02(p * delta / 2.0, p_prime, w_prev, w_next, delta)
-    p1 = 2.0 * (1.0 - (w - p_prime / 5.0) * 5.0 * (delta * delta / 12.0))
-    return p0, p1, p2
-
-
-# ---------------------------------------------------------------------------
-# match-node samples from a tree-reduced product of transfer matrices
-
-
 def _three_point_sum(u, delta, out=None):
     """S_i = (delta^2/12) (u[i-1] + 10 u[i] + u[i+1]) at the interior nodes 1..n-2, into ``out``."""
     u = np.asarray(u, dtype=float)
@@ -182,6 +122,63 @@ def _three_point_sum(u, delta, out=None):
     np.add(u[:-2], s, out=s)
     np.add(s, u[2:], out=s)
     return np.multiply(delta * delta / 12.0, s, out=s)
+
+
+# ---------------------------------------------------------------------------
+# tight sweep loops (memoryviews of the step arrays: numpy scalar indexing is
+# several times slower inside a per-node loop, and a list copy costs memory)
+
+
+def _sweep(behind, ahead, s, values, start, stop, step):
+    """Fill values[start+step .. stop] from ahead_i d[i+step] = behind_i d[i] - S_i y[i].
+
+    d[i] = y[i] - y[i-step] is the difference toward the node stepped from;
+    ``behind``, ``ahead`` and ``s`` hold the coefficients at the interior
+    nodes (array index = node - 1). values[start - step] and values[start]
+    seed it. A sample past the threshold rescales the part already filled:
+    the samples stay one scaled solution.
+    """
+    behind, ahead, s = memoryview(behind), memoryview(ahead), memoryview(s)
+    y = values[start]
+    d = y - values[start - step]
+    overflowed = False
+    rescales = 0
+    try:
+        for i in range(start, stop, step):
+            j = i - 1
+            d = (behind[j] * d - s[j] * y) / ahead[j]
+            y += d
+            if y > RESCALE_THRESHOLD or y < -RESCALE_THRESHOLD:
+                overflowed = True
+                rescales += 1
+                y *= _RESCALE_FACTOR
+                d *= _RESCALE_FACTOR
+                for k in range(i + 1) if step > 0 else range(i, len(values)):
+                    values[k] *= _RESCALE_FACTOR
+            values[i + step] = y
+    except ZeroDivisionError:
+        raise SingularCoefficient(f"the step from node {i} divides by zero") from None
+    return overflowed, rescales
+
+
+def _numerov_sweep_lr(lower, upper, s, values, start, stop):
+    """Fill values[start+1 .. stop] with C_i (y[i+1] - y[i]) = A_i (y[i] - y[i-1]) - S_i y[i]."""
+    return _sweep(lower, upper, s, values, start, stop, 1)
+
+
+def _numerov_sweep_rl(lower, upper, s, values, start, stop):
+    """Fill values[start-1 .. stop] with A_i (y[i-1] - y[i]) = C_i (y[i] - y[i+1]) - S_i y[i]."""
+    return _sweep(upper, lower, s, values, start, stop, -1)
+
+
+# one recurrence for both schemes; the generalized names stay so that
+# bench/tracing.py can time each scheme's sweeps apart
+_general_sweep_lr = _numerov_sweep_lr
+_general_sweep_rl = _numerov_sweep_rl
+
+
+# ---------------------------------------------------------------------------
+# match-node samples from a tree-reduced product of transfer matrices
 
 
 def _first_level(lower, upper, s, out, scratch):
@@ -335,7 +332,7 @@ def scheme_report() -> dict:
 
     The agreement gate uses the production-like structure
     y'' + y'/rho + [-1/4 + (3/2)/rho - 1/rho^2] y = 0 with exact solution
-    rho exp(-rho/2), transported across [1, 14] at h = 1e-3: unlike the
+    rho exp(-rho/2), transported across [1, 6] at h = 1e-3: unlike the
     Gaussian test, its subdominant partner grows only like exp(+rho/2), so
     decaying transport is well conditioned there.
 
@@ -345,28 +342,35 @@ def scheme_report() -> dict:
     """
     steps = [0.08, 0.04, 0.02, 0.01]
 
+    def canonical(weight, h):
+        f = _canonical_factors(weight, h)
+        return f[:-2], f[2:], _three_point_sum(weight, h)
+
+    def generalized(p, p_prime, w, h):
+        lower, upper = _generalized_arrays(p[1:-1] * h / 2.0, p_prime[1:-1], w[:-2], w[2:], h)
+        return lower, upper, _three_point_sum(w, h)
+
+    def outward(seeds, lower, upper, s):
+        values = [float(seeds[0]), float(seeds[1])] + [0.0] * s.shape[0]
+        _numerov_sweep_lr(lower, upper, s, values, 1, len(values) - 1)
+        return np.asarray(values)
+
     def gaussian_case(h, which):
         a, b = 0.2, 2.2
         n = int(round((b - a) / h)) + 1
         x = np.linspace(a, b, n)
         exact = np.exp(-x * x / 2.0)
-        values = [0.0] * n
-        values[0], values[1] = float(exact[0]), float(exact[1])
         if which == "canonical":
-            f = _canonical_factors(1.0 - x * x, h).tolist()
-            _numerov_sweep_lr(f, values, 1, n - 1)
+            arrays = canonical(1.0 - x * x, h)
         else:
-            p = 1.0 / x
-            pp = -1.0 / (x * x)
-            w = 2.0 - x * x
-            p0, p1g, p2 = _generalized_arrays(p, pp, w, h)
+            p_prime = -1.0 / (x * x)
+            lower, upper, s = generalized(1.0 / x, p_prime, 2.0 - x * x, h)
             if which == "generalized_flipped":
-                # flip only the p'/5 correction inside p1
-                _, p1g, _ = _generalized_arrays(p, -pp, w, h)
-            p0, p1g, p2 = p0.tolist(), p1g.tolist(), p2.tolist()
-            _general_sweep_lr(p0, p1g, p2, values, 1, n - 1)
-        y = np.asarray(values)
-        return float(np.max(np.abs(y - exact)))
+                # flipping the p'/5 correction inside p1 adds h^2 p'/3 to
+                # S = p0 + p2 - p1, from which p' otherwise cancels
+                s = s + h * h * p_prime[1:-1] / 3.0
+            arrays = lower, upper, s
+        return float(np.max(np.abs(outward(exact[:2], *arrays) - exact)))
 
     orders = {}
     errors = {}
@@ -375,30 +379,13 @@ def scheme_report() -> dict:
         errors[which] = errs
         orders[which] = measured_order(errs)
 
-    def coulomb_case(which):
-        h = 1e-3
-        a, b = 1.0, 6.0
-        n = int(round((b - a) / h)) + 1
-        x = np.linspace(a, b, n)
-        exact = x * np.exp(-x / 2.0)
-        values = [0.0] * n
-        values[0], values[1] = float(exact[0]), float(exact[1])
-        p = 1.0 / x
-        pp = -1.0 / (x * x)
-        w = -0.25 + 1.5 / x - 1.0 / (x * x)
-        if which == "canonical":
-            f = _canonical_factors(w + 0.25 / (x * x), h).tolist()  # W = w + 1/(4 rho^2)
-            chi = [0.0] * n
-            chi[0] = values[0] * math.sqrt(x[0])
-            chi[1] = values[1] * math.sqrt(x[1])
-            _numerov_sweep_lr(f, chi, 1, n - 1)
-            return np.asarray(chi) / np.sqrt(x), exact
-        p0, p1g, p2 = _generalized_arrays(p, pp, w, h)
-        _general_sweep_lr(p0.tolist(), p1g.tolist(), p2.tolist(), values, 1, n - 1)
-        return np.asarray(values), exact
-
-    y_gen, exact = coulomb_case("generalized")
-    y_can, _ = coulomb_case("canonical")
+    h = 1e-3
+    x = np.linspace(1.0, 6.0, int(round(5.0 / h)) + 1)
+    exact = x * np.exp(-x / 2.0)
+    w = -0.25 + 1.5 / x - 1.0 / (x * x)
+    y_gen = outward(exact[:2], *generalized(1.0 / x, -1.0 / (x * x), w, h))
+    root = np.sqrt(x)  # chi = sqrt(rho) phi solves chi'' + W chi = 0, W = w + 1/(4 rho^2)
+    y_can = outward(exact[:2] * root[:2], *canonical(w + 0.25 / (x * x), h)) / root
     agreement = float(np.max(np.abs(y_gen - y_can) / np.abs(exact)))
 
     lines = [

@@ -34,11 +34,13 @@ solver
    The two solutions are needed only at nodes m-1, m, m+1, so
    :func:`numerov.match_samples` obtains them from a tree-reduced product
    of the recurrence's 2x2 transfer matrices instead of a node-by-node
-   sweep (only :func:`eigenfunction`, which needs every node, sweeps). The
-   weight is u = (tau - U)/g for both potentials and both schemes, from tau
-   and two energy-independent arrays cached per grid (:func:`_field_basis`),
-   not the coefficient fields, and every grid-sized array of the trial goes
-   with ``out=`` into the solve's reused :class:`Workspace`,
+   sweep. The recurrence's step arrays A, C and S are built in one place,
+   :func:`_step_arrays`, from the weight u = (tau - U)/g, for both
+   potentials and both schemes, from tau and two energy-independent arrays
+   cached per grid (:func:`_field_basis`), not the coefficient fields. Only
+   :func:`eigenfunction`, which needs every node, sweeps, and it steps the
+   same arrays. Every grid-sized array of the trial goes with ``out=`` into
+   the solve's reused :class:`Workspace`,
 4. bisects every sign change of Delta, accepting a root only when the final
    |Delta| passes the mismatch tolerance (log-derivative poles also flip the
    sign but never pass).
@@ -81,7 +83,6 @@ from .numerov import (
     _general_sweep_lr,
     _general_sweep_rl,
     _generalized_arrays,
-    _generalized_p02,
     _numerov_sweep_lr,
     _numerov_sweep_rl,
     _three_point_sum,
@@ -126,16 +127,16 @@ class SolverSettings:
                 f"eta_window must satisfy 0 < lo < hi < 1, got {self.eta_window!r} "
                 "(negative-energy searches are out of scope)"
             )
-        if self.scan_points < 2:
-            raise ConfigError(f"scan_points must be >= 2, got {self.scan_points}")
+        for name, low in (("scan_points", 2), ("min_island_nodes", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("root_tol", "mismatch_tol", "grid_a", "grid_delta", "grid_b_scale"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.grid_b is not None and not (self.grid_a < self.grid_b < math.inf):
             raise ConfigError(f"grid_b must be finite and exceed grid_a, got {self.grid_b!r}")
-        if self.min_island_nodes < 1:
-            raise ConfigError("min_island_nodes must be >= 1")
         if not isinstance(self.scheme, Scheme):
             raise ConfigError(f"scheme must be a Scheme member, got {self.scheme!r}")
 
@@ -397,9 +398,42 @@ def _weight_basis(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
                                                    coeffs.c_const, coeffs.lambda_d3))
 
 
-def _trial_weight(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme, out=None):
-    """u = (tau - U)/g on the nodes from :func:`_weight_basis`, into ``out``: W (canonical) or w."""
-    return _weight(coeffs.tau, *_weight_basis(coeffs, grid, scheme)[:2], out)
+def _step_arrays(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme, work: Workspace, tail: int):
+    """(A, C, S, rest): the trial's recurrence at the interior nodes 1..n-2, views of ``work``.
+
+    A y[i-1] = (A - S + C) y[i] - C y[i+1] with A = f[i-1], C = f[i+1]
+    (canonical) or p0, p2 (generalized), and S = (h^2/12)(u[i-1] + 10 u[i] +
+    u[i+1]) from the weight u = (tau - U)/g of :func:`_weight_basis`. ``work``
+    holds f and S (p0, p2 and S), then ``rest``, ``tail`` >= n doubles, whose
+    first n hold u while the arrays are formed. The mismatch's product and the
+    eigenfunction's sweeps both take their arrays here.
+    """
+    n = grid.n_points
+    h = grid.step
+    rows = 2 if scheme is Scheme.CANONICAL else 3
+    space = work.take(rows * n + tail)
+    rest = space[rows * n :]
+    u = rest[:n]
+    basis = _weight_basis(coeffs, grid, scheme)
+    _weight(coeffs.tau, *basis[:2], u)
+    if scheme is Scheme.CANONICAL:
+        f, s = space[:n], space[n : 2 * n - 2]
+        _canonical_factors(u, h, f)
+        lower, upper = f[:-2], f[2:]
+    else:
+        lower, upper, s = (space[i * n : (i + 1) * n - 2] for i in range(3))
+        _generalized_arrays(*basis[2:], u[:-2], u[2:], h, (lower, upper), s)
+    _three_point_sum(u, h, s)
+    return lower, upper, s, rest
+
+
+def _seeds(h: float):
+    """(y[0], y[1]) = (0, 1) and (y[n-1], y[n-2]) = (1, e^(h/2)), the seeds of both propagations.
+
+    The inner scale cancels in the log-derivative, and the outer ratio's
+    O(h/b) error is suppressed by the grid's decay margin.
+    """
+    return (0.0, 1.0), (1.0, math.exp(h / 2.0))
 
 
 def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
@@ -408,29 +442,21 @@ def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: 
     Returns (left, right) python lists: left holds nodes 0..m+1, right holds
     nodes m-1..N-1 (entries outside each range are zero fillers). Values are
     chi samples under the canonical scheme and phi samples under the
-    generalized one, seeded as :func:`_mismatch_at_match` seeds them. Only
-    :func:`eigenfunction` needs every node; the mismatch uses
-    :func:`numerov.match_samples`.
+    generalized one, from :func:`_seeds`, and the sweeps step the
+    :func:`_step_arrays` recurrence that :func:`_mismatch_at_match`
+    multiplies. Only :func:`eigenfunction` needs every node.
     """
-    nodes = grid.nodes()
     n = grid.n_points
-    h = grid.step
-    left = [0.0] * n
-    left[1] = 1.0
-    right = [0.0] * n
-    right[n - 1], right[n - 2] = 1.0, math.exp(h / 2.0)
-
+    lower, upper, s, _ = _step_arrays(coeffs, grid, scheme, Workspace(), n)
+    inner, outer = _seeds(grid.step)
+    left = [*inner] + [0.0] * (n - 2)
+    right = [0.0] * (n - 2) + [outer[1], outer[0]]
     if scheme is Scheme.CANONICAL:
-        f = _canonical_factors(_trial_weight(coeffs, grid, scheme), h).tolist()
-        _numerov_sweep_lr(f, left, 1, m + 1)
-        _numerov_sweep_rl(f, right, n - 2, m - 1)
+        _numerov_sweep_lr(lower, upper, s, left, 1, m + 1)
+        _numerov_sweep_rl(lower, upper, s, right, n - 2, m - 1)
     else:
-        fields = coeffs.fields_fn(nodes)
-        p0, p1, p2 = _generalized_arrays(fields["p"], fields["p_prime"], fields["w"], h)
-        del fields  # not held while the sweeps run
-        p0, p1, p2 = p0.tolist(), p1.tolist(), p2.tolist()
-        _general_sweep_lr(p0, p1, p2, left, 1, m + 1)
-        _general_sweep_rl(p0, p1, p2, right, n - 2, m - 1)
+        _general_sweep_lr(lower, upper, s, left, 1, m + 1)
+        _general_sweep_rl(lower, upper, s, right, n - 2, m - 1)
     return left, right
 
 
@@ -478,31 +504,15 @@ class Workspace:
 def _mismatch_at_match(coeffs, grid, m, scheme, work=None) -> float:
     """Delta = [y'/y]_left - [y'/y]_right at the match node m, without a sweep.
 
-    y is chi (canonical) or phi (generalized), see :func:`_log_derivative_gap`.
-    Both schemes and potentials take the seeds (y[0], y[1]) = (0, 1) and
-    (y[n-1], y[n-2]) = (1, e^(h/2)): the inner scale cancels in the
-    log-derivative, and the outer ratio's O(h/b) error is suppressed by the
-    grid's decay margin. Every array is a view of ``work`` (fresh if None): f
-    and S (p0, p2, S), then the product's space, 6n doubles in all (7n), whose
-    start holds the weight u until the product overwrites it.
+    y is chi (canonical) or phi (generalized), see :func:`_log_derivative_gap`,
+    propagated from :func:`_seeds`. Every array is a view of ``work`` (fresh
+    if None): the :func:`_step_arrays` rows, then the product's space, 6n
+    doubles in all (7n generalized).
     """
-    n = grid.n_points
     h = grid.step
-    rows = 2 if scheme is Scheme.CANONICAL else 3
-    space = (work or Workspace()).take(rows * n + product_space(n - 2))
-    product = space[rows * n :]
-    u = product[:n]
-    basis = _weight_basis(coeffs, grid, scheme)
-    _weight(coeffs.tau, *basis[:2], u)
-    if scheme is Scheme.CANONICAL:
-        f, s = space[:n], space[n : 2 * n - 2]
-        _canonical_factors(u, h, f)
-        lower, upper = f[:-2], f[2:]
-    else:
-        lower, upper, s = (space[i * n : (i + 1) * n - 2] for i in range(3))
-        _generalized_p02(*basis[2:], u[:-2], u[2:], h, (lower, upper), s)
-    _three_point_sum(u, h, s)
-    left, right = match_samples(lower, upper, s, m, (0.0, 1.0), (1.0, math.exp(h / 2.0)), product)
+    lower, upper, s, product = _step_arrays(coeffs, grid, scheme, work or Workspace(),
+                                            product_space(grid.n_points - 2))
+    left, right = match_samples(lower, upper, s, m, *_seeds(h), product)
     return _log_derivative_gap(left, right, h)
 
 

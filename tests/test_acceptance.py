@@ -22,7 +22,7 @@ from dirac_numerov import (
     scheme_report,
     solve_ground_state,
 )
-from dirac_numerov.numerov import Scheme, _canonical_factors, _numerov_sweep_lr
+from dirac_numerov.numerov import Scheme, _canonical_factors, _numerov_sweep_lr, _three_point_sum
 
 # published 15-digit closed-form energy ratios and rounded binding energies
 # (eV) for the 1/r problem, D = 3..9, l = 0
@@ -140,8 +140,8 @@ def test_criterion_6_fourth_order_signature():
         exact = np.exp(-x * x / 2.0)
         buf = [0.0] * n
         buf[0], buf[1] = float(exact[0]), float(exact[1])
-        f = _canonical_factors(1.0 - x * x, h).tolist()
-        _numerov_sweep_lr(f, buf, 1, n - 1)
+        f = _canonical_factors(1.0 - x * x, h)
+        _numerov_sweep_lr(f[:-2], f[2:], _three_point_sum(1.0 - x * x, h), buf, 1, n - 1)
         return float(np.max(np.abs(np.asarray(buf) - exact)))
 
     errors = [run(h) for h in (0.08, 0.04, 0.02, 0.01)]

@@ -14,10 +14,11 @@ from dirac_numerov import (
     coupling_xi,
     dimensionless_state,
 )
+from dirac_numerov.coefficients import _weight
 from dirac_numerov.core import FINE_STRUCTURE_CONSTANT as ALPHA
 from dirac_numerov.errors import UnsupportedDimension
 from dirac_numerov.numerov import Scheme
-from dirac_numerov.solver import _trial_weight
+from dirac_numerov.solver import _weight_basis
 
 mpmath.mp.dps = 40
 
@@ -255,7 +256,8 @@ def test_canonical_weight_d3():
     grid = RadialGrid(rho_min=0.1, rho_max=30.0, n_points=100)
     rho = grid.nodes()
     expected = coeffs.fields_fn(rho)["w"] + 1.0 / (4.0 * rho**2)
-    assert np.max(np.abs(_trial_weight(coeffs, grid, Scheme.CANONICAL) - expected)) < 1e-14
+    weight = _weight(coeffs.tau, *_weight_basis(coeffs, grid, Scheme.CANONICAL)[:2])
+    assert np.max(np.abs(weight - expected)) < 1e-14
 
 
 @pytest.mark.parametrize("d,ansatz", [(3, Ansatz.ONE_OVER_R), (5, Ansatz.GENERALIZED),
@@ -278,7 +280,7 @@ def test_canonical_weight_matches_fd_p_prime():
     coeffs = build_coefficients(state, cfg)
     grid = RadialGrid(rho_min=0.8, rho_max=15.0, n_points=50)
     rho = grid.nodes()
-    exact = _trial_weight(coeffs, grid, Scheme.CANONICAL)
+    exact = _weight(coeffs.tau, *_weight_basis(coeffs, grid, Scheme.CANONICAL)[:2])
     errs = []
     for h in (1e-2, 1e-3):
         fd = (coeffs.fields_fn(rho + h)["p"] - coeffs.fields_fn(rho - h)["p"]) / (2.0 * h)

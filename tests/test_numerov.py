@@ -13,6 +13,7 @@ from dirac_numerov import (
 )
 from dirac_numerov.analytic import analytic_energy
 from dirac_numerov.errors import SingularCoefficient
+from dirac_numerov.coefficients import _weight
 from dirac_numerov.numerov import (
     Scheme,
     RESCALE_THRESHOLD,
@@ -28,7 +29,7 @@ from dirac_numerov.numerov import (
     product_space,
     scheme_report,
 )
-from dirac_numerov.solver import _log_derivative_gap, _match_index, _propagate_halves, _trial_weight
+from dirac_numerov.solver import _log_derivative_gap, _match_index, _propagate_halves, _weight_basis
 
 
 def d3_ground_coeffs():
@@ -40,19 +41,21 @@ def d3_ground_coeffs():
 
 def _general_sweep(p, p_prime, w, h, seeds):
     """Outward generalized sweep over every node from seeds at nodes 0 and 1."""
-    p0, p1, p2 = _generalized_arrays(p, p_prime, w, h)
-    n = p0.shape[0]
+    p, p_prime, w = (np.asarray(x, dtype=float) for x in (p, p_prime, w))
+    p0, p2 = _generalized_arrays(p[1:-1] * h / 2.0, p_prime[1:-1], w[:-2], w[2:], h)
+    n = w.shape[0]
     values = [float(seeds[0]), float(seeds[1])] + [0.0] * (n - 2)
-    overflowed, rescales = _general_sweep_lr(p0.tolist(), p1.tolist(), p2.tolist(), values, 1, n - 1)
+    overflowed, rescales = _general_sweep_lr(p0, p2, _three_point_sum(w, h), values, 1, n - 1)
     return np.asarray(values), overflowed, rescales
 
 
 def _numerov_sweep(weight, h, seeds):
     """Outward canonical sweep over every node from seeds at nodes 0 and 1."""
-    f = _canonical_factors(weight, h).tolist()
-    n = len(f)
+    f = _canonical_factors(weight, h)
+    n = f.shape[0]
     values = [float(seeds[0]), float(seeds[1])] + [0.0] * (n - 2)
-    overflowed, rescales = _numerov_sweep_lr(f, values, 1, n - 1)
+    overflowed, rescales = _numerov_sweep_lr(f[:-2], f[2:], _three_point_sum(weight, h), values,
+                                             1, n - 1)
     return np.asarray(values), overflowed, rescales
 
 
@@ -135,7 +138,7 @@ def test_schemes_agree_on_d3_ground_state():
     fields = coeffs.fields_fn(rho)
     gen, _, _ = _general_sweep(fields["p"], fields["p_prime"], fields["w"], h, exact[:2])
     factor = coeffs.integrating_factor_fn(rho)
-    weight = _trial_weight(coeffs, grid, Scheme.CANONICAL)
+    weight = _weight(coeffs.tau, *_weight_basis(coeffs, grid, Scheme.CANONICAL)[:2])
     chi, _, _ = _numerov_sweep(weight, h, exact[:2] / factor[:2])
     can = chi * factor
     rel = np.max(np.abs(gen - can) / np.abs(exact))
@@ -469,6 +472,56 @@ def test_match_samples_match_the_plain_recurrence(n):
             assert got[1] * expected[1] > 0.0
 
 
+def _sweep_both_ways(lower, upper, s, inner, outer):
+    """The outward and inward sweeps over every node, with their rescale counts."""
+    n = s.shape[0] + 2
+    left = [inner[0], inner[1]] + [0.0] * (n - 2)
+    _, left_rescales = _numerov_sweep_lr(lower, upper, s, left, 1, n - 1)
+    right = [0.0] * (n - 2) + [outer[1], outer[0]]
+    _, right_rescales = _numerov_sweep_rl(lower, upper, s, right, n - 2, 0)
+    return (np.asarray(left), left_rescales), (np.asarray(right), right_rescales)
+
+
+def _close_to_plain(got, expected, outward):
+    """Within 1e-12 of the plain samples, relative to the largest sample swept so far."""
+    scale = np.abs(expected) if outward else np.abs(expected[::-1])
+    scale = np.maximum.accumulate(scale)
+    if not outward:
+        scale = scale[::-1]
+    return np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_sweeps_match_the_plain_recurrence(n):
+    # the difference form steps the same recurrence as the plain three-term
+    # form, in both directions; the generalized names are the same sweeps
+    lower, upper, s = _random_recurrence(n, seed=1100 + n)
+    inner, outer = (0.0, 0.3), (1.0, 1.2)
+    left, right = _plain_recurrence(lower, upper, s, inner, outer)
+    (got_left, r_left), (got_right, r_right) = _sweep_both_ways(lower, upper, s, inner, outer)
+    assert r_left == r_right == 0
+    assert _close_to_plain(got_left, left, True)
+    assert _close_to_plain(got_right, right, False)
+    assert _general_sweep_lr is _numerov_sweep_lr
+
+
+@pytest.mark.parametrize("n", [10, 23, 40])
+def test_sweeps_match_the_plain_recurrence_across_a_rescale(n):
+    # a divisor of 1e-60 at two nodes of each direction carries the solution
+    # past 1e100, so each sweep rescales what it has filled by 2^-400: undone
+    # exactly, the samples are the plain recurrence's
+    lower, upper, s = _random_recurrence(n, seed=1200 + n)
+    upper[[1, 6]] = 1e-60   # the outward sweep divides by C
+    lower[[-2, -7]] = 1e-60  # the inward sweep by A
+    inner, outer = (0.0, 0.3), (1.0, 1.2)
+    left, right = _plain_recurrence(lower, upper, s, inner, outer)
+    assert np.abs(left).max() > 1e100 and np.abs(right).max() > 1e100
+    (got_left, r_left), (got_right, r_right) = _sweep_both_ways(lower, upper, s, inner, outer)
+    assert r_left >= 1 and r_right >= 1
+    assert _close_to_plain(np.ldexp(got_left, 400 * r_left), left, True)
+    assert _close_to_plain(np.ldexp(got_right, 400 * r_right), right, False)
+
+
 def test_match_samples_renormalize_past_the_float_range():
     # W = -1 on 200,001 nodes at h = 0.01: the inward solution grows by about
     # e^2000, so the product overflows unless its levels are renormalized; the
@@ -504,11 +557,10 @@ def test_match_samples_singular_coefficient_like_the_sweeps():
         s = _three_point_sum(weight, h)
 
         def sweeps():
-            fl = f.tolist()
             left = [0.0, 1.0] + [0.0] * (n - 2)
-            _numerov_sweep_lr(fl, left, 1, m + 1)
+            _numerov_sweep_lr(f[:-2], f[2:], s, left, 1, m + 1)
             right = [0.0] * (n - 2) + [1.0, 1.0]
-            _numerov_sweep_rl(fl, right, n - 2, m - 1)
+            _numerov_sweep_rl(f[:-2], f[2:], s, right, n - 2, m - 1)
 
         for run in (sweeps, lambda: match_samples(f[:-2], f[2:], s, m, (0.0, 1.0), (1.0, 1.0))):
             if raises:

@@ -43,8 +43,9 @@ from dirac_numerov.solver import (
     _propagate_halves,
     _scan_etas,
     _screen_islands,
+    _seeds,
+    _step_arrays,
     _trial_row,
-    _trial_weight,
     _weight_basis,
 )
 from test_numerov import _allocating_transfer_product
@@ -516,6 +517,11 @@ def _composed_weight(fields, tau, scheme):
     return (tau - potential) / fields["g"]
 
 
+def _basis_weight(coeffs, grid, scheme):
+    """u = (tau - U)/g on the nodes, from the basis the solver's step arrays take."""
+    return coefficients._weight(coeffs.tau, *_weight_basis(coeffs, grid, scheme)[:2])
+
+
 WEIGHT_CASES = ([(Ansatz.ONE_OVER_R, d) for d in range(3, 10)]
                 + [(Ansatz.GENERALIZED, d) for d in range(3, 11)])
 
@@ -535,7 +541,7 @@ def test_trial_weight_is_the_composition_of_the_fields(ansatz, dimension, scheme
         coeffs, _ = _coeffs_at(dimension, ansatz, eta)
         f = coeffs.fields_fn(nodes)
         tau = coeffs.tau
-        weight = _trial_weight(coeffs, grid, scheme)
+        weight = _basis_weight(coeffs, grid, scheme)
         assert np.array_equal(weight, _composed_weight(f, tau, scheme)), eta
         if scheme is Scheme.GENERALIZED:
             assert np.array_equal(weight, f["w"]), eta
@@ -557,25 +563,26 @@ def test_one_over_r_weight_from_the_cached_potential_is_the_fields_weight(dimens
     for eta in _scan_etas(settings.eta_window, 5):
         coeffs, _ = _coeffs_at(dimension, Ansatz.ONE_OVER_R, float(eta))
         grid = settings.resolve_grid(coeffs.turning_scale)
-        weight = _trial_weight(coeffs, grid, Scheme.CANONICAL)
+        weight = _basis_weight(coeffs, grid, Scheme.CANONICAL)
         fields = coeffs.fields_fn(grid.nodes())
         assert np.array_equal(weight, _composed_weight(fields, coeffs.tau, Scheme.CANONICAL))
 
 
 @pytest.mark.parametrize("ansatz", [Ansatz.ONE_OVER_R, Ansatz.GENERALIZED])
 def test_generalized_step_coefficients_without_p1_are_the_full_ones(ansatz):
-    # the mismatch forms only p0 and p2 at the interior nodes; they must be
-    # the recurrence's own, bit for bit
+    # the step arrays form only p0 and p2 at the interior nodes, from the
+    # cached basis; they must be those of the fields' p, p' and w, bit for bit
     coeffs, _ = _coeffs_at(3, ansatz, 0.99997)
     grid = SolverSettings().resolve_grid(coeffs.turning_scale)
     nodes = grid.nodes()
-    w = _trial_weight(coeffs, grid, Scheme.GENERALIZED)
+    w = _basis_weight(coeffs, grid, Scheme.GENERALIZED)
     half_step, p_prime = _weight_basis(coeffs, grid, Scheme.GENERALIZED)[2:]
-    lower, upper = numerov._generalized_p02(half_step, p_prime, w[:-2], w[2:], grid.step)
+    lower, upper = solver._generalized_arrays(half_step, p_prime, w[:-2], w[2:], grid.step)
     fields = coeffs.fields_fn(nodes)
-    p0, _, p2 = solver._generalized_arrays(fields["p"], fields["p_prime"], fields["w"], grid.step)
+    p0, p2 = solver._generalized_arrays(fields["p"][1:-1] * grid.step / 2.0, fields["p_prime"][1:-1],
+                                        fields["w"][:-2], fields["w"][2:], grid.step)
     assert np.array_equal(w, fields["w"])
-    assert np.array_equal(lower, p0[1:-1]) and np.array_equal(upper, p2[1:-1])
+    assert np.array_equal(lower, p0) and np.array_equal(upper, p2)
 
 
 def test_one_over_r_mismatch_does_not_evaluate_the_fields(monkeypatch):
@@ -794,6 +801,28 @@ def test_product_mismatch_matches_rescaled_sweep(solve_cached, scheme, grid_b, f
     assert abs(product - sweep) <= 1e-9 * max(1.0, abs(sweep)), (eta, product, sweep)
 
 
+@pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
+def test_sweep_samples_are_the_product_samples_on_a_long_island(scheme):
+    # at eta = 0.999999999 the D = 3 (1/r) grid has 700,001 nodes; the sweeps
+    # step the recurrence whose transfer matrices the mismatch multiplies, in
+    # the same difference form, so their samples at m-1, m, m+1 are the
+    # product's up to one positive scale (a sweep that formed B = 12 - 10f
+    # drifted from them by 3e-11 to 9e-11 relative here)
+    config = PhysicalConfig(dimension=3, ell=0, ansatz=Ansatz.ONE_OVER_R)
+    coeffs = build_coefficients(dimensionless_state(config, 0.999999999), config)
+    grid = SolverSettings().resolve_grid(coeffs.turning_scale)
+    assert grid.n_points == 700_001
+    m = _match_index(coeffs, grid, 3)
+    lower, upper, s, product = _step_arrays(coeffs, grid, scheme, solver.Workspace(),
+                                            numerov.product_space(grid.n_points - 2))
+    expected = numerov.match_samples(lower, upper, s, m, *_seeds(grid.step), product)
+    for swept, samples in zip(_propagate_halves(coeffs, grid, m, scheme), expected):
+        got, samples = np.asarray(swept[m - 1 : m + 2]), np.asarray(samples)
+        scale = samples[1] / got[1]
+        assert scale > 0.0
+        assert np.all(np.abs(got * scale - samples) <= 1e-12 * np.abs(samples)), (got, samples)
+
+
 # ---------------------------------------------------------------------------
 # ground-state search
 
@@ -887,6 +916,17 @@ def test_solver_settings_validation():
         SolverSettings(scan_points=1)
     with pytest.raises(ConfigError):
         SolverSettings(grid_delta=-1.0)
+
+
+@pytest.mark.parametrize("field,value", [("scan_points", 2.5), ("scan_points", 2000.0),
+                                         ("min_island_nodes", 2.5), ("min_island_nodes", 3.0),
+                                         ("min_island_nodes", True)])
+def test_solver_settings_rejects_a_count_that_is_not_an_integer(field, value):
+    # a float scan count used to be accepted and then fail the solve with a
+    # TypeError (reported as a numerical failure); a float or bool island
+    # width ran
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        SolverSettings(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["grid_a", "grid_b", "grid_b_scale", "grid_delta", "root_tol",
@@ -983,6 +1023,35 @@ def test_eigenfunction_satisfies_first_order_system(d3_wave):
     lhs = dminus + (tau / nodes[sl] - 0.5) * phi_minus[sl]
     rhs = -(state.k_value / nodes[sl] - tau_p / nodes[sl]) * wave.phi_plus[sl]
     assert np.max(np.abs(lhs - rhs)) < 5e-6
+
+
+SWEEP_NAMES = ("_numerov_sweep_lr", "_numerov_sweep_rl", "_general_sweep_lr", "_general_sweep_rl")
+
+
+@pytest.mark.parametrize("scheme,swept", [(Scheme.CANONICAL, SWEEP_NAMES[:2]),
+                                          (Scheme.GENERALIZED, SWEEP_NAMES[2:])])
+def test_eigenfunction_sweeps_its_scheme_once_each_way_without_fields(monkeypatch, solve_cached,
+                                                                      scheme, swept):
+    # the sweeps take the step arrays the mismatch takes, from the cached
+    # weight basis: the eigenfunction evaluates no coefficient field
+    result = solve_cached(3, Ansatz.ONE_OVER_R, scheme=scheme)
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
+    settings = SolverSettings(scheme=scheme)
+    expected = eigenfunction(config, settings, result.eta_star)
+    calls = []
+    for name in SWEEP_NAMES:
+        original = getattr(solver, name)
+        monkeypatch.setattr(solver, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+
+    def refuse(*args):
+        raise AssertionError("a coefficient field was evaluated")
+
+    monkeypatch.setattr(coefficients, "ansatz1_fields", refuse)
+    monkeypatch.setattr(coefficients, "general_fields", refuse)
+    wave = eigenfunction(config, settings, result.eta_star)
+    assert sorted(calls) == sorted(swept)
+    assert np.array_equal(wave.phi_plus, expected.phi_plus)
 
 
 def test_eigenfunction_rejects_non_eigenvalue():
