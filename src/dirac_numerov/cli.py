@@ -74,40 +74,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="dirac-numerov", description=__doc__.split("\n")[0])
-    parser.add_argument("--version", action="version", version=manifest.TOOL_VERSION)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *names):
-        p.add_argument("--config", help="key = value option file (flags take precedence)")
-        for name in names:
-            p.add_argument(f"--{name}", type=_OPTIONS[name][0], default=None, dest=name.replace("-", "_"))
-
-    p_table = sub.add_parser("table1", help="1/r ground states, D = 3..9, vs the closed form")
-    add_common(p_table, "scheme", "threads", "output", "format",
-               "eta-min", "eta-max", "grid-a", "grid-b", "grid-delta", "scan-points",
-               "mismatch-tol", "root-tol", "mass")
-
-    p_solve = sub.add_parser("solve", help="single ground-state search")
-    add_common(p_solve, "dimension", "ell", "ansatz", "eta-min", "eta-max",
-               "grid-a", "grid-b", "grid-delta", "scan-points", "mismatch-tol",
-               "root-tol", "scheme", "threads", "output", "format", "mass")
-
-    p_scan = sub.add_parser("scan", help="ground-state search per dimension over a range")
-    add_common(p_scan, "d-min", "d-max", "ell", "ansatz", "eta-min", "eta-max",
-               "grid-a", "grid-b", "grid-delta", "scan-points", "mismatch-tol",
-               "root-tol", "scheme", "threads", "output", "format", "mass")
-
-    p_prof = sub.add_parser("profile", help="CSV export of radial profiles and scans")
-    add_common(p_prof, "quantity", "eta", "dimension", "ell", "ansatz", "eta-min",
-               "eta-max", "grid-a", "grid-b", "grid-delta", "scan-points",
-               "mismatch-tol", "root-tol", "scheme", "threads", "output", "mass")
-
-    sub.add_parser("selftest", help="quick internal consistency battery")
-    return parser
-
-
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
@@ -161,16 +127,9 @@ def _settings(opts: dict) -> solver.SolverSettings:
         scheme = Scheme(str(opts["scheme"]).lower())
     except ValueError:
         raise ConfigError(f"scheme must be canonical or generalized, got {opts['scheme']!r}") from None
-    return solver.SolverSettings(
-        eta_window=(opts["eta-min"], opts["eta-max"]),
-        scan_points=opts["scan-points"],
-        root_tol=opts["root-tol"],
-        mismatch_tol=opts["mismatch-tol"],
-        grid_a=opts["grid-a"],
-        grid_b=opts["grid-b"],
-        grid_delta=opts["grid-delta"],
-        scheme=scheme,
-    )
+    knobs = {key.replace("-", "_"): opts[key]
+             for key in ("scan-points", "root-tol", "mismatch-tol", "grid-a", "grid-b", "grid-delta")}
+    return solver.SolverSettings(eta_window=(opts["eta-min"], opts["eta-max"]), scheme=scheme, **knobs)
 
 
 def _ansatz(opts: dict) -> Ansatz:
@@ -180,9 +139,9 @@ def _ansatz(opts: dict) -> Ansatz:
         raise ConfigError(f"ansatz must be 1 or 2, got {opts['ansatz']!r}") from None
 
 
-def _physical(opts: dict, dimension=None) -> PhysicalConfig:
+def _physical(opts: dict) -> PhysicalConfig:
     return PhysicalConfig(
-        dimension=int(dimension if dimension is not None else opts["dimension"]),
+        dimension=opts["dimension"],
         ell=opts["ell"],
         mass=opts["mass"],
         ansatz=_ansatz(opts),
@@ -212,54 +171,62 @@ def _emit_results(command, config, settings, records, opts):
     else:
         columns = ["dimension", "found", "eta_star", "epsilon_ev", "match_rho",
                    "mismatch_residual", "wall_time_ms"]
-        rows = [
-            [r["dimension"], r["found"], r["eta_star"], r["epsilon_ev"],
-             r["match_rho"], r["mismatch_residual"], r["wall_time_ms"]]
-            for r in records
-        ]
+        rows = [[r[column] for column in columns] for r in records]
         meta = {"tool_version": manifest.TOOL_VERSION, "command": command}
         _write_text(opts["output"], manifest.render_csv(columns, rows, meta))
 
 
-def _cmd_table1(opts) -> int:
+def _run_dimensions(command, d_range, ansatz, ell, opts, report, header=None) -> int:
+    """Search each dimension of ``d_range``, hand each result to ``report``, then emit the records.
+
+    ``report(d, result)`` prints the dimension's line and returns its exit
+    code. ``header``, if any, is printed after the searches, so a run whose
+    settings or search raise prints nothing.
+    """
     settings = _settings(opts)
-    workers = _threads(opts)
-    results = solver.dimension_scan((3, 9), Ansatz.ONE_OVER_R, settings,
-                                    mass=opts["mass"], workers=workers)
-    records = []
+    results = solver.dimension_scan(d_range, ansatz, settings, ell=ell, mass=opts["mass"],
+                                    workers=_threads(opts))
+    if header is not None:
+        print(header)
     code = EXIT_OK
-    header = f"{'D':>2} {'E/M closed form':>20} {'E/M numeric':>20} " \
-             f"{'eps closed (eV)':>16} {'eps numeric (eV)':>17} {'status':>8}"
-    print(header)
+    records = []
     for d, result in results:
+        failure = report(d, result)
+        code = code or failure  # the first failed dimension sets the exit code
+        records.append(manifest.result_record(d, result, int(1000 * result.wall_s)))
+    config = PhysicalConfig(dimension=d_range[0], ell=ell, mass=opts["mass"], ansatz=ansatz)
+    _emit_results(command, config, settings, records, opts)
+    return code
+
+
+def _cmd_table1(opts) -> int:
+    def report(d, result) -> int:
         level = analytic.analytic_energy(
             PhysicalConfig(dimension=d, ell=0, mass=opts["mass"], ansatz=Ansatz.ONE_OVER_R)
         )
         eps_ref = -(1.0 - level.energy_ratio) * opts["mass"]
-        failure = EXIT_NUMERICAL
-        if result.found:
-            ratio_err = abs(result.eta_star - level.energy_ratio)
-            eps_err = abs(result.epsilon_ev - eps_ref) / abs(eps_ref)
-            ok = ratio_err <= _RATIO_TOL and eps_err <= _EPSILON_REL_TOL
-            print(f"{d:>2} {level.energy_ratio:>20.15f} {result.eta_star:>20.15f} "
-                  f"{eps_ref:>16.3f} {result.epsilon_ev:>17.3f} {'ok' if ok else 'FAIL':>8}")
-            if not ok:
-                print(f"   detail: |dE/M| = {ratio_err:.2e} (tol {_RATIO_TOL}), "
-                      f"eps rel err = {eps_err:.2e} (tol {_EPSILON_REL_TOL})")
-        else:
-            ok = False
-            reason = result.verdict_reason
+        if not result.found:
+            failure, reason = EXIT_NUMERICAL, result.verdict_reason
             if result.error is not None:
                 failure, label = _failure(result.error)
                 reason = f"{label}: {reason}"
             print(f"{d:>2} {level.energy_ratio:>20.15f} {'-':>20} "
                   f"{eps_ref:>16.3f} {'-':>17} {'FAIL':>8}  ({reason})")
-        if not ok and code == EXIT_OK:  # the first failed dimension sets the exit code
-            code = failure
-        records.append(manifest.result_record(d, result, int(1000 * result.wall_s)))
-    config = PhysicalConfig(dimension=3, ell=0, mass=opts["mass"], ansatz=Ansatz.ONE_OVER_R)
-    _emit_results("table1", config, settings, records, opts)
-    return code
+            return failure
+        ratio_err = abs(result.eta_star - level.energy_ratio)
+        eps_err = abs(result.epsilon_ev - eps_ref) / abs(eps_ref)
+        ok = ratio_err <= _RATIO_TOL and eps_err <= _EPSILON_REL_TOL
+        print(f"{d:>2} {level.energy_ratio:>20.15f} {result.eta_star:>20.15f} "
+              f"{eps_ref:>16.3f} {result.epsilon_ev:>17.3f} {'ok' if ok else 'FAIL':>8}")
+        if ok:
+            return EXIT_OK
+        print(f"   detail: |dE/M| = {ratio_err:.2e} (tol {_RATIO_TOL}), "
+              f"eps rel err = {eps_err:.2e} (tol {_EPSILON_REL_TOL})")
+        return EXIT_NUMERICAL
+
+    header = f"{'D':>2} {'E/M closed form':>20} {'E/M numeric':>20} " \
+             f"{'eps closed (eV)':>16} {'eps numeric (eV)':>17} {'status':>8}"
+    return _run_dimensions("table1", (3, 9), Ansatz.ONE_OVER_R, 0, opts, report, header)
 
 
 def _cmd_solve(opts) -> int:
@@ -278,30 +245,23 @@ def _cmd_solve(opts) -> int:
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 
 
+def _scan_line(d, result) -> int:
+    if result.error is not None:
+        failure, label = _failure(result.error)
+        print(f"D = {d}: {label} ({result.verdict_reason})", file=sys.stderr)
+        return failure
+    if result.found:
+        print(f"D = {d}: eta* = {result.eta_star:.15f}, epsilon = {result.epsilon_ev:.4f} eV")
+    else:
+        print(f"D = {d}: no bound state ({result.verdict_reason})")
+    return EXIT_OK
+
+
 def _cmd_scan(opts) -> int:
     if opts["d-min"] > opts["d-max"]:
         raise ConfigError(f"d-min {opts['d-min']} exceeds d-max {opts['d-max']}")
-    ansatz = _ansatz(opts)
-    settings = _settings(opts)
-    workers = _threads(opts)
-    results = solver.dimension_scan((opts["d-min"], opts["d-max"]), ansatz, settings,
-                                    ell=opts["ell"], mass=opts["mass"], workers=workers)
-    records = []
-    code = EXIT_OK
-    for d, result in results:
-        records.append(manifest.result_record(d, result, int(1000 * result.wall_s)))
-        if result.error is not None:
-            failure, label = _failure(result.error)
-            if code == EXIT_OK:  # the first failed dimension sets the exit code
-                code = failure
-            print(f"D = {d}: {label} ({result.verdict_reason})", file=sys.stderr)
-        elif result.found:
-            print(f"D = {d}: eta* = {result.eta_star:.15f}, epsilon = {result.epsilon_ev:.4f} eV")
-        else:
-            print(f"D = {d}: no bound state ({result.verdict_reason})")
-    config = _physical(opts, dimension=opts["d-min"])
-    _emit_results("scan", config, settings, records, opts)
-    return code
+    return _run_dimensions("scan", (opts["d-min"], opts["d-max"]), _ansatz(opts), opts["ell"],
+                           opts, _scan_line)
 
 
 def _cmd_profile(opts) -> int:
@@ -346,30 +306,25 @@ def _cmd_profile(opts) -> int:
 
     if quantity == "effective_potential":
         nodes = grid.nodes()
-        gap = coeffs.tau - np.asarray(coeffs.fields_fn(nodes)["v"], dtype=float)
-        rows = [[float(r), float(g)] for r, g in zip(nodes, gap)]
-        _write_text(opts["output"], manifest.render_csv(["rho", "level_minus_potential"], rows, meta))
-        return EXIT_OK
-
-    try:
-        wave = solver.eigenfunction(config, settings, eta_star)
-    except ConfigError:
-        print(f"no turning point at eta = {eta_star}; nothing to export")
-        return EXIT_NOT_FOUND
-    nodes = wave.grid.nodes()
-    if quantity == "phi_plus":
-        columns = ["rho", "phi_plus"]
-        series = [nodes, wave.phi_plus]
-        if config.dimension == 3 and config.ell == 0:
-            overlay = analytic.analytic_ground_wavefunction_d3(nodes, config)
-            columns.append("phi_plus_closed_form")
-            series.append(overlay)
-        rows = [[float(vals[i]) for vals in series] for i in range(len(nodes))]
-        _write_text(opts["output"], manifest.render_csv(columns, rows, meta))
-        return EXIT_OK
-    values = wave.f_component if quantity == "F" else wave.g_component
-    rows = [[float(r), float(v)] for r, v in zip(nodes, values)]
-    _write_text(opts["output"], manifest.render_csv(["rho", quantity], rows, meta))
+        columns = ["rho", "level_minus_potential"]
+        series = [nodes, coeffs.tau - np.asarray(coeffs.fields_fn(nodes)["v"], dtype=float)]
+    else:
+        try:
+            wave = solver.eigenfunction(config, settings, eta_star)
+        except ConfigError:
+            print(f"no turning point at eta = {eta_star}; nothing to export")
+            return EXIT_NOT_FOUND
+        nodes = wave.grid.nodes()
+        columns = ["rho", quantity]
+        if quantity == "phi_plus":
+            series = [nodes, wave.phi_plus]
+            if config.dimension == 3 and config.ell == 0:
+                columns.append("phi_plus_closed_form")
+                series.append(analytic.analytic_ground_wavefunction_d3(nodes, config))
+        else:
+            series = [nodes, wave.f_component if quantity == "F" else wave.g_component]
+    rows = np.column_stack(series).tolist()
+    _write_text(opts["output"], manifest.render_csv(columns, rows, meta))
     return EXIT_OK
 
 
@@ -446,19 +401,44 @@ def _failure(kind) -> tuple:
     return EXIT_NUMERICAL, "numerical failure"
 
 
+# subcommand: (handler, help, own options); each also takes --config and the search options
+_COMMANDS = {
+    "table1": (_cmd_table1, "1/r ground states, D = 3..9, vs the closed form", ("output", "format")),
+    "solve": (_cmd_solve, "single ground-state search", ("dimension", "ell", "ansatz", "output", "format")),
+    "scan": (_cmd_scan, "ground-state search per dimension over a range",
+             ("d-min", "d-max", "ell", "ansatz", "output", "format")),
+    "profile": (_cmd_profile, "CSV export of radial profiles and scans",
+                ("quantity", "eta", "dimension", "ell", "ansatz", "output")),
+}
+_SEARCH_OPTIONS = ("eta-min", "eta-max", "grid-a", "grid-b", "grid-delta", "scan-points",
+                   "mismatch-tol", "root-tol", "scheme", "threads", "mass")
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="dirac-numerov", description=__doc__.split("\n")[0])
+    parser.add_argument("--version", action="version", version=manifest.TOOL_VERSION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key = value option file (flags take precedence)")
+        for name in own + _SEARCH_OPTIONS:
+            p.add_argument(f"--{name}", type=_OPTIONS[name][0], default=None, dest=name.replace("-", "_"))
+    sub.add_parser("selftest", help="quick internal consistency battery")
+    return parser
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "selftest":
             return _cmd_selftest()
+        handler, _, own = _COMMANDS[args.command]
         opts = _resolve(args)
-        # table1, solve and scan take --format: checked before any solve, with or without --output
-        if args.command != "profile" and opts["format"] not in ("csv", "json"):
+        # a command that takes --format checks it before any solve, with or without --output
+        if "format" in own and opts["format"] not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {opts['format']!r}")
-        commands = {"table1": _cmd_table1, "solve": _cmd_solve, "scan": _cmd_scan,
-                    "profile": _cmd_profile}
-        return commands[args.command](opts)
+        return handler(opts)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         code, label = _failure(type(exc))
         print(f"{label}: {exc}", file=sys.stderr)

@@ -68,12 +68,7 @@ class RunManifest:
     results: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "config_echo": self.config_echo,
-            "results": self.results,
-        }
+        return asdict(self)
 
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

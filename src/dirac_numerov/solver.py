@@ -48,7 +48,10 @@ solver
 Bound levels accumulate at eta -> 1, so the scan grid is uniform in
 ln(1 - eta^2): resolution concentrates where the spectrum lives. The scan
 ascends in eta and stops at the first accepted root, which is the deepest
-binding (the ground state; excited states lie at larger eta).
+binding in the window. It is reported as the ground state only if its
+outward solution has no node below the match point (Johnson 1977, J. Chem.
+Phys. 67, 4086): a root with nodes is an excited level, and the search
+ends not found.
 """
 
 from __future__ import annotations
@@ -436,6 +439,22 @@ def _seeds(h: float):
     return (0.0, 1.0), (1.0, math.exp(h / 2.0))
 
 
+def _outward_nodes(eta: float, m: int, config: PhysicalConfig, settings: SolverSettings,
+                   work: Workspace) -> int:
+    """Sign changes of the outward solution at ``eta`` on nodes 1..m: 0 for the ground state.
+
+    The scheme's outward sweep steps the :func:`_step_arrays` recurrence from
+    the inner seed of :func:`_seeds` to node m+1, in ``work``. chi = phi/F has
+    the sign of phi, so the count is phi_+'s under either scheme.
+    """
+    coeffs, grid = _trial_setup(eta, config, settings)
+    lower, upper, s, _ = _step_arrays(coeffs, grid, settings.scheme, work, grid.n_points)
+    values = [*_seeds(grid.step)[0]] + [0.0] * m
+    sweep = _numerov_sweep_lr if settings.scheme is Scheme.CANONICAL else _general_sweep_lr
+    sweep(lower, upper, s, values, 1, m + 1)
+    return int(np.count_nonzero(np.diff(np.signbit(values[1 : m + 1]))))
+
+
 def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
     """Sweep from both boundaries to the match node m, node by node.
 
@@ -682,8 +701,10 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
     Scans Delta(eta) upward across the eta window and bisects the first
     sign-change bracket whose converged mismatch passes the acceptance
     tolerance; that root is the deepest-bound level in the window (excited
-    levels lie at larger eta). When nothing passes, returns found = False
-    with the full scan trace and a reason string.
+    levels lie at larger eta). When nothing passes, or the root's outward
+    solution has a node below the match point (:func:`_outward_nodes`: the
+    ground state is below the window or unresolved), returns found = False
+    with the scan trace and a reason string.
     """
     settings = settings or SolverSettings()
     trace: list = []
@@ -691,6 +712,7 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
     prev_delta = None
     saw_island = False
     saw_bracket = False
+    excited = None
     work = Workspace()
     for eta, delta_val in _scan_trials(config, settings, work):
         trace.append((eta, delta_val))
@@ -710,6 +732,12 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
                 eta_star, residual, m_star, grid_star = hit
                 if abs(residual) <= settings.mismatch_tol:
                     trace.append((eta_star, residual))
+                    nodes = _outward_nodes(eta_star, m_star, config, settings, work)
+                    if nodes:
+                        excited = (f"the mismatch root at eta = {eta_star!r} has {nodes} node(s) "
+                                   "below the match point: an excited level, so the ground state "
+                                   "lies below the eta window or the grid does not resolve it")
+                        break
                     return EigenResult(
                         found=True,
                         eta_star=eta_star,
@@ -728,8 +756,8 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
         finite = [abs(d) for _, d in trace if d is not None and math.isfinite(d)]
         if not finite:
             raise NonFiniteValue("the mismatch is non-finite at every scanned island")
-        reason = ("all mismatch sign changes failed the acceptance tolerance (poles)" if saw_bracket
-                  else "mismatch never changes sign across the scan window")
+        reason = excited or ("all mismatch sign changes failed the acceptance tolerance (poles)"
+                             if saw_bracket else "mismatch never changes sign across the scan window")
         residual = min(finite)
     return EigenResult(
         found=False,

@@ -383,6 +383,34 @@ def test_table1_failure_exit_codes(monkeypatch, capsys, kind, code, label):
     assert printed.count("FAIL") == 7 and label in printed
 
 
+@pytest.mark.parametrize("command,first,rest,code", [
+    (["table1"], NonFiniteValue, ConfigError, EXIT_NUMERICAL),
+    (["scan", "--d-min", "3", "--d-max", "4"], ConfigError, NonFiniteValue, EXIT_CONFIG),
+])
+def test_the_first_failed_dimension_sets_the_exit_code(monkeypatch, capsys, command, first, rest,
+                                                        code):
+    # D = 3 fails one way and every later dimension the other
+    def search(config, settings):
+        raise (first if config.dimension == 3 else rest)("stand-in failure")
+
+    monkeypatch.setattr(solver, "solve_ground_state", search)
+    assert main([*command, "--threads", "1"]) == code
+    captured = capsys.readouterr()
+    printed = captured.out + captured.err
+    assert "numerical failure" in printed and "configuration error" in printed
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eta-min", "0.99999", "--eta-max", "0.999999", "--scan-points", "20"],
+    ["--grid-delta", "0.5"],
+])
+def test_solve_does_not_report_a_root_with_nodes(capsys, flags):
+    # an excited level in the window, or a grid too coarse for the ground state
+    assert main(["solve", "--dimension", "3", "--ansatz", "1", *flags]) == EXIT_NOT_FOUND
+    printed = capsys.readouterr().out
+    assert printed.startswith("not found: the mismatch root") and "excited level" in printed
+
+
 def test_selftest(capsys):
     assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out

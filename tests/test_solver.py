@@ -854,6 +854,49 @@ def test_bracketing_soundness(solve_cached):
     assert (lo < 0.0) != (hi < 0.0)
 
 
+def _root_nodes(result, config, settings):
+    """Sign changes of the outward solution below the match node at the result's root."""
+    coeffs, grid = solver._trial_setup(result.eta_star, config, settings)
+    m = _match_index(coeffs, grid, settings.min_island_nodes)
+    return solver._outward_nodes(result.eta_star, m, config, settings, solver.Workspace())
+
+
+_NODELESS_CASES = (
+    [(d, Ansatz.ONE_OVER_R, scheme, {}) for d in range(3, 10) for scheme in Scheme]
+    + [(3, Ansatz.GENERALIZED, Scheme.CANONICAL, {}),
+       (3, Ansatz.GENERALIZED, Scheme.CANONICAL, {"ell": 1}),
+       (3, Ansatz.GENERALIZED, Scheme.CANONICAL, {"k_sign": KSign.MINUS})]
+)
+
+
+@pytest.mark.parametrize("d, ansatz, scheme, cfg_kw", _NODELESS_CASES)
+def test_every_default_root_is_nodeless(solve_cached, d, ansatz, scheme, cfg_kw):
+    config = PhysicalConfig(dimension=d, ansatz=ansatz, **cfg_kw)
+    settings = SolverSettings(scheme=scheme)
+    result = solve_ground_state(config, settings) if cfg_kw else solve_cached(d, ansatz, scheme)
+    assert result.found
+    assert _root_nodes(result, config, settings) == 0
+
+
+@pytest.mark.parametrize("settings_kw, nodes", [
+    # the n_r = 1 level: the ground state lies below the window
+    ({"eta_window": (0.99999, 0.999999), "scan_points": 20}, 1),
+    # a grid too coarse to resolve the ground state
+    ({"grid_delta": 0.5}, 17),
+])
+def test_a_root_with_nodes_is_not_the_ground_state(settings_kw, nodes):
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
+    settings = SolverSettings(**settings_kw)
+    result = solve_ground_state(config, settings)
+    assert not result.found and result.eta_star is None and result.match_rho is None
+    assert f"has {nodes} node(s) below the match point" in result.verdict_reason
+    eta, residual = result.scan_trace[-1]  # the rejected root ends the trace
+    assert abs(residual) <= settings.mismatch_tol
+    assert _root_nodes(replace(result, eta_star=eta), config, settings) == nodes
+    if nodes == 1:
+        assert abs(eta - analytic_energy(config, n_r=1).energy_ratio) <= 5e-8
+
+
 def test_non_finite_mismatch_at_every_island_is_a_numerical_failure(monkeypatch):
     # a mismatch that is inf at every island is no verdict on a bound state
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
