@@ -170,7 +170,7 @@ def _emit_results(command, config, settings, records, opts):
         _write_text(opts["output"], run.serialize())
     else:
         columns = ["dimension", "found", "eta_star", "epsilon_ev", "match_rho",
-                   "mismatch_residual", "wall_time_ms"]
+                   "mismatch_residual", "wall_time_ms", "status"]
         rows = [[r[column] for column in columns] for r in records]
         meta = {"tool_version": manifest.TOOL_VERSION, "command": command}
         _write_text(opts["output"], manifest.render_csv(columns, rows, meta))
@@ -252,6 +252,8 @@ def _scan_line(d, result) -> int:
         return failure
     if result.found:
         print(f"D = {d}: eta* = {result.eta_star:.15f}, epsilon = {result.epsilon_ev:.4f} eV")
+    elif result.status == "excited":
+        print(f"D = {d}: no ground state in the window ({result.verdict_reason})")
     else:
         print(f"D = {d}: no bound state ({result.verdict_reason})")
     return EXIT_OK

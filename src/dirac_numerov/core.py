@@ -248,7 +248,11 @@ class EigenResult:
     evaluated. A dimension scan, which records each dimension's failure inline
     rather than raising it, sets ``error`` to the exception class of a search
     that failed instead of reaching a verdict, and ``wall_s`` to the seconds
-    that dimension took.
+    that dimension took. ``status`` names the outcome: ``found``, ``absent``
+    (no accepted root), ``excited`` (the accepted root has nodes below the
+    match point, so it is not the ground state) or ``error``. Only
+    ``excited`` need be given; left empty, it is ``found``, ``error`` or
+    ``absent`` by ``found`` and ``error``.
     """
 
     found: bool
@@ -260,3 +264,9 @@ class EigenResult:
     verdict_reason: str = ""
     error: type | None = None
     wall_s: float | None = None
+    status: str = ""
+
+    def __post_init__(self):
+        if not self.status:
+            status = "found" if self.found else "error" if self.error is not None else "absent"
+            object.__setattr__(self, "status", status)

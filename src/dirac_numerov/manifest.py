@@ -47,6 +47,7 @@ def result_record(dimension: int, result: EigenResult, wall_time_ms: int) -> dic
     return {
         "dimension": dimension,
         "found": result.found,
+        "status": result.status,
         "eta_star": _json_safe(result.eta_star),
         "epsilon_ev": _json_safe(result.epsilon_ev),
         "match_rho": _json_safe(result.match_rho),

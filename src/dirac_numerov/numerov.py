@@ -50,10 +50,13 @@ r = C/A alone, divided straight into its output, with the signs of the
 entries -r folded into its sums; the four rows of factor matrices are never
 stored, and its entries equal those of the general level bit for bit. The
 outward direction is the same kernel on reversed arrays with A and C
-swapped. Each level is tested for overflow with one max and one min; a
-level with an entry past 1e100 is renormalized matrix by matrix by exact
-powers of two (the per-matrix exponents are taken only then), which changes
-only the common scale of the three samples.
+swapped. The levels run with no overflow test, and the product is kept
+when its four final entries are finite and within 1e100, as every product
+of the default solves is. Otherwise it is formed again with each level
+tested by one max and one min; a level with an entry past 1e100 is
+renormalized matrix by matrix by exact powers of two (the per-matrix
+exponents are taken only then), which changes only the common scale of the
+three samples.
 
 Every level, with its scratch, is written with ``out=`` into one flat
 ``space`` of about 4n doubles that the caller may reuse: the solver's swept
@@ -233,40 +236,51 @@ def _transfer_product(lower, upper, s, space=None):
     g = s/lower and r = upper/lower, elementwise. Returns the product's
     entries (row-major) up to a positive power-of-two scale. Neighbouring
     pairs are multiplied level by level, the first by :func:`_first_level`;
-    an odd last matrix is carried to the next level unchanged. A level with
-    an entry past the threshold is renormalized matrix by matrix. The levels
-    alternate between the first 2k + 4 doubles of ``space`` (allocated when
-    not given) and the next k + 4, with their scratch after those.
+    an odd last matrix is carried to the next level unchanged. The levels are
+    first multiplied with no overflow test, and the result is kept when its
+    four entries are finite and within the threshold: an overflow cannot come
+    back finite, since an inf turns into an inf or a nan at every later level.
+    Otherwise the product is formed again, renormalizing matrix by matrix each
+    level with an entry past the threshold; the exact powers of two change
+    only its common scale. The levels alternate between the first 2k + 4
+    doubles of ``space`` (allocated when not given) and the next k + 4, with
+    their scratch after those.
     """
     k = s.shape[0]
     if k == 0:
         return 1.0, 0.0, 0.0, 1.0
     if space is None:
         space = np.empty(product_space(k))
-    buffers = (space[: 2 * k + 4], space[2 * k + 4 : 3 * k + 8])
     scratch = space[3 * k + 8 : 4 * k + 12]
-    t = _first_level(lower, upper, s, buffers[0], space[2 * k + 4 :])
-    if k == 1:  # a lone factor is no product: it is not renormalized
-        return tuple(float(v) for v in t.ravel())
-    while True:
-        # one max and one min per level; the per-matrix exponents only when needed
-        if t.max() > RESCALE_THRESHOLD or t.min() < -RESCALE_THRESHOLD:
-            t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(0, 1)))[1], out=t)
-        if t.shape[2] == 1:
+    for renormalize in (False, True):
+        buffers = (space[: 2 * k + 4], space[2 * k + 4 : 3 * k + 8])
+        t = _first_level(lower, upper, s, buffers[0], space[2 * k + 4 :])
+        if k == 1:  # a lone factor is no product: it is not renormalized
             return tuple(float(v) for v in t.ravel())
-        half = t.shape[2] // 2
-        x = t[:, :, 0 : 2 * half : 2]
-        y = t[:, :, 1 : 2 * half : 2]
-        size = half + t.shape[2] % 2
-        buffers = buffers[::-1]
-        nxt = buffers[0][: 4 * size].reshape(2, 2, size)
-        prod = nxt[:, :, :half]
-        # entry (i, j) = x[i, 0] y[0, j] + x[i, 1] y[1, j], all four at once
-        np.multiply(x[:, 0, None], y[None, 0], out=prod)
-        prod += np.multiply(x[:, 1, None], y[None, 1], out=scratch[: 4 * half].reshape(2, 2, half))
-        if half < size:
-            nxt[:, :, half] = t[:, :, -1]
-        t = nxt
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                # one max and one min per level; the per-matrix exponents only when needed
+                if renormalize and (t.max() > RESCALE_THRESHOLD or t.min() < -RESCALE_THRESHOLD):
+                    t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(0, 1)))[1], out=t)
+                if t.shape[2] == 1:
+                    break
+                half = t.shape[2] // 2
+                x = t[:, :, 0 : 2 * half : 2]
+                y = t[:, :, 1 : 2 * half : 2]
+                size = half + t.shape[2] % 2
+                buffers = buffers[::-1]
+                nxt = buffers[0][: 4 * size].reshape(2, 2, size)
+                prod = nxt[:, :, :half]
+                # entry (i, j) = x[i, 0] y[0, j] + x[i, 1] y[1, j], all four at once
+                np.multiply(x[:, 0, None], y[None, 0], out=prod)
+                prod += np.multiply(x[:, 1, None], y[None, 1],
+                                    out=scratch[: 4 * half].reshape(2, 2, half))
+                if half < size:
+                    nxt[:, :, half] = t[:, :, -1]
+                t = nxt
+        entries = tuple(float(v) for v in t.ravel())
+        if renormalize or all(abs(v) <= RESCALE_THRESHOLD for v in entries):  # False for a nan
+            return entries
 
 
 def _inward_samples(lower, upper, s, k, y_end, y_next, space):

@@ -41,9 +41,10 @@ solver
    :func:`eigenfunction`, which needs every node, sweeps, and it steps the
    same arrays. Every grid-sized array of the trial goes with ``out=`` into
    the solve's reused :class:`Workspace`,
-4. bisects every sign change of Delta, accepting a root only when the final
-   |Delta| passes the mismatch tolerance (log-derivative poles also flip the
-   sign but never pass).
+4. refines every sign change of Delta by ITP steps (:func:`_bisect_bracket`:
+   regula falsi, safeguarded to at most one trial more than bisection),
+   accepting a root only when the final |Delta| passes the mismatch
+   tolerance (log-derivative poles also flip the sign but never pass).
 
 Bound levels accumulate at eta -> 1, so the scan grid is uniform in
 ln(1 - eta^2): resolution concentrates where the spectrum lives. The scan
@@ -97,6 +98,10 @@ from .numerov import (
 _MAX_GRID_POINTS = 20_000_000
 _SCREEN_ROWS = 64  # scan energies screened at once
 _BLOCK_DOUBLES = 8192  # cap on rows x prefix of each array of the screen's H
+# ITP refinement (:func:`_bisect_bracket`): kappa1 times the initial bracket width, kappa2, n0
+_ITP_KAPPA1 = 0.05
+_ITP_KAPPA2 = 2.0
+_ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -669,28 +674,52 @@ def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None
 def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None):
     """Shrink a sign-change bracket; return (eta, delta, m, grid) or None.
 
-    Bisection continues past root_tol down to machine width if the mismatch
+    Each step is the ITP estimate (Oliveira & Takahashi 2020, ACM TOMS 47(1),
+    art. 5): the regula-falsi point, pushed toward the midpoint by
+    kappa1 (b - a)^kappa2 and kept within the distance of the midpoint that
+    leaves a bracket of root_tol after n_1/2 + n0 steps, so it needs at most
+    n0 more trials than bisection to reach root_tol and converges
+    superlinearly where Delta is smooth. It steps at the midpoint once that
+    budget is spent, where the regula-falsi point is undefined (equal or
+    non-finite ends) and where the estimate leaves the bracket.
+
+    Refinement continues past root_tol down to machine width if the mismatch
     has not yet met the acceptance tolerance: near weak binding d Delta/d eta
     is enormous, so the residual, not the bracket width, is the binding
     criterion. Poles converge too but never pass the residual test.
     """
     negative_lo = d_lo < 0.0
+    eps = 0.5 * settings.root_tol
+    kappa1 = _ITP_KAPPA1 / (eta_hi - eta_lo)
+    budget = max(0, math.ceil(math.log2((eta_hi - eta_lo) / (2.0 * eps)))) + _ITP_N0
     last = None
-    for _ in range(200):
+    for step in range(200):
         mid = 0.5 * (eta_lo + eta_hi)
         if mid == eta_lo or mid == eta_hi:
             break
-        d_mid, m_mid, grid_mid = _evaluate_trial(mid, config, settings, work)
-        if d_mid is None:
+        width = eta_hi - eta_lo
+        radius = eps * 2.0 ** (budget - step) - 0.5 * width
+        eta = mid
+        if radius > 0.0 and d_lo != d_hi and math.isfinite(d_lo) and math.isfinite(d_hi):
+            falsi = eta_lo + width * d_lo / (d_lo - d_hi)
+            toward = math.copysign(1.0, mid - falsi)
+            push = max(kappa1 * width**_ITP_KAPPA2, math.ulp(mid))  # at least one float step
+            eta = falsi + toward * push if push <= abs(mid - falsi) else mid
+            if abs(eta - mid) > radius:
+                eta = mid - toward * radius
+            if not eta_lo < eta < eta_hi:
+                eta = mid
+        d_eta, m_eta, grid_eta = _evaluate_trial(eta, config, settings, work)
+        if d_eta is None:
             return None  # island evaporated inside the bracket: not a root
-        last = (mid, d_mid, m_mid, grid_mid)
-        if d_mid == 0.0:
+        last = (eta, d_eta, m_eta, grid_eta)
+        if d_eta == 0.0:
             break
-        if (d_mid < 0.0) == negative_lo:
-            eta_lo = mid
+        if (d_eta < 0.0) == negative_lo:
+            eta_lo, d_lo = eta, d_eta
         else:
-            eta_hi = mid
-        if (eta_hi - eta_lo) <= settings.root_tol and abs(d_mid) <= settings.mismatch_tol:
+            eta_hi, d_hi = eta, d_eta
+        if (eta_hi - eta_lo) <= settings.root_tol and abs(d_eta) <= settings.mismatch_tol:
             break
     return last
 
@@ -767,6 +796,7 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
         mismatch_residual=residual,
         scan_trace=trace,
         verdict_reason=reason,
+        status="absent" if excited is None else "excited",
     )
 
 

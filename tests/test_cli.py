@@ -104,6 +104,7 @@ def test_solve_gauss_law_d5_not_found(tmp_path, capsys):
     assert code == EXIT_NOT_FOUND
     manifest = json.loads(out.read_text())
     assert manifest["results"][0]["found"] is False
+    assert manifest["results"][0]["status"] == "absent"
     assert manifest["results"][0]["eta_star"] is None
     assert manifest["config_echo"]["physical"]["dimension"] == 5
     assert "not found" in capsys.readouterr().out
@@ -115,7 +116,7 @@ def test_solve_d3_gauss_law_finds_hydrogen(tmp_path, capsys):
                  "--output", str(out), "--format", "json"])
     assert code == EXIT_OK
     record = json.loads(out.read_text())["results"][0]
-    assert record["found"] is True
+    assert record["found"] is True and record["status"] == "found"
     assert abs(record["epsilon_ev"] - (-13.606)) < 1.5e-3
     assert "found" in capsys.readouterr().out
 
@@ -148,6 +149,7 @@ def test_scan_gauss_law_csv(tmp_path, capsys):
     metadata, header, rows = read_csv(out)
     assert header[0] == "dimension" and len(rows) == 3
     assert all(row[1] == "False" for row in rows)
+    assert all(row[header.index("status")] == "absent" for row in rows)
     assert "no bound state" in capsys.readouterr().out
 
 
@@ -409,6 +411,23 @@ def test_solve_does_not_report_a_root_with_nodes(capsys, flags):
     assert main(["solve", "--dimension", "3", "--ansatz", "1", *flags]) == EXIT_NOT_FOUND
     printed = capsys.readouterr().out
     assert printed.startswith("not found: the mismatch root") and "excited level" in printed
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_does_not_call_a_root_with_nodes_an_absence(tmp_path, capsys, fmt):
+    # the window holds the n_r = 1 level, which solve rejects with exit 3
+    out = tmp_path / f"scan.{fmt}"
+    assert main(["scan", "--d-min", "3", "--d-max", "3", "--ansatz", "1", "--eta-min", "0.99999",
+                 "--eta-max", "0.999999", "--scan-points", "20", "--threads", "1",
+                 "--output", str(out), "--format", fmt]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed.startswith("D = 3: no ground state in the window (the mismatch root")
+    assert "no bound state" not in printed
+    if fmt == "json":
+        assert json.loads(out.read_text())["results"][0]["status"] == "excited"
+    else:
+        _, header, rows = read_csv(out)
+        assert rows[0][header.index("status")] == "excited"
 
 
 def test_selftest(capsys):

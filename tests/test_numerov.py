@@ -12,6 +12,7 @@ from dirac_numerov import (
     dimensionless_state,
 )
 from dirac_numerov.analytic import analytic_energy
+from dirac_numerov import numerov
 from dirac_numerov.errors import SingularCoefficient
 from dirac_numerov.coefficients import _weight
 from dirac_numerov.numerov import (
@@ -437,6 +438,7 @@ def test_workspace_product_renormalizes_on_a_negative_entry_alone():
                       _allocating_transfer_product(lower, upper, s))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the unrenormalized attempt overflows quietly
 def test_one_workspace_serves_back_to_back_products():
     # shorter products after longer ones, and a renormalized one among them,
     # in one space: nothing an earlier product left behind reaches a later one
@@ -522,6 +524,7 @@ def test_sweeps_match_the_plain_recurrence_across_a_rescale(n):
     assert _close_to_plain(np.ldexp(got_right, 400 * r_right), right, False)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the unrenormalized attempt overflows quietly
 def test_match_samples_renormalize_past_the_float_range():
     # W = -1 on 200,001 nodes at h = 0.01: the inward solution grows by about
     # e^2000, so the product overflows unless its levels are renormalized; the
@@ -541,6 +544,29 @@ def test_match_samples_renormalize_past_the_float_range():
     log_mu = math.log(mu)
     assert math.isclose(left[2] / left[1], math.sinh((m + 1) * log_mu) / math.sinh(m * log_mu),
                         rel_tol=1e-12)
+
+
+def test_match_samples_keep_a_product_that_comes_back_within_the_threshold(monkeypatch):
+    # the inward product's factors at nodes m+1, m+2 divide by A = 1e-60, so
+    # their first-level product passes 1e100; those at m+3, m+4 (g = 1,
+    # r = 1e-30) pair into entries near 1e-30, and the last level is back near
+    # 1e90. It is kept unrenormalized, a power of two off the always
+    # renormalized product, which the samples' ratios do not see
+    n, m = 10, 4
+    lower, upper, s = _random_recurrence(n, seed=1300)
+    lower[m : m + 2] = 1e-60
+    lower[m + 2 :], s[m + 2 :], upper[m + 2 :] = 1.0, 1.0, 1e-30
+    inward = lower[m:], upper[m:], s[m:]
+    assert np.abs(_allocating_first_level(*inward)).max() > RESCALE_THRESHOLD
+    assert 1e80 < max(abs(v) for v in _transfer_product(*inward)) <= RESCALE_THRESHOLD
+    inner, outer = (0.0, 0.3), (1.0, 1.2)
+    got = match_samples(lower, upper, s, m, inner, outer)
+    monkeypatch.setattr(numerov, "_transfer_product",
+                        lambda lower, upper, s, space=None: _allocating_transfer_product(lower, upper, s))
+    expected = match_samples(lower, upper, s, m, inner, outer)
+    assert not _same_bits(got, expected)
+    for side, ref in zip(got, expected):
+        assert _same_bits((side[0] / side[1], side[2] / side[1]), (ref[0] / ref[1], ref[2] / ref[1]))
 
 
 def test_match_samples_singular_coefficient_like_the_sweeps():

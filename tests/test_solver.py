@@ -854,6 +854,74 @@ def test_bracketing_soundness(solve_cached):
     assert (lo < 0.0) != (hi < 0.0)
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_each_root_is_refined_in_at_most_eight_trials(monkeypatch, scheme):
+    # ITP steps converge superlinearly where the mismatch is smooth (bisection
+    # took 19-21 trials per root)
+    trials, per_bracket = [0], []
+    evaluate, refine = solver._evaluate_trial, solver._bisect_bracket
+
+    def counting_evaluate(*args):
+        trials[0] += 1
+        return evaluate(*args)
+
+    def counting_refine(*args):
+        start = trials[0]
+        hit = refine(*args)
+        per_bracket.append(trials[0] - start)
+        return hit
+
+    monkeypatch.setattr(solver, "_evaluate_trial", counting_evaluate)
+    monkeypatch.setattr(solver, "_bisect_bracket", counting_refine)
+    for d in range(3, 10):
+        per_bracket.clear()
+        config = PhysicalConfig(dimension=d, ansatz=Ansatz.ONE_OVER_R)
+        assert solve_ground_state(config, SolverSettings(scheme=scheme)).found
+        assert per_bracket[-1] <= 8, (d, per_bracket)  # the accepted root's bracket comes last
+
+
+_POLE = 0.99999
+
+
+def _pole_trial(eta, config, settings, work=None):
+    """(Delta, m, grid) of a trial whose Delta = 1/(eta - p) changes sign through a pole, not a root."""
+    return (math.inf if eta == _POLE else 1.0 / (eta - _POLE)), 1, None
+
+
+def test_refinement_converges_onto_a_pole_that_the_search_rejects(monkeypatch):
+    monkeypatch.setattr(solver, "_evaluate_trial", _pole_trial)
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
+    settings = SolverSettings()
+    lo, hi = _POLE - 3e-6, _POLE + 1e-6
+    eta, delta, _, _ = solver._bisect_bracket(lo, _pole_trial(lo, config, settings)[0],
+                                              hi, _pole_trial(hi, config, settings)[0],
+                                              config, settings)
+    assert abs(eta - _POLE) <= 2.0 * math.ulp(_POLE)  # down to machine width
+    assert abs(delta) > settings.mismatch_tol
+    result = solve_ground_state(config, settings)
+    assert not result.found and result.status == "absent"
+    assert "failed the acceptance tolerance (poles)" in result.verdict_reason
+
+
+def test_a_non_finite_trial_in_the_bracket_falls_back_to_the_midpoint(monkeypatch):
+    # Delta = eta - p but inf at the first trial, whose regula-falsi estimate
+    # is off the midpoint: the estimate is undefined with an inf end, so the
+    # next trial is the midpoint of what is left
+    p, lo, hi = 0.7, 0.6, 0.9
+    etas = []
+
+    def trial(eta, config, settings, work=None):
+        etas.append(eta)
+        return (math.inf if len(etas) == 1 else eta - p), 1, None
+
+    monkeypatch.setattr(solver, "_evaluate_trial", trial)
+    settings = SolverSettings()
+    eta, delta, _, _ = solver._bisect_bracket(lo, lo - p, hi, hi - p, None, settings)
+    assert lo < etas[0] < hi and etas[0] != 0.5 * (lo + hi)
+    assert etas[1] == 0.5 * (lo + etas[0])  # inf is positive: the first trial ended the bracket above
+    assert abs(delta) <= settings.mismatch_tol and abs(eta - p) <= settings.root_tol
+
+
 def _root_nodes(result, config, settings):
     """Sign changes of the outward solution below the match node at the result's root."""
     coeffs, grid = solver._trial_setup(result.eta_star, config, settings)
@@ -881,14 +949,16 @@ def test_every_default_root_is_nodeless(solve_cached, d, ansatz, scheme, cfg_kw)
 @pytest.mark.parametrize("settings_kw, nodes", [
     # the n_r = 1 level: the ground state lies below the window
     ({"eta_window": (0.99999, 0.999999), "scan_points": 20}, 1),
-    # a grid too coarse to resolve the ground state
-    ({"grid_delta": 0.5}, 17),
+    # a grid too coarse to resolve the ground state (refinement lands on
+    # one of the excited roots the scan's bracket holds)
+    ({"grid_delta": 0.5}, 26),
 ])
 def test_a_root_with_nodes_is_not_the_ground_state(settings_kw, nodes):
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
     settings = SolverSettings(**settings_kw)
     result = solve_ground_state(config, settings)
     assert not result.found and result.eta_star is None and result.match_rho is None
+    assert result.status == "excited"
     assert f"has {nodes} node(s) below the match point" in result.verdict_reason
     eta, residual = result.scan_trace[-1]  # the rejected root ends the trace
     assert abs(residual) <= settings.mismatch_tol
@@ -906,6 +976,7 @@ def test_non_finite_mismatch_at_every_island_is_a_numerical_failure(monkeypatch)
         solve_ground_state(config, settings)
     ((d, result),) = dimension_scan((3, 3), Ansatz.ONE_OVER_R, settings)
     assert d == 3 and not result.found and result.error is NonFiniteValue
+    assert result.status == "error"
 
 
 @pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
