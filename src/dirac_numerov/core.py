@@ -244,11 +244,13 @@ class EigenResult:
     ``epsilon_ev`` follows the binding-energy sign convention: negative for a
     bound state (epsilon = -(M - E) in eV). ``scan_trace`` holds (eta, mismatch)
     pairs from the coarse scan; mismatch is None where no classically-allowed
-    island exists. ``mismatch_residual`` is NaN when no mismatch was ever
-    evaluated. A dimension scan, which records each dimension's failure inline
-    rather than raising it, sets ``error`` to the exception class of a search
-    that failed instead of reaching a verdict, and ``wall_s`` to the seconds
-    that dimension took. ``status`` names the outcome: ``found``, ``absent``
+    island exists. Before an accepted root (the last pair) the mismatch is the
+    steering grid's (:func:`solver.solve_ground_state`); a not-found trace is
+    the production grid's. ``mismatch_residual`` is NaN when no mismatch was
+    ever evaluated. A dimension scan, which records each dimension's failure
+    inline rather than raising it, sets ``error`` to the exception class of a
+    search that failed instead of reaching a verdict, and ``wall_s`` to the
+    seconds that dimension took. ``status`` names the outcome: ``found``, ``absent``
     (no accepted root), ``excited`` (the accepted root has nodes below the
     match point, so it is not the ground state) or ``error``. Only
     ``excited`` need be given; left empty, it is ``found``, ``error`` or

@@ -41,6 +41,12 @@ solver
    :func:`eigenfunction`, which needs every node, sweeps, and it steps the
    same arrays. Every grid-sized array of the trial goes with ``out=`` into
    the solve's reused :class:`Workspace`,
+3a. evaluates the scan's open energies on a steering grid, step at least
+   ``_STEER_STEP``, only to find a sign change: both its ends are evaluated
+   again on the production grid, and refinement, the nodeless check and
+   every not-found verdict use the production grid alone (a search that
+   cannot vouch for the production result reruns there), so only the
+   scan trace's values before the accepted root are steering values,
 4. refines every sign change of Delta by ITP steps (:func:`_bisect_bracket`:
    regula falsi, safeguarded to at most one trial more than bisection),
    accepting a root only when the final |Delta| passes the mismatch
@@ -102,6 +108,7 @@ _BLOCK_DOUBLES = 8192  # cap on rows x prefix of each array of the screen's H
 _ITP_KAPPA1 = 0.05
 _ITP_KAPPA2 = 2.0
 _ITP_N0 = 1
+_STEER_STEP = 8e-3  # grid step floor of the scan's steering trials (:func:`solve_ground_state`)
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,8 @@ class SolverSettings:
     4 * turning_scale) plus 44 units of decay margin (the far tail falls as
     exp(-rho/2), so the margin suppresses contamination of the inward sweep
     by ~exp(-22)), with a floor of 50; ``grid_b_scale`` multiplies the
-    automatic extent, ``grid_b`` overrides it outright. ``scan_points``
+    automatic extent, ``grid_b`` overrides it outright; a grid short of the
+    turning radius plus margin is a configuration error. ``scan_points``
     trial energies are spaced uniformly in ln(1 - eta^2) across
     ``eta_window``.
     """
@@ -149,18 +157,23 @@ class SolverSettings:
             raise ConfigError(f"scheme must be a Scheme member, got {self.scheme!r}")
 
     def _extent(self, turning_scale: float):
-        """(rho_max, node count) of the grid for the given outer turning scale."""
+        """(rho_max, node count, turning radius plus decay margin) for the outer turning scale."""
+        need = 4.0 * turning_scale + 44.0
         if self.grid_b is not None:
             b = self.grid_b
         else:
-            b = max(50.0, 4.0 * turning_scale + 44.0) * self.grid_b_scale
+            b = max(50.0, need) * self.grid_b_scale
             b = 10.0 * math.ceil(b / 10.0)  # quantized so per-grid caches hit
         n = int(math.ceil((b - self.grid_a) / self.grid_delta)) + 1
-        return b, max(n, 16)
+        return b, max(n, 16), need
 
     def resolve_grid(self, turning_scale: float) -> RadialGrid:
         """Concrete grid for a trial with the given outer turning scale."""
-        b, n = self._extent(turning_scale)
+        b, n, need = self._extent(turning_scale)
+        if b < need:
+            name = "grid_b" if self.grid_b is not None else "grid_b_scale"
+            raise ConfigError(f"{name} gives rho_max = {b:.6g}, short of the {need:.6g} that the "
+                              "turning radius and its decay margin need")
         if n > _MAX_GRID_POINTS:
             raise ConfigError(
                 f"grid would need {n} nodes (b = {b:.3g}, delta = {self.grid_delta:.3g}); "
@@ -579,8 +592,8 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     """True for each energy of ``etas`` proven to have no interior island, as one block.
 
     An energy left False goes to :func:`_evaluate_trial`, which decides it,
-    and so does every energy whose grid would exceed ``_MAX_GRID_POINTS``
-    (the trial raises there). The scalars come from
+    and so does every energy whose grid would exceed ``_MAX_GRID_POINTS`` or
+    fall short of its extent (the trial raises there). The scalars come from
     :func:`core._energy_scalars` one energy at a time.
 
     * Where c = 0 (the 1/r family, and the Gauss law at D = 3, whose
@@ -602,6 +615,7 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     xi = coupling_xi(config)
     rows = [_energy_scalars(config.ansatz, d, kval, xi, eta) for eta in etas]
     extents = [settings._extent(abs(tau_prime)) for _, _, tau_prime, _, _, _ in rows]
+    fits = [n <= _MAX_GRID_POINTS and b >= need for b, n, need in extents]
     settled = [False] * len(rows)
     a = rows[0][1]  # A holds no energy
     if rows[0][4] == 0.0:  # c = 0 at every energy or none
@@ -609,13 +623,12 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
         if gamma2 > 0.0:
             v_min = math.sqrt(gamma2) - 0.5
             level = v_min - 1e-9 * (1.0 + abs(v_min))
-            settled = [tau <= level and n <= _MAX_GRID_POINTS
-                       for (_, _, _, tau, _, _), (_, n) in zip(rows, extents)]
+            settled = [tau <= level and ok for (_, _, _, tau, _, _), ok in zip(rows, fits)]
         return settled
     grids: dict = {}
     pending = []  # (index, grid, prefix stop, c, tau, lam^(D-3)) of each energy tested
-    for i, ((_, _, _, tau, c, lam), (b, n)) in enumerate(zip(rows, extents)):
-        if n <= _MAX_GRID_POINTS:
+    for i, ((_, _, _, tau, c, lam), (b, n, _), ok) in enumerate(zip(rows, extents, fits)):
+        if ok:
             if b not in grids:
                 grids[b] = RadialGrid(settings.grid_a, b, n)
             stop = _prefix_stop(grids[b], _allowed_radius_bound(d, kval, a, c, tau, lam))
@@ -641,18 +654,21 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     return settled
 
 
-def _scan_trials(config: PhysicalConfig, settings: SolverSettings, work: Workspace):
-    """(eta, Delta) at each scan energy in ascending order; Delta None without an island.
+def _scan_trials(config: PhysicalConfig, settings: SolverSettings, work: Workspace,
+                 steer: SolverSettings):
+    """(eta, Delta, swept) at each scan energy in ascending order; Delta None without an island.
 
     Lazy, ``_SCREEN_ROWS`` energies at a time: :func:`_screen_islands` settles
-    what it can of a block, and only the rest run :func:`_evaluate_trial`. A
+    what it can of a block on the grids of ``settings``, and only the rest
+    (swept True) run :func:`_evaluate_trial`, under ``steer``. A
     caller that stops early has screened at most one block past its stop.
     """
     etas = _scan_etas(settings.eta_window, settings.scan_points).tolist()
     for start in range(0, len(etas), _SCREEN_ROWS):
         block = etas[start : start + _SCREEN_ROWS]
         for eta, settled in zip(block, _screen_islands(config, settings, block)):
-            yield eta, None if settled else _evaluate_trial(eta, config, settings, work)[0]
+            yield (eta, None, False) if settled else (
+                eta, _evaluate_trial(eta, config, steer, work)[0], True)
 
 
 def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None):
@@ -668,7 +684,7 @@ def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None
     # large fails before the first trial
     for eta in settings.eta_window:
         _trial_setup(float(eta), config, settings)
-    return list(_scan_trials(config, settings, Workspace()))
+    return [(eta, delta) for eta, delta, _ in _scan_trials(config, settings, Workspace(), settings)]
 
 
 def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None):
@@ -724,6 +740,12 @@ def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None):
     return last
 
 
+def _brackets(d_lo, d_hi) -> bool:
+    """Whether two mismatch values (None without an island) are finite and differ in sign."""
+    return (d_lo is not None and d_hi is not None and math.isfinite(d_lo) and math.isfinite(d_hi)
+            and (d_lo < 0.0) != (d_hi < 0.0))
+
+
 def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None = None) -> EigenResult:
     """Locate the ground-state energy ratio, or certify its absence.
 
@@ -734,29 +756,49 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
     solution has a node below the match point (:func:`_outward_nodes`: the
     ground state is below the window or unresolved), returns found = False
     with the scan trace and a reason string.
+
+    The scan steers on a grid of step ``_STEER_STEP`` (step 3a of the module
+    docstring); where the steered search cannot vouch for the production
+    grid's result, it runs again on the production grid alone.
     """
     settings = settings or SolverSettings()
+    steer = replace(settings, grid_delta=max(settings.grid_delta, _STEER_STEP))
+    if steer != settings:
+        try:
+            result = _search(config, settings, steer)
+        except (ValueError, ArithmeticError):  # the package's errors: the production search decides
+            result = None
+        if result is not None:
+            return result
+    return _search(config, settings, settings)
+
+
+def _search(config: PhysicalConfig, settings: SolverSettings, steer: SolverSettings):
+    """:func:`solve_ground_state` with the scan's open energies evaluated under ``steer``.
+
+    None, to rerun on the production grid, where ``steer`` is not ``settings``
+    and a bracket's production ends do not bracket, or no root is accepted
+    after a steering trial.
+    """
     trace: list = []
-    prev_eta = None
-    prev_delta = None
-    saw_island = False
-    saw_bracket = False
-    excited = None
+    prev_eta = prev_delta = excited = None
+    saw_island = saw_bracket = steered = False
     work = Workspace()
-    for eta, delta_val in _scan_trials(config, settings, work):
+    for eta, delta_val, swept in _scan_trials(config, settings, work, steer):
         trace.append((eta, delta_val))
+        steered = steered or swept
         if delta_val is None:
             prev_eta = prev_delta = None
             continue
         saw_island = True
-        if (
-            prev_delta is not None
-            and math.isfinite(prev_delta)
-            and math.isfinite(delta_val)
-            and (delta_val < 0.0) != (prev_delta < 0.0)
-        ):
+        if _brackets(prev_delta, delta_val):
             saw_bracket = True
-            hit = _bisect_bracket(prev_eta, prev_delta, eta, delta_val, config, settings, work)
+            ends = (prev_delta, delta_val)
+            if steer is not settings:
+                ends = [_evaluate_trial(e, config, settings, work)[0] for e in (prev_eta, eta)]
+                if not _brackets(*ends):
+                    return None
+            hit = _bisect_bracket(prev_eta, ends[0], eta, ends[1], config, settings, work)
             if hit is not None:
                 eta_star, residual, m_star, grid_star = hit
                 if abs(residual) <= settings.mismatch_tol:
@@ -778,6 +820,8 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
                     )
         prev_eta, prev_delta = eta, delta_val
 
+    if steered and steer is not settings:
+        return None
     if not saw_island:
         reason = "no classically-allowed island at any scanned energy (no turning point)"
         residual = math.nan

@@ -249,6 +249,27 @@ def test_non_finite_flag_is_config_error(flag, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dimension", [3, 6])
+def test_solve_on_a_grid_short_of_its_decay_margin_is_a_config_error(dimension, capsys):
+    # these ran before: D = 3 exited 0 with eta* 6.6e-7 off the closed form,
+    # D = 6 exited 3 with "mismatch never changes sign"
+    code = main(["solve", "--dimension", str(dimension), "--ansatz", "1", "--grid-b", "8"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "found" not in captured.out
+    assert "configuration error: grid_b gives rho_max = 8, short of the 44" in captured.err
+
+
+def test_scan_on_a_grid_short_of_its_decay_margin_is_a_config_error(capsys):
+    # this printed "D = 6: no bound state" and exited 0 before
+    code = main(["scan", "--d-min", "6", "--d-max", "6", "--ansatz", "1", "--grid-b", "8",
+                 "--threads", "1"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "no bound state" not in captured.out
+    assert "D = 6: configuration error" in captured.err and "grid_b gives rho_max" in captured.err
+
+
 def test_threads_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("DIRAC_NUMEROV_THREADS", "2")
     out = tmp_path / "scan.json"

@@ -412,10 +412,10 @@ def test_closed_form_screen_settles_no_allowed_node(case, ell, offset):
             assert not _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs)).any()
 
 
-def _per_energy_trials(config, settings, work):
-    """The plain loop the screen replaces: one trial per scan energy."""
+def _per_energy_trials(config, settings, work, steer):
+    """The plain loop the screen replaces: one trial per scan energy, under ``steer``."""
     for eta in _scan_etas(settings.eta_window, settings.scan_points).tolist():
-        yield eta, solver._evaluate_trial(eta, config, settings, work)[0]
+        yield eta, solver._evaluate_trial(eta, config, steer, work)[0], True
 
 
 def _outcome(result):
@@ -1051,6 +1051,23 @@ def test_solver_settings_rejects_a_non_finite_value(field, value):
     # integer conversion failure; an infinite tolerance accepted any sign change
     with pytest.raises(ConfigError, match=field):
         SolverSettings(**{field: value})
+
+
+@pytest.mark.parametrize("settings_kw, name", [({"grid_b": 8.0}, "grid_b"),
+                                                ({"grid_b": 47.9}, "grid_b"),
+                                                ({"grid_b_scale": 0.5}, "grid_b_scale")])
+def test_a_grid_short_of_the_decay_margin_is_a_config_error(settings_kw, name):
+    # the inward seeds assume the decay margin past the turning radius: a
+    # shorter grid shifted the D = 3 ground state 6.6e-7 or lost it altogether
+    settings = SolverSettings(**settings_kw)
+    with pytest.raises(ConfigError, match=f"{name} gives rho_max = .*short of the 48 "):
+        settings.resolve_grid(1.0)
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
+    with pytest.raises(ConfigError, match=name):
+        solve_ground_state(config, settings)
+    assert SolverSettings(grid_b=48.0).resolve_grid(1.0).rho_max == 48.0
+    # the floor of 50 covers it
+    assert SolverSettings(grid_b_scale=0.9).resolve_grid(1.0).rho_max == 50.0
 
 
 @pytest.mark.parametrize("scheme", ["canonical", "generalized", None, 0])
