@@ -10,8 +10,8 @@ solver
    attached to the inner grid boundary is the fall-to-center funnel of the
    supersingular 1/r^(D-2) attraction (D >= 4), not a bound-state well, and
    certifies "no turning point" exactly as a dense evaluation of V does.
-   Where V holds no energy (c = 0: the 1/r family, and the Gauss law at
-   D = 3, built as the 1/r problem) tau is compared with V cached per grid.
+   Where c = 0 (the 1/r family, and the Gauss law at D = 3) the island is
+   the open interval between V's turning radii in closed form (:func:`_coulomb_radii`).
    For the Gauss law at D >= 4, solved for K > 0 only (with K < 0 the
    phi_+ equation has a pole where c rho^(D-3) + A = 0, and the
    configuration is rejected when built), the sign of tau - V is the sign of
@@ -20,11 +20,11 @@ solver
    tested, a few percent of the nodes at most. The scan takes this step a
    block of consecutive energies at a time (:func:`_screen_islands`), in
    numpy, before any per-energy work. Where c = 0 it settles every energy
-   whose tau lies below V's closed-form minimum gamma - 1/2: no node is
-   allowed. For the Gauss law at D >= 4 it evaluates H for the whole block
-   over one common prefix and settles every energy whose prefix holds only
-   the funnel: every energy of the default scans. Only the energies it
-   leaves open run steps 1-3 one at a time,
+   whose turning radii are not real: no rho is allowed. For the Gauss law
+   at D >= 4 it evaluates H for the whole block over one common prefix and
+   settles every energy whose prefix holds only the funnel: every energy of
+   the default scans. Only the energies it leaves open run steps 1-3 one at
+   a time,
 3. propagates from both ends to the island's outer turning node and forms
    the log-derivative mismatch Delta(eta) of the variable the scheme
    propagates, chi = phi/F (F the integrating factor) under the canonical
@@ -56,14 +56,15 @@ Bound levels accumulate at eta -> 1, so the scan grid is uniform in
 ln(1 - eta^2): resolution concentrates where the spectrum lives. The scan
 ascends in eta and stops at the first accepted root, which is the deepest
 binding in the window. It is reported as the ground state only if its
-outward solution has no node below the match point (Johnson 1977, J. Chem.
-Phys. 67, 4086): a root with nodes is an excited level, and the search
-ends not found.
+outward solution has no node below the match point, counted past the
+unresolved first steps (Johnson 1977, J. Chem. Phys. 67, 4086): a root with
+nodes is an excited level, and the search ends not found.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -346,11 +347,21 @@ def _gauss_allowed(grid: RadialGrid, stop: int, d, kval, a, c, tau, lam) -> np.n
     return h_sign > 0.0
 
 
+def _coulomb_radii(tau: float, gamma2: float):
+    """(r-, r+), where c = 0: tau > V exactly between them; None if (tau + 1/2)^2 <= gamma^2."""
+    kappa = tau + 0.5
+    disc = kappa * kappa - gamma2
+    if disc <= 0.0:
+        return None
+    outer = 2.0 * (kappa + math.sqrt(disc))  # r+ = 2(tau + 1/2) + 2 sqrt(disc)
+    return 4.0 * gamma2 / outer, outer  # r- = 4 gamma^2/r+, free of the difference's cancellation
+
+
 def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> int | None:
     """Island detection for the two potentials.
 
-    With c = 0 (the 1/r family, and the 1/r^(D-2) potential at D = 3) tau is
-    compared with V cached per grid. The 1/r^(D-2) potential at D >= 4,
+    With c = 0 (the 1/r family, and the 1/r^(D-2) potential at D = 3) the
+    island is the nodes between the :func:`_coulomb_radii`. The 1/r^(D-2) potential at D >= 4,
     which is built only for K > 0 (so c, A > 0), tests only the nodes up to
     the bound of :func:`_allowed_radius_bound` plus three: every node past
     it is forbidden, and the three keep the centred stencil of an island
@@ -358,9 +369,13 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
     full-grid one. A prefix whose last node is still allowed (rounding at
     the bound) is widened to the whole grid.
     """
-    if coeffs.c_const == 0.0:  # 1/r family: V does not depend on the energy
-        return _island_match_index(coeffs.tau > _ansatz1_potential(grid, coeffs.gamma2),
-                                   min_nodes)
+    if coeffs.c_const == 0.0:
+        radii = _coulomb_radii(coeffs.tau, coeffs.gamma2)
+        if radii is None:
+            return None
+        s = int(np.searchsorted(grid.nodes(), radii[0], side="right"))  # first allowed node
+        m = int(np.searchsorted(grid.nodes(), radii[1]))  # first forbidden node past it
+        return m if s > 0 and m - s >= min_nodes and m <= grid.n_points - 3 else None
     row = _trial_row(coeffs)
     n = grid.n_points
     stop = _prefix_stop(grid, _allowed_radius_bound(*row))
@@ -386,7 +401,7 @@ def _field_basis(grid: RadialGrid, scheme: Scheme, scalars):
     p' at the interior nodes, for p0 and p2.
     """
     nodes = grid.nodes()
-    if len(scalars) == 1:  # ansatz1_fields' p, p' and g, and the island test's V: no other temporaries
+    if len(scalars) == 1:  # ansatz1_fields' p, p' and g, and the cached V: no other temporaries
         p, p_prime, g, v = 1.0 / nodes, -1.0 / (nodes * nodes), nodes, _ansatz1_potential(grid, *scalars)
     else:
         f = static_fields(nodes, *scalars)
@@ -463,14 +478,17 @@ def _outward_nodes(eta: float, m: int, config: PhysicalConfig, settings: SolverS
 
     The scheme's outward sweep steps the :func:`_step_arrays` recurrence from
     the inner seed of :func:`_seeds` to node m+1, in ``work``. chi = phi/F has
-    the sign of phi, so the count is phi_+'s under either scheme.
+    the sign of phi, so the count is phi_+'s under either scheme, past the last
+    step below m whose A or C is <= 0: unresolved, near the cutoff, it may flip the sign.
     """
     coeffs, grid = _trial_setup(eta, config, settings)
     lower, upper, s, _ = _step_arrays(coeffs, grid, settings.scheme, work, grid.n_points)
     values = [*_seeds(grid.step)[0]] + [0.0] * m
     sweep = _numerov_sweep_lr if settings.scheme is Scheme.CANONICAL else _general_sweep_lr
     sweep(lower, upper, s, values, 1, m + 1)
-    return int(np.count_nonzero(np.diff(np.signbit(values[1 : m + 1]))))
+    unresolved = np.flatnonzero((lower[: m - 1] <= 0.0) | (upper[: m - 1] <= 0.0))
+    start = int(unresolved[-1]) + 2 if unresolved.size else 1  # lower[i - 1] is node i's step
+    return int(np.count_nonzero(np.diff(np.signbit(values[start : m + 1]))))
 
 
 def _propagate_halves(coeffs: CoefficientSet, grid: RadialGrid, m: int, scheme: Scheme):
@@ -513,8 +531,8 @@ def _log_derivative_gap(left, right, h) -> float:
     1 + O(h^2), so the mismatch needs no factor.
     """
     for val in (*left, *right):
-        if not math.isfinite(val):
-            raise NonFiniteValue("non-finite samples at the match node")
+        if not math.isfinite(val) or 0.0 < abs(val) < sys.float_info.min:
+            raise NonFiniteValue("non-finite samples, or samples that underflow, at the match node")
     if left[1] == 0.0 or right[1] == 0.0:
         return math.inf
     d_left = (left[2] - left[0]) / (2.0 * h * left[1])
@@ -597,11 +615,8 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     :func:`core._energy_scalars` one energy at a time.
 
     * Where c = 0 (the 1/r family, and the Gauss law at D = 3, whose
-      scalars are the 1/r ones), V = rho/4 - 1/2 + gamma^2/rho with
-      gamma^2 = K^2 - A^2 holds no energy and has its minimum gamma - 1/2
-      at rho = 2 gamma. An energy with tau at least a margin below it has no
-      allowed node on any grid; the margin exceeds the rounding of V at the
-      nodes.
+      scalars are the 1/r ones) an energy is settled exactly when its
+      :func:`_coulomb_radii` are None, as its trial's island test rules.
     * The Gauss law at D >= 4 (K > 0 only) evaluates H for the energies of one
       grid together, :func:`_gauss_allowed` with the scalars as columns,
       over the longest of their :func:`_prefix_stop` prefixes, at most
@@ -620,11 +635,8 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     a = rows[0][1]  # A holds no energy
     if rows[0][4] == 0.0:  # c = 0 at every energy or none
         gamma2 = kval * kval - a * a
-        if gamma2 > 0.0:
-            v_min = math.sqrt(gamma2) - 0.5
-            level = v_min - 1e-9 * (1.0 + abs(v_min))
-            settled = [tau <= level and ok for (_, _, _, tau, _, _), ok in zip(rows, fits)]
-        return settled
+        return [ok and _coulomb_radii(tau, gamma2) is None
+                for (_, _, _, tau, _, _), ok in zip(rows, fits)]
     grids: dict = {}
     pending = []  # (index, grid, prefix stop, c, tau, lam^(D-3)) of each energy tested
     for i, ((_, _, _, tau, c, lam), (b, n, _), ok) in enumerate(zip(rows, extents, fits)):

@@ -434,6 +434,14 @@ def test_solve_does_not_report_a_root_with_nodes(capsys, flags):
     assert printed.startswith("not found: the mismatch root") and "excited level" in printed
 
 
+@pytest.mark.parametrize("flags", [["--dimension", "15"], ["--dimension", "3", "--ell", "6"]])
+def test_solve_finds_a_ground_state_past_unresolved_first_steps(capsys, flags):
+    # K = 7: the outward solution flips sign across the first step, where A
+    # and C are negative; that flip is no node
+    assert main(["solve", "--ansatz", "1", *flags]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("found: eta* = 0.999999456618684")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_scan_does_not_call_a_root_with_nodes_an_absence(tmp_path, capsys, fmt):
     # the window holds the n_r = 1 level, which solve rejects with exit 3

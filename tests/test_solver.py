@@ -412,6 +412,52 @@ def test_closed_form_screen_settles_no_allowed_node(case, ell, offset):
             assert not _gauss_allowed(grid, grid.n_points, *_trial_row(coeffs)).any()
 
 
+_C0_CONFIGS = ([PhysicalConfig(dimension=d, ansatz=Ansatz.ONE_OVER_R) for d in range(3, 10)]
+               + [PhysicalConfig(dimension=3, ell=ell, ansatz=Ansatz.GENERALIZED) for ell in range(3)])
+
+
+@pytest.mark.parametrize("settings", [_BASE, SolverSettings(grid_delta=solver._STEER_STEP),
+                                      CRITERION_4_VARIANTS["refined-grid"]],
+                         ids=["default", "steering", "refined-grid"])
+def test_closed_form_island_equals_the_dense_test(settings):
+    # the nodes between the turning radii against the literal tau > V on
+    # every node, at every scan energy where c = 0. The refined grid's
+    # energies past the default scan's largest grid (700,001 nodes) are left
+    # out: the default grid holds the same energies
+    v_grid = v = None
+    compared = islands = 0
+    for config in _C0_CONFIGS:
+        for eta in _scan_etas(settings.eta_window, settings.scan_points).tolist():
+            coeffs = build_coefficients(dimensionless_state(config, eta), config)
+            grid = settings.resolve_grid(coeffs.turning_scale)
+            if grid.n_points > 700_001:
+                continue
+            if (grid, coeffs.gamma2) != v_grid:
+                v_grid, v = (grid, coeffs.gamma2), coefficients.ansatz1_potential(grid.nodes(),
+                                                                                  coeffs.gamma2)
+            allowed = coeffs.tau > v
+            for min_nodes in (1, 3, 10):
+                dense = _island_match_index(allowed, min_nodes)
+                assert _match_index(coeffs, grid, min_nodes) == dense, (config, eta, min_nodes)
+                islands += dense is not None
+            compared += 1
+    assert compared >= 16_000 and islands >= 18_000
+
+
+def test_closed_form_island_allocates_no_grid_sized_array():
+    coeffs, _ = _coeffs_at(3, Ansatz.ONE_OVER_R, 0.99997)
+    grid = _BASE.resolve_grid(coeffs.turning_scale)
+    m = _match_index(coeffs, grid, 3)  # the grid's nodes are cached from here on
+    tracemalloc.start()
+    try:
+        again = _match_index(coeffs, grid, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m is not None and again == m
+    assert peak < 1024, peak
+
+
 def _per_energy_trials(config, settings, work, steer):
     """The plain loop the screen replaces: one trial per scan energy, under ``steer``."""
     for eta in _scan_etas(settings.eta_window, settings.scan_points).tolist():
@@ -950,8 +996,9 @@ def test_every_default_root_is_nodeless(solve_cached, d, ansatz, scheme, cfg_kw)
     # the n_r = 1 level: the ground state lies below the window
     ({"eta_window": (0.99999, 0.999999), "scan_points": 20}, 1),
     # a grid too coarse to resolve the ground state (refinement lands on
-    # one of the excited roots the scan's bracket holds)
-    ({"grid_delta": 0.5}, 26),
+    # one of the excited roots the scan's bracket holds); the count starts
+    # past the first step, whose A = f[0] is about -1.6e10
+    ({"grid_delta": 0.5}, 25),
 ])
 def test_a_root_with_nodes_is_not_the_ground_state(settings_kw, nodes):
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
@@ -977,6 +1024,15 @@ def test_non_finite_mismatch_at_every_island_is_a_numerical_failure(monkeypatch)
     ((d, result),) = dimension_scan((3, 3), Ansatz.ONE_OVER_R, settings)
     assert d == 3 and not result.found and result.error is NonFiniteValue
     assert result.status == "error"
+
+
+def test_underflowed_match_samples_are_a_numerical_failure():
+    # the outward product of a K = 41 solve leaves samples of 4e-323, where
+    # 2 h y[m] rounds to 0
+    tiny, normal = [4e-323] * 3, [1.0, 2.0, 3.0]
+    for left, right in ((tiny, normal), (normal, tiny)):
+        with pytest.raises(NonFiniteValue, match="underflow"):
+            _log_derivative_gap(left, right, 1e-3)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.CANONICAL, Scheme.GENERALIZED])
