@@ -15,16 +15,15 @@ solver
    For the Gauss law at D >= 4, solved for K > 0 only (with K < 0 the
    phi_+ equation has a pole where c rho^(D-3) + A = 0, and the
    configuration is rejected when built), the sign of tau - V is the sign of
-   a polynomial whose negative leading term wins past a radius in closed form
+   a polynomial whose negative leading part wins past a radius in closed form
    (:func:`_allowed_radius_bound`), so only the grid prefix below it is
-   tested, a few percent of the nodes at most. The scan takes this step a
-   block of consecutive energies at a time (:func:`_screen_islands`), in
-   numpy, before any per-energy work. Where c = 0 it settles every energy
-   whose turning radii are not real: no rho is allowed. For the Gauss law
-   at D >= 4 it evaluates H for the whole block over one common prefix and
-   settles every energy whose prefix holds only the funnel: every energy of
-   the default scans. Only the energies it leaves open run steps 1-3 one at
-   a time,
+   tested, about 1 % of the default grid at most. The scan takes this step
+   a block of ``_SCREEN_ROWS`` energies at a time (:func:`_screen_islands`),
+   in numpy but for each energy's scalars. Where c = 0 it settles every
+   energy whose turning radii are not real. For the Gauss law at D >= 4 it
+   evaluates H for the block over common prefixes and settles every energy
+   whose own prefix holds only the funnel: every energy of the default
+   scans. Only the energies it leaves open run steps 1-3 one at a time,
 3. propagates from both ends to the island's outer turning node and forms
    the log-derivative mismatch Delta(eta) of the variable the scheme
    propagates, chi = phi/F (F the integrating factor) under the canonical
@@ -103,7 +102,7 @@ from .numerov import (
 
 
 _MAX_GRID_POINTS = 20_000_000
-_SCREEN_ROWS = 64  # scan energies screened at once
+_SCREEN_ROWS = 256  # scan energies screened at once
 _BLOCK_DOUBLES = 8192  # cap on rows x prefix of each array of the screen's H
 # ITP refinement (:func:`_bisect_bracket`): kappa1 times the initial bracket width, kappa2, n0
 _ITP_KAPPA1 = 0.05
@@ -157,20 +156,18 @@ class SolverSettings:
         if not isinstance(self.scheme, Scheme):
             raise ConfigError(f"scheme must be a Scheme member, got {self.scheme!r}")
 
-    def _extent(self, turning_scale: float):
-        """(rho_max, node count, turning radius plus decay margin) for the outer turning scale."""
+    def _extent(self, turning_scale):
+        """(rho_max, node count, turning radius plus decay margin) of turning scales, elementwise."""
         need = 4.0 * turning_scale + 44.0
-        if self.grid_b is not None:
-            b = self.grid_b
-        else:
-            b = max(50.0, need) * self.grid_b_scale
-            b = 10.0 * math.ceil(b / 10.0)  # quantized so per-grid caches hit
-        n = int(math.ceil((b - self.grid_a) / self.grid_delta)) + 1
-        return b, max(n, 16), need
+        b = self.grid_b
+        if b is None:  # quantized so per-grid caches hit
+            b = 10.0 * np.ceil(np.maximum(50.0, need) * self.grid_b_scale / 10.0)
+        return b, np.maximum(np.ceil((b - self.grid_a) / self.grid_delta) + 1.0, 16.0), need
 
     def resolve_grid(self, turning_scale: float) -> RadialGrid:
         """Concrete grid for a trial with the given outer turning scale."""
         b, n, need = self._extent(turning_scale)
+        b, n, need = float(b), int(n), float(need)
         if b < need:
             name = "grid_b" if self.grid_b is not None else "grid_b_scale"
             raise ConfigError(f"{name} gives rho_max = {b:.6g}, short of the {need:.6g} that the "
@@ -245,10 +242,9 @@ def _island_basis(grid: RadialGrid, d: int, kval: float, a_const: float, size: i
     s0 = rho^(D-2)/4 - rho^(D-3)/2 + K^2 rho^(D-4),  u = rho^(D-4)/rho^(2(D-3)).
 
     Division-free, and built only for the first ``size`` nodes: the sign test
-    never looks past the bound of :func:`_allowed_radius_bound`, a few
-    percent of the grid at most, so the callers pass that prefix length
-    rounded up to a power of two (the cache then holds a handful of short
-    arrays per dimension, not five full-grid ones).
+    looks only up to the bound of :func:`_allowed_radius_bound`, so the callers
+    pass that prefix length rounded up to a power of two (the cache then holds
+    a handful of short arrays per dimension, not five full-grid ones).
     """
     rho = grid.nodes()[:size]
     r_d3, r_d4, r_2d6, r_d2 = _rho_powers(rho, d)
@@ -297,29 +293,43 @@ def _polynomial_tail(d, kval, a, c, tau, lam):
     )
 
 
-def _allowed_radius_bound(d, kval, a, c, tau, lam) -> float:
+def _allowed_radius_bound(d, kval, a, c, tau, lam):
     """Radius R past which tau - V < 0 (1/r^(D-2) potential at D >= 4, K > 0).
 
-    Takes the scalars of :func:`_trial_row`.
-    rho^2/4 - rho/2 + K^2 - (1 - 1/(4K^2)) rho^2/4 = (rho/(4K) - K)^2 >= 0, so
-    the leading part of P is at most -L rho^(3e+2) with L = (c/4)(1 - 1/(4K^2)).
-    Each of the N positive tail terms a_k rho^k stays below L rho^(3e+2)/N once
-    rho > (N a_k / L)^(1/(3e+2-k)), so P < 0 beyond the largest of these.
-    L > 0 because c > 0 and K^2 >= 9/4 (K = (2l + D - 1)/2 with D >= 4).
+    Takes the scalars of :func:`_trial_row`, c, tau and lam as floats (R a
+    float) or 1-d arrays, one entry per energy; either way numpy's array power
+    runs, so a trial and the block screen get the same bits. With e = D - 3,
+    P's leading part is -c rho^(3e) (rho^2/4 - rho/2 + K^2), and its factor is
+    (1 - 1/(4K^2)) rho^2/4 + (rho/(4K) - K)^2 = (rho - 1)^2/4 + K^2 - 1/4, so the
+    part is at most -max(L rho^(3e+2), M rho^(3e)), L = (c/4)(1 - 1/(4K^2)) and
+    M = c(K^2 - 1/4) both > 0 (c > 0, K^2 >= 9/4). Each of the N positive tail
+    terms a_k rho^k stays below that maximum over N past (N a_k/L)^(1/(3e+2-k))
+    or, for k < 3e, past (N a_k/M)^(1/(3e-k)); a term of degree 3e with
+    N a_k < M, at every rho. So P < 0 beyond the largest of these smaller radii.
     """
+    scalar = np.ndim(c) == 0
+    c, tau, lam = (np.reshape(x, -1) for x in (c, tau, lam))
+    top = 3 * (d - 3)
     lead = 0.25 * c * (1.0 - 0.25 / (kval * kval))
-    top = 3 * (d - 3) + 2
-    positive = [(coef, k) for coef, k in _polynomial_tail(d, kval, a, c, tau, lam) if coef > 0.0]
-    n_terms = len(positive)
-    return max([(n_terms * coef / lead) ** (1.0 / (top - k)) for coef, k in positive])
+    floor = c * (kval * kval - 0.25)
+    tail = _polynomial_tail(d, kval, a, c, tau, lam)[1:]  # the first, -A rho^(2e+2)/4, is negative
+    n_terms = sum(coef > 0.0 for coef, _ in tail)
+    radius = np.zeros_like(c)
+    for coef, k in tail:
+        share = n_terms * np.maximum(coef, 0.0)  # 0, so radius 0, where the term is not positive
+        term = (share / lead) ** (1.0 / (top + 2 - k))
+        if k < top:
+            term = np.minimum(term, (share / floor) ** (1.0 / (top - k)))
+        elif k == top:
+            term[share < floor] = 0.0
+        radius = np.maximum(radius, term)
+    return float(radius[0]) if scalar else radius
 
 
-def _prefix_stop(grid: RadialGrid, bound: float) -> int:
-    """Nodes the island test looks at: those up to ``bound`` plus three (see :func:`_match_index`)."""
-    n = grid.n_points
-    if bound < grid.rho_max:
-        return min(n, max(0, math.ceil((bound - grid.rho_min) / grid.step)) + 4)
-    return n
+def _prefix_stop(grid: RadialGrid, bound):
+    """Nodes tested, elementwise: those up to ``bound`` plus three (see :func:`_match_index`)."""
+    return np.minimum(grid.n_points, np.maximum(0.0, np.ceil((bound - grid.rho_min) / grid.step)) + 4
+                      ).astype(np.int64)
 
 
 def _gauss_allowed(grid: RadialGrid, stop: int, d, kval, a, c, tau, lam) -> np.ndarray:
@@ -329,11 +339,10 @@ def _gauss_allowed(grid: RadialGrid, stop: int, d, kval, a, c, tau, lam) -> np.n
     c, tau and lam as column vectors give one row per energy, each bit for bit
     the row that its floats give.
     """
-    size = min(grid.n_points, 1 << (stop - 1).bit_length())
+    size = min(grid.n_points, 1 << int(stop - 1).bit_length())
     r34, s0r3, ur3, s0m, u = (arr[:stop] for arr in _island_basis(grid, d, kval, a, size))
     a2l = a * a * lam
-    # two scratch arrays, explicit out=: avoid temporary churn in the
-    # certification scans' hot loop
+    # two scratch arrays, explicit out=: no temporary churn in the screen's hot loop
     h_sign = np.multiply(r34, tau * c)
     tmp = np.multiply(ur3, a2l * c)
     np.add(h_sign, tmp, out=h_sign)
@@ -377,11 +386,10 @@ def _match_index(coeffs: CoefficientSet, grid: RadialGrid, min_nodes: int) -> in
         m = int(np.searchsorted(grid.nodes(), radii[1]))  # first forbidden node past it
         return m if s > 0 and m - s >= min_nodes and m <= grid.n_points - 3 else None
     row = _trial_row(coeffs)
-    n = grid.n_points
-    stop = _prefix_stop(grid, _allowed_radius_bound(*row))
+    stop = int(_prefix_stop(grid, _allowed_radius_bound(*row)))
     allowed = _gauss_allowed(grid, stop, *row)
-    if allowed[-1] and stop < n:
-        allowed = _gauss_allowed(grid, n, *row)
+    if allowed[-1] and stop < grid.n_points:
+        allowed = _gauss_allowed(grid, grid.n_points, *row)
     return _island_match_index(allowed, min_nodes)
 
 
@@ -612,15 +620,15 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     An energy left False goes to :func:`_evaluate_trial`, which decides it,
     and so does every energy whose grid would exceed ``_MAX_GRID_POINTS`` or
     fall short of its extent (the trial raises there). The scalars come from
-    :func:`core._energy_scalars` one energy at a time.
+    :func:`core._energy_scalars` one energy at a time; the rest is numpy.
 
     * Where c = 0 (the 1/r family, and the Gauss law at D = 3, whose
       scalars are the 1/r ones) an energy is settled exactly when its
       :func:`_coulomb_radii` are None, as its trial's island test rules.
-    * The Gauss law at D >= 4 (K > 0 only) evaluates H for the energies of one
-      grid together, :func:`_gauss_allowed` with the scalars as columns,
-      over the longest of their :func:`_prefix_stop` prefixes, at most
-      ``_BLOCK_DOUBLES`` values per array (an energy whose own prefix is
+    * The Gauss law at D >= 4 (K > 0 only) evaluates H for consecutive
+      energies of one grid together, :func:`_gauss_allowed` with the scalars
+      as columns, over the longest of their :func:`_prefix_stop` prefixes, at
+      most ``_BLOCK_DOUBLES`` values per array (an energy whose own prefix is
       longer goes alone). Each row's flags equal those its trial computes, so
       an energy is settled when its own prefix holds no forbidden-to-allowed
       step and ends on a forbidden node: its trial finds no island either.
@@ -628,42 +636,31 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     d = config.dimension
     kval = k_value(config)
     xi = coupling_xi(config)
-    rows = [_energy_scalars(config.ansatz, d, kval, xi, eta) for eta in etas]
-    extents = [settings._extent(abs(tau_prime)) for _, _, tau_prime, _, _, _ in rows]
-    fits = [n <= _MAX_GRID_POINTS and b >= need for b, n, need in extents]
-    settled = [False] * len(rows)
-    a = rows[0][1]  # A holds no energy
-    if rows[0][4] == 0.0:  # c = 0 at every energy or none
-        gamma2 = kval * kval - a * a
-        return [ok and _coulomb_radii(tau, gamma2) is None
-                for (_, _, _, tau, _, _), ok in zip(rows, fits)]
-    grids: dict = {}
-    pending = []  # (index, grid, prefix stop, c, tau, lam^(D-3)) of each energy tested
-    for i, ((_, _, _, tau, c, lam), (b, n, _), ok) in enumerate(zip(rows, extents, fits)):
-        if ok:
-            if b not in grids:
-                grids[b] = RadialGrid(settings.grid_a, b, n)
-            stop = _prefix_stop(grids[b], _allowed_radius_bound(d, kval, a, c, tau, lam))
-            pending.append((i, grids[b], stop, c, tau, lam))
-    start = 0
-    while start < len(pending):
-        grid, width = pending[start][1:3]
-        end = start + 1
-        while (end < len(pending) and pending[end][1] is grid
-               and (end - start + 1) * max(width, pending[end][2]) <= _BLOCK_DOUBLES):
-            width = max(width, pending[end][2])
-            end += 1
-        index, _, stops, c, tau, lam = zip(*pending[start:end])
-        stops = np.array(stops)
-        c, tau, lam = (np.array(col)[:, None] for col in (c, tau, lam))
-        allowed = _gauss_allowed(grid, width, d, kval, a, c, tau, lam)
-        allowed &= np.arange(width) < stops[:, None]  # each row's own prefix
-        rises = (allowed[:, 1:] > allowed[:, :-1]).any(axis=1)
-        ends_allowed = allowed[np.arange(len(index)), stops - 1]
-        for i, ok in zip(index, ~(rises | ends_allowed)):
-            settled[i] = bool(ok)
-        start = end
-    return settled
+    rows = np.array([_energy_scalars(config.ansatz, d, kval, xi, eta) for eta in etas])
+    _, a, tau_prime, tau, c, lam = rows.T
+    a = float(a[0])  # A holds no energy
+    b, n, need = (np.broadcast_to(x, tau.shape) for x in settings._extent(np.abs(tau_prime)))
+    fits = (n <= _MAX_GRID_POINTS) & (b >= need)
+    if c[0] == 0.0:  # c = 0 at every energy or none
+        kappa = tau + 0.5
+        return (fits & (kappa * kappa - (kval * kval - a * a) <= 0.0)).tolist()
+    settled = np.zeros(len(rows), dtype=bool)
+    bound = _allowed_radius_bound(d, kval, a, c, tau, lam)
+    tested = np.flatnonzero(fits)
+    for run in np.split(tested, np.flatnonzero(np.diff(b[tested])) + 1) if tested.size else ():
+        grid = RadialGrid(settings.grid_a, float(b[run[0]]), int(n[run[0]]))  # one grid a run
+        stops = _prefix_stop(grid, bound[run])
+        while run.size:  # as many rows as fit _BLOCK_DOUBLES, at least one
+            widths = np.maximum.accumulate(stops)
+            count = max(1, int(np.searchsorted(widths * np.arange(1, run.size + 1), _BLOCK_DOUBLES,
+                                               side="right")))
+            index, own, width = run[:count], stops[:count], int(widths[count - 1])
+            allowed = _gauss_allowed(grid, width, d, kval, a, *(x[index, None] for x in (c, tau, lam)))
+            allowed &= np.arange(width) < own[:, None]  # each row's own prefix
+            rises = (allowed[:, 1:] > allowed[:, :-1]).any(axis=1)
+            settled[index] = ~(rises | allowed[np.arange(count), own - 1])
+            run, stops = run[count:], stops[count:]
+    return settled.tolist()
 
 
 def _scan_trials(config: PhysicalConfig, settings: SolverSettings, work: Workspace,
@@ -771,14 +768,17 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
 
     The scan steers on a grid of step ``_STEER_STEP`` (step 3a of the module
     docstring); where the steered search cannot vouch for the production
-    grid's result, it runs again on the production grid alone.
+    grid's result, it runs again on the production grid alone, unless a trial raised
+    ``NonFiniteValue`` and the production grid's trial at its energy raises too.
     """
     settings = settings or SolverSettings()
     steer = replace(settings, grid_delta=max(settings.grid_delta, _STEER_STEP))
     if steer != settings:
         try:
             result = _search(config, settings, steer)
-        except (ValueError, ArithmeticError):  # the package's errors: the production search decides
+        except (ValueError, ArithmeticError) as exc:  # package errors: the production grid decides
+            if isinstance(exc, NonFiniteValue) and exc.eta is not None:
+                _evaluate_trial(exc.eta, config, settings)  # raises again: no rerun
             result = None
         if result is not None:
             return result

@@ -298,6 +298,39 @@ def test_no_allowed_node_past_the_bound(eta, d, ell):
     assert np.all(gap <= 0.0)
 
 
+def _leading_part_bound(d, kval, a, c, tau, lam):
+    """The bound from (1 - 1/(4K^2)) rho^2/4 alone, the reference :func:`_allowed_radius_bound` tightens."""
+    lead = 0.25 * c * (1.0 - 0.25 / (kval * kval))
+    top = 3 * (d - 3) + 2
+    positive = [(coef, k) for coef, k in _polynomial_tail(d, kval, a, c, tau, lam) if coef > 0.0]
+    return max((len(positive) * coef / lead) ** (1.0 / (top - k)) for coef, k in positive)
+
+
+@pytest.mark.parametrize("d", range(4, 11))
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_the_bound_holds_against_an_exact_polynomial(d, ell):
+    # P, from the trial's float scalars, evaluated in 40 digits at R and at
+    # log-spaced radii from R to the grid's end, at the window's ends and at
+    # every 100th scan energy; R never exceeds the reference by over one ulp
+    mpmath = pytest.importorskip("mpmath")
+    config = PhysicalConfig(dimension=d, ell=ell, ansatz=Ansatz.GENERALIZED)
+    settings = SolverSettings()
+    e = d - 3
+    with mpmath.workdps(40):
+        for eta in [*_scan_etas(settings.eta_window, settings.scan_points)[::100].tolist(),
+                    settings.eta_window[1]]:
+            coeffs = build_coefficients(dimensionless_state(config, eta), config)
+            row = _trial_row(coeffs)
+            bound = _allowed_radius_bound(*row)
+            assert bound <= np.nextafter(_leading_part_bound(*row), np.inf), eta
+            kval, a, c, tau, lam = (mpmath.mpf(x) for x in row[1:])
+            tail = _polynomial_tail(d, kval, a, c, tau, lam)
+            b = settings.resolve_grid(coeffs.turning_scale).rho_max
+            for rho in (mpmath.mpf(x) for x in np.geomspace(bound, b, 40)):
+                p = -c * rho ** (3 * e) * (rho * rho / 4 - rho / 2 + kval * kval)
+                assert p + sum(coef * rho**k for coef, k in tail) < 0, (eta, rho)
+
+
 @pytest.mark.parametrize("d", range(3, 10))
 def test_screen_settles_no_one_over_r_energy_with_an_allowed_node(d):
     # the closed-form minimum of V against the literal level > V on the full
@@ -360,9 +393,10 @@ def test_screen_block_flags_equal_the_trial_flags(monkeypatch, name):
 def test_screen_settles_a_row_only_on_a_funnel_within_its_own_prefix(monkeypatch):
     # no scan at D >= 4 meets an island, so the block rule is checked on
     # made-up flags: four energies of one block, each with its own prefix
-    config = PhysicalConfig(dimension=5, ansatz=Ansatz.GENERALIZED)
+    # (at D = 6, whose prefixes near eta = 1 are still longer than ten nodes)
+    config = PhysicalConfig(dimension=6, ansatz=Ansatz.GENERALIZED)
     settings = SolverSettings()
-    etas = [0.5, 0.99, 0.999, 0.99999]
+    etas = [0.5, 0.99, 0.999, 0.9999]
     stops = []
     for eta in etas:
         coeffs = build_coefficients(dimensionless_state(config, eta), config)
@@ -473,8 +507,9 @@ _IDENTITY_CASES = (
     [(Ansatz.ONE_OVER_R, d, Scheme.CANONICAL, 2000) for d in range(3, 10)]
     + [(Ansatz.GENERALIZED, d, Scheme.CANONICAL, 2000) for d in range(3, 11)]
     + [(ansatz, 3, Scheme.GENERALIZED, 2000) for ansatz in Ansatz]
-    # the scan's blocks hold 64 energies: one partial block, one full one and one more
-    + [(ansatz, d, Scheme.CANONICAL, points) for points in (2, 3, 65) for ansatz in Ansatz
+    # one partial screen block, one full one and one energy more
+    + [(ansatz, d, Scheme.CANONICAL, points)
+       for points in (2, solver._SCREEN_ROWS, solver._SCREEN_ROWS + 1) for ansatz in Ansatz
        for d in (3, 5)]
 )
 
