@@ -296,9 +296,9 @@ def _polynomial_tail(d, kval, a, c, tau, lam):
 def _allowed_radius_bound(d, kval, a, c, tau, lam):
     """Radius R past which tau - V < 0 (1/r^(D-2) potential at D >= 4, K > 0).
 
-    Takes the scalars of :func:`_trial_row`, c, tau and lam as floats (R a
-    float) or 1-d arrays, one entry per energy; either way numpy's array power
-    runs, so a trial and the block screen get the same bits. With e = D - 3,
+    Takes the scalars of :func:`_trial_row`, c, tau and lam as floats or 1-d
+    arrays (one entry per energy), R in their shape; numpy's array power runs
+    either way, so a trial and the block screen get the same bits. With e = D - 3,
     P's leading part is -c rho^(3e) (rho^2/4 - rho/2 + K^2), and its factor is
     (1 - 1/(4K^2)) rho^2/4 + (rho/(4K) - K)^2 = (rho - 1)^2/4 + K^2 - 1/4, so the
     part is at most -max(L rho^(3e+2), M rho^(3e)), L = (c/4)(1 - 1/(4K^2)) and
@@ -307,7 +307,7 @@ def _allowed_radius_bound(d, kval, a, c, tau, lam):
     or, for k < 3e, past (N a_k/M)^(1/(3e-k)); a term of degree 3e with
     N a_k < M, at every rho. So P < 0 beyond the largest of these smaller radii.
     """
-    scalar = np.ndim(c) == 0
+    shape = np.shape(c)
     c, tau, lam = (np.reshape(x, -1) for x in (c, tau, lam))
     top = 3 * (d - 3)
     lead = 0.25 * c * (1.0 - 0.25 / (kval * kval))
@@ -323,7 +323,7 @@ def _allowed_radius_bound(d, kval, a, c, tau, lam):
         elif k == top:
             term[share < floor] = 0.0
         radius = np.maximum(radius, term)
-    return float(radius[0]) if scalar else radius
+    return radius.reshape(shape)
 
 
 def _prefix_stop(grid: RadialGrid, bound):
@@ -356,13 +356,17 @@ def _gauss_allowed(grid: RadialGrid, stop: int, d, kval, a, c, tau, lam) -> np.n
     return h_sign > 0.0
 
 
+def _coulomb_disc(tau, gamma2):
+    """(tau + 1/2)^2 - gamma^2, elementwise: where c = 0, no rho has tau > V unless it is > 0."""
+    return (tau + 0.5) * (tau + 0.5) - gamma2
+
+
 def _coulomb_radii(tau: float, gamma2: float):
-    """(r-, r+), where c = 0: tau > V exactly between them; None if (tau + 1/2)^2 <= gamma^2."""
-    kappa = tau + 0.5
-    disc = kappa * kappa - gamma2
+    """(r-, r+), where c = 0: tau > V exactly between them; None if :func:`_coulomb_disc` <= 0."""
+    disc = _coulomb_disc(tau, gamma2)
     if disc <= 0.0:
         return None
-    outer = 2.0 * (kappa + math.sqrt(disc))  # r+ = 2(tau + 1/2) + 2 sqrt(disc)
+    outer = 2.0 * (tau + 0.5 + math.sqrt(disc))  # r+ = 2(tau + 1/2) + 2 sqrt(disc)
     return 4.0 * gamma2 / outer, outer  # r- = 4 gamma^2/r+, free of the difference's cancellation
 
 
@@ -624,7 +628,7 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
 
     * Where c = 0 (the 1/r family, and the Gauss law at D = 3, whose
       scalars are the 1/r ones) an energy is settled exactly when its
-      :func:`_coulomb_radii` are None, as its trial's island test rules.
+      :func:`_coulomb_disc` is <= 0: its trial's :func:`_coulomb_radii` are None.
     * The Gauss law at D >= 4 (K > 0 only) evaluates H for consecutive
       energies of one grid together, :func:`_gauss_allowed` with the scalars
       as columns, over the longest of their :func:`_prefix_stop` prefixes, at
@@ -642,8 +646,7 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     b, n, need = (np.broadcast_to(x, tau.shape) for x in settings._extent(np.abs(tau_prime)))
     fits = (n <= _MAX_GRID_POINTS) & (b >= need)
     if c[0] == 0.0:  # c = 0 at every energy or none
-        kappa = tau + 0.5
-        return (fits & (kappa * kappa - (kval * kval - a * a) <= 0.0)).tolist()
+        return (fits & (_coulomb_disc(tau, kval * kval - a * a) <= 0.0)).tolist()
     settled = np.zeros(len(rows), dtype=bool)
     bound = _allowed_radius_bound(d, kval, a, c, tau, lam)
     tested = np.flatnonzero(fits)
@@ -768,17 +771,14 @@ def solve_ground_state(config: PhysicalConfig, settings: SolverSettings | None =
 
     The scan steers on a grid of step ``_STEER_STEP`` (step 3a of the module
     docstring); where the steered search cannot vouch for the production
-    grid's result, it runs again on the production grid alone, unless a trial raised
-    ``NonFiniteValue`` and the production grid's trial at its energy raises too.
+    grid's result, it runs again on the production grid alone.
     """
     settings = settings or SolverSettings()
     steer = replace(settings, grid_delta=max(settings.grid_delta, _STEER_STEP))
     if steer != settings:
         try:
             result = _search(config, settings, steer)
-        except (ValueError, ArithmeticError) as exc:  # package errors: the production grid decides
-            if isinstance(exc, NonFiniteValue) and exc.eta is not None:
-                _evaluate_trial(exc.eta, config, settings)  # raises again: no rerun
+        except (ValueError, ArithmeticError):  # the package's errors: the production search decides
             result = None
         if result is not None:
             return result

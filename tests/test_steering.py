@@ -127,27 +127,6 @@ def test_a_steering_trial_that_raises_falls_back_to_the_production_grid(monkeypa
     assert result.scan_trace == production.scan_trace
 
 
-def test_a_trial_that_raises_on_both_grids_raises_with_no_rerun(monkeypatch):
-    # the energy the steering trial failed at is evaluated once more, on the
-    # production grid, and that trial's error ends the solve
-    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
-    evaluate = solver._evaluate_trial
-    failed, searches = [], []
-
-    def fails_at_the_first_open_energy(eta, config, settings, work=None):
-        if not failed or eta == failed[0]:
-            failed.append(eta)
-            raise NonFiniteValue(f"non-finite samples at step {settings.grid_delta!r}", eta=eta)
-        return evaluate(eta, config, settings, work)
-
-    monkeypatch.setattr(solver, "_evaluate_trial", fails_at_the_first_open_energy)
-    _spy(monkeypatch, "_search", searches)
-    with pytest.raises(NonFiniteValue, match=r"at step 0\.001$") as raised:
-        solve_ground_state(config)
-    assert len(searches) == 1
-    assert failed == [raised.value.eta] * 2
-
-
 def test_the_gauss_law_certification_runs_no_steering_trial(monkeypatch):
     # every energy is settled by the screen, so there is nothing to steer
     # and no second screen
