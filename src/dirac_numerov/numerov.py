@@ -62,6 +62,20 @@ Every level, with its scratch, is written with ``out=`` into one flat
 ``space`` of about 4n doubles that the caller may reuse: the solver's swept
 trials pass one workspace, so they allocate no grid-sized array.
 
+The kernel takes a leading row axis: R recurrences on one grid, each with
+its own match node, are R rows of one product per direction, so the numpy
+calls of every level above the first are paid once for all rows. A lone
+recurrence is the one-row case. The first level is formed row by row, on
+views of each row's own columns, into one (2, 2, R, w) array; a row with
+fewer level-1 nodes than w is padded with the identity, the node that a
+pair of padding factors (A, C, S) = (1, -1, 0) would give (the factor's
+matrix [[1, 1], [0, -1]] squares to the identity exactly). The identity
+times a product is that product, so every row is reduced through its own
+product's tree, bit for bit. No factor is copied: R rows of at most k
+factors take R (4k + 12) doubles, as R lone products do. A row whose
+unrenormalized product is not finite, or is past 1e100, is formed again
+alone by the renormalizing pass.
+
 Only ``solver.eigenfunction`` and ``scheme_report`` need every node; they
 use the sequential sweeps below, which visit the nodes one by one. The
 sweeps step the product's own A, C and S in the same difference form,
@@ -121,9 +135,9 @@ def _generalized_arrays(half_step, p_prime, w_prev, w_next, delta, out=(None, No
 def _three_point_sum(u, delta, out=None):
     """S_i = (delta^2/12) (u[i-1] + 10 u[i] + u[i+1]) at the interior nodes 1..n-2, into ``out``."""
     u = np.asarray(u, dtype=float)
-    s = np.multiply(10.0, u[1:-1], out=out)
-    np.add(u[:-2], s, out=s)
-    np.add(s, u[2:], out=s)
+    s = np.multiply(10.0, u[..., 1:-1], out=out)
+    np.add(u[..., :-2], s, out=s)
+    np.add(s, u[..., 2:], out=s)
     return np.multiply(delta * delta / 12.0, s, out=s)
 
 
@@ -184,101 +198,135 @@ _general_sweep_rl = _numerov_sweep_rl
 # match-node samples from a tree-reduced product of transfer matrices
 
 
-def _first_level(lower, upper, s, out, scratch):
-    """Pairwise products M_0 M_1, M_2 M_3, ... of M_j = [[1 - g, -r], [g, r]].
+_IDENTITY = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])  # the level-1 node of a pair of padding factors
 
-    g = s/lower and r = upper/lower (k >= 1 of each). Returns a
-    (2, 2, ceil(k/2)) view of ``out`` whose [i, j] holds entry (i, j) of
-    every product, an odd last matrix carried unchanged; ``scratch`` holds
-    three rows of floor(k/2). g and r of the even (x) and odd (y) factors are
-    divided straight into the result's rows, which are then overwritten in
-    place; with the signs of -r folded into the sums the entries are
-    bit-identical to the general level's products of the factors' rows,
-    which are never built.
+
+def _first_level(lower, upper, s, out, scratch, starts=None):
+    """Pairwise products M_0 M_1, M_2 M_3, ... of M_j = [[1 - g, -r], [g, r]], row by row.
+
+    g = s/lower and r = upper/lower. For 1-d arrays of k >= 1 factors returns
+    a (2, 2, ceil(k/2)) view of ``out`` whose [i, j] holds entry (i, j) of
+    every product, an odd last matrix carried unchanged. For (R, n) arrays
+    row j's factors are its columns starts[j]:, taken as views, and the
+    result is (2, 2, R, w), w the most nodes of any row; a row's columns
+    past its own nodes hold the identity, the node that a pair of padding
+    factors (A, C, S) = (1, -1, 0) gives, so the levels above reduce every
+    row through its own product's tree. ``scratch`` holds three blocks of
+    floor(k/2), k the longest row. g and r of the even (x) and odd (y) factors are divided
+    straight into the result's rows, which are then overwritten in place;
+    with the signs of -r folded into the sums the entries are bit-identical
+    to the general level's products of the factors' rows, which are never
+    built.
     """
-    k = s.shape[0]
-    half = k // 2
-    even, odd = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
-    t = out[: 4 * (half + k % 2)].reshape(2, 2, half + k % 2)
-    (a, b), (c, d) = t[:, :, :half]
-    rg, rr, ex = scratch[:half], scratch[half : 2 * half], scratch[2 * half : 3 * half]
-    gy = np.divide(s[odd], lower[odd], out=a)
-    ry = np.divide(upper[odd], lower[odd], out=b)
-    gx = np.divide(s[even], lower[even], out=c)
-    rx = np.divide(upper[even], lower[even], out=d)
-    np.multiply(rx, gy, out=rg)
-    np.multiply(rx, ry, out=rr)
-    np.multiply(gx, ry, out=d)
-    np.subtract(rr, d, out=d)      # d = g_x (-r_y) + r_x r_y
-    np.subtract(1.0, gx, out=ex)
-    ey = np.subtract(1.0, gy, out=a)
-    c *= ey
-    c += rg                        # c = g_x (1 - g_y) + r_x g_y
-    a *= ex
-    a -= rg                        # a = (1 - g_x)(1 - g_y) + (-r_x) g_y
-    b *= ex
-    np.negative(b, out=b)
-    b -= rr                        # b = (1 - g_x)(-r_y) + (-r_x) r_y
-    if k % 2:
-        g, r = s[-1] / lower[-1], upper[-1] / lower[-1]
-        t[:, :, half] = (1.0 - g, -r), (g, r)
+    if s.ndim == 1:
+        size = (s.shape[0] + 1) // 2
+        t = out[: 4 * size].reshape(2, 2, size)
+        bands = ((lower, upper, s, t),)
+    else:
+        rows, width = s.shape
+        size = (width - int(starts.min()) + 1) // 2
+        t = out[: 4 * rows * size].reshape(2, 2, rows, size)
+        bands = ((lower[j, i:], upper[j, i:], s[j, i:], t[:, :, j]) for j, i in enumerate(starts.tolist()))
+    for lo, up, sj, band in bands:
+        k = sj.shape[0]
+        half = k // 2
+        if half:
+            even, odd = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
+            (a, b), (c, d) = band[:, :, :half]
+            rg, rr, ex = scratch[:half], scratch[half : 2 * half], scratch[2 * half : 3 * half]
+            gy = np.divide(sj[odd], lo[odd], out=a)
+            ry = np.divide(up[odd], lo[odd], out=b)
+            gx = np.divide(sj[even], lo[even], out=c)
+            rx = np.divide(up[even], lo[even], out=d)
+            np.multiply(rx, gy, out=rg)
+            np.multiply(rx, ry, out=rr)
+            np.multiply(gx, ry, out=d)
+            np.subtract(rr, d, out=d)      # d = g_x (-r_y) + r_x r_y
+            np.subtract(1.0, gx, out=ex)
+            ey = np.subtract(1.0, gy, out=a)
+            c *= ey
+            c += rg                        # c = g_x (1 - g_y) + r_x g_y
+            a *= ex
+            a -= rg                        # a = (1 - g_x)(1 - g_y) + (-r_x) g_y
+            b *= ex
+            np.negative(b, out=b)
+            b -= rr                        # b = (1 - g_x)(-r_y) + (-r_x) r_y
+        if k % 2:
+            g, r = sj[-1] / lo[-1], up[-1] / lo[-1]
+            band[:, :, half] = (1.0 - g, -r), (g, r)
+        if (k + 1) // 2 < size:
+            band[:, :, (k + 1) // 2 :] = _IDENTITY
     return t
 
 
-def product_space(k: int) -> int:
-    """Doubles of the ``space`` that :func:`_transfer_product` needs for k factors."""
-    return 4 * k + 12
+def product_space(k: int, rows: int = 1) -> int:
+    """Doubles of the ``space`` that :func:`_transfer_product` needs for ``rows`` rows of k factors at most."""
+    return rows * (4 * k + 12)
 
 
-def _transfer_product(lower, upper, s, space=None):
-    """Ordered product M_0 M_1 ... M_(k-1) of M_j = [[1 - g, -r], [g, r]].
+def _transfer_product(lower, upper, s, space=None, starts=None):
+    """Ordered product M_0 M_1 ... M_(k-1) of M_j = [[1 - g, -r], [g, r]], one per row.
 
-    g = s/lower and r = upper/lower, elementwise. Returns the product's
-    entries (row-major) up to a positive power-of-two scale. Neighbouring
-    pairs are multiplied level by level, the first by :func:`_first_level`;
-    an odd last matrix is carried to the next level unchanged. The levels are
-    first multiplied with no overflow test, and the result is kept when its
-    four entries are finite and within the threshold: an overflow cannot come
-    back finite, since an inf turns into an inf or a nan at every later level.
-    Otherwise the product is formed again, renormalizing matrix by matrix each
-    level with an entry past the threshold; the exact powers of two change
-    only its common scale. The levels alternate between the first 2k + 4
-    doubles of ``space`` (allocated when not given) and the next k + 4, with
-    their scratch after those.
+    g = s/lower and r = upper/lower, elementwise. For 1-d arrays returns the
+    product's entries (row-major) as a tuple, up to a positive power-of-two
+    scale. For (R, n) arrays returns an (R, 4) array of R products, row j's
+    over its columns starts[j]:, each bit for bit that row's own product:
+    :func:`_first_level` pads a shorter row with the identity, and the
+    identity times a product is that product.
+
+    Neighbouring pairs are multiplied level by level, the first by
+    :func:`_first_level`; an odd last matrix is carried to the next level
+    unchanged. The levels are first multiplied with no overflow test, and a
+    row is kept when its four entries are finite and within the threshold: an
+    overflow cannot come back finite, since an inf turns into an inf or a nan
+    at every later level. A row that is not is formed again alone,
+    renormalizing matrix by matrix each level with an entry past the
+    threshold; the exact powers of two change only its common scale. The
+    levels alternate between the first R (2k + 4) doubles of ``space``
+    (allocated when not given; k the longest row) and the next R (k + 4),
+    with their scratch after those.
     """
-    k = s.shape[0]
+    one = s.ndim == 1
+    rows, k = (1, s.shape[0]) if one else (s.shape[0], s.shape[1] - int(starts.min()))
     if k == 0:
-        return 1.0, 0.0, 0.0, 1.0
+        return (1.0, 0.0, 0.0, 1.0) if one else np.tile([1.0, 0.0, 0.0, 1.0], (rows, 1))
     if space is None:
-        space = np.empty(product_space(k))
-    scratch = space[3 * k + 8 : 4 * k + 12]
+        space = np.empty(product_space(k, rows))
+    scratch = space[rows * (3 * k + 8) : rows * (4 * k + 12)]
     for renormalize in (False, True):
-        buffers = (space[: 2 * k + 4], space[2 * k + 4 : 3 * k + 8])
-        t = _first_level(lower, upper, s, buffers[0], space[2 * k + 4 :])
-        if k == 1:  # a lone factor is no product: it is not renormalized
-            return tuple(float(v) for v in t.ravel())
+        buffers = (space[: rows * (2 * k + 4)], space[rows * (2 * k + 4) : rows * (3 * k + 8)])
+        t = _first_level(lower, upper, s, buffers[0], space[rows * (2 * k + 4) :], starts)
+        if k == 1 and one:  # a lone factor is no product: it is not renormalized
+            return tuple(t.ravel().tolist())
+        head = t.shape[:-1]  # (2, 2, R), or (2, 2) for one row
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 # one max and one min per level; the per-matrix exponents only when needed
                 if renormalize and (t.max() > RESCALE_THRESHOLD or t.min() < -RESCALE_THRESHOLD):
                     t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=(0, 1)))[1], out=t)
-                if t.shape[2] == 1:
+                if t.shape[-1] == 1:
                     break
-                half = t.shape[2] // 2
-                x = t[:, :, 0 : 2 * half : 2]
-                y = t[:, :, 1 : 2 * half : 2]
-                size = half + t.shape[2] % 2
+                half = t.shape[-1] // 2
+                x = t[..., 0 : 2 * half : 2]
+                y = t[..., 1 : 2 * half : 2]
+                size = half + t.shape[-1] % 2
                 buffers = buffers[::-1]
-                nxt = buffers[0][: 4 * size].reshape(2, 2, size)
-                prod = nxt[:, :, :half]
+                nxt = buffers[0][: 4 * rows * size].reshape(head + (size,))
+                prod = nxt[..., :half]
                 # entry (i, j) = x[i, 0] y[0, j] + x[i, 1] y[1, j], all four at once
                 np.multiply(x[:, 0, None], y[None, 0], out=prod)
                 prod += np.multiply(x[:, 1, None], y[None, 1],
-                                    out=scratch[: 4 * half].reshape(2, 2, half))
+                                    out=scratch[: 4 * rows * half].reshape(head + (half,)))
                 if half < size:
-                    nxt[:, :, half] = t[:, :, -1]
+                    nxt[..., half] = t[..., -1]
                 t = nxt
-        entries = tuple(float(v) for v in t.ravel())
+        if not one:
+            entries = t.reshape(4, rows).T.copy()
+            for j in np.flatnonzero(~(np.abs(entries) <= RESCALE_THRESHOLD).all(axis=1)).tolist():
+                start = int(starts[j])  # the test is False for a nan
+                entries[j] = _transfer_product(lower[j, start:], upper[j, start:], s[j, start:], space)
+            return entries
+        entries = tuple(t.ravel().tolist())
         if renormalize or all(abs(v) <= RESCALE_THRESHOLD for v in entries):  # False for a nan
             return entries
 
@@ -287,15 +335,23 @@ def _inward_samples(lower, upper, s, k, y_end, y_next, space):
     """(y[k-1], y[k], y[k+1]) of the solution seeded y[n-1] = y_end, y[n-2] = y_next.
 
     ``lower``, ``upper`` and ``s`` hold A, C and S at the interior nodes
-    1..n-2 (array index = node - 1); A must not vanish at nodes k..n-2.
+    1..n-2 (array index = node - 1); A must not vanish at nodes k..n-2. With
+    a leading row axis, k holds each row's node and the samples are arrays
+    over the rows.
     """
-    a, b, c, d = _transfer_product(lower[k:], upper[k:], s[k:], space)  # nodes k+1..n-2
+    if s.ndim == 1:
+        at = k - 1
+        a, b, c, d = _transfer_product(lower[k:], upper[k:], s[k:], space)  # nodes k+1..n-2
+    else:
+        at = (np.arange(s.shape[0]), k - 1)
+        a, b, c, d = _transfer_product(lower, upper, s, space, k).T
     diff = y_end - y_next
     y_k = a * y_next + b * diff
     d_k = c * y_next + d * diff
-    g = s[k - 1] / lower[k - 1]
-    r = upper[k - 1] / lower[k - 1]
-    return float((1.0 - g) * y_k - r * d_k), y_k, y_k + d_k
+    g = s[at] / lower[at]
+    r = upper[at] / lower[at]
+    y_prev = (1.0 - g) * y_k - r * d_k
+    return float(y_prev) if s.ndim == 1 else y_prev, y_k, y_k + d_k
 
 
 def match_samples(lower, upper, s, m, inner, outer, space=None):
@@ -309,22 +365,39 @@ def match_samples(lower, upper, s, m, inner, outer, space=None):
     the two products' levels in turn.
 
     Returns (left, right), each (y[m-1], y[m], y[m+1]) up to its own
-    positive scale, which log-derivatives do not see.
+    positive scale, which log-derivatives do not see. With a leading row
+    axis, one recurrence per row and ``m`` an integer array of their match
+    nodes, left and right are (R, 3) arrays and ``space`` holds
+    ``product_space(k, R)`` doubles, k the most factors of a row's product
+    (max(n - 2 - m, m - 1)): each row's samples are bit for bit those of its
+    own 1-d call.
 
     Raises
     ------
     SingularCoefficient
-        If a divisor vanishes: A at nodes m..n-2 (inward) or C at nodes
-        1..m (outward), the nodes the sequential sweeps divide at.
+        If a divisor vanishes in a row: A at nodes m..n-2 (inward) or C at
+        nodes 1..m (outward), the nodes the sequential sweeps divide at.
     """
+    one = s.ndim == 1
+    if one:
+        _check_divisors(lower, upper, m)
+    elif not (lower.all() and upper.all()):  # a block looks at its rows only for a zero
+        for j, node in enumerate(m.tolist()):
+            _check_divisors(lower[j], upper[j], node)
+    n = s.shape[-1] + 2
+    right = _inward_samples(lower, upper, s, m, *outer, space)
+    left = _inward_samples(upper[..., ::-1], lower[..., ::-1], s[..., ::-1], n - 1 - m, *inner, space)[::-1]
+    if one:
+        return left, right
+    return np.stack(left, axis=1), np.stack(right, axis=1)
+
+
+def _check_divisors(lower, upper, m):
+    """Raise SingularCoefficient where :func:`match_samples` would divide by zero at match node m."""
     for name, coeff, first in (("C", upper[:m], 1), ("A", lower[m - 1 :], m)):
         if not coeff.all():  # a reduction: the zero's node is looked up only when there is one
             node = first + int(np.flatnonzero(coeff == 0.0)[0])
             raise SingularCoefficient(f"step coefficient {name} vanishes at node {node}")
-    n = s.shape[0] + 2
-    right = _inward_samples(lower, upper, s, m, *outer, space)
-    left = _inward_samples(upper[::-1], lower[::-1], s[::-1], n - 1 - m, *inner, space)[::-1]
-    return left, right
 
 
 def measured_order(errors) -> float:

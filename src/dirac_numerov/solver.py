@@ -23,7 +23,7 @@ solver
    energy whose turning radii are not real. For the Gauss law at D >= 4 it
    evaluates H for the block over common prefixes and settles every energy
    whose own prefix holds only the funnel: every energy of the default
-   scans. Only the energies it leaves open run steps 1-3 one at a time,
+   scans. The energies it leaves open run steps 1-3 as rows of blocks (3b),
 3. propagates from both ends to the island's outer turning node and forms
    the log-derivative mismatch Delta(eta) of the variable the scheme
    propagates, chi = phi/F (F the integrating factor) under the canonical
@@ -46,6 +46,15 @@ solver
    every not-found verdict use the production grid alone (a search that
    cannot vouch for the production result reruns there), so only the
    scan trace's values before the accepted root are steering values,
+3b. evaluates consecutive open energies that share a grid, where c = 0, as
+   the rows of one block (:func:`_evaluate_block`): tau enters
+   :func:`_step_arrays` as a column, and one transfer product per direction
+   serves every row, each row bit for bit its lone trial. A block holds as
+   many rows as fit in the doubles of one production trial
+   (:func:`_block_budget`), so it stays in the workspace; each row's result
+   or error reaches the search in scan order, so the search stops, and
+   raises, where a trial at a time would. Refinement trials are blocks of
+   one row,
 4. refines every sign change of Delta by ITP steps (:func:`_bisect_bracket`:
    regula falsi, safeguarded to at most one trial more than bisection),
    accepting a root only when the final |Delta| passes the mismatch
@@ -446,31 +455,37 @@ def _weight_basis(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme):
                                                    coeffs.c_const, coeffs.lambda_d3))
 
 
-def _step_arrays(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme, work: Workspace, tail: int):
+def _step_arrays(coeffs: CoefficientSet, grid: RadialGrid, scheme: Scheme, work: Workspace, tail: int,
+                 tau=None):
     """(A, C, S, rest): the trial's recurrence at the interior nodes 1..n-2, views of ``work``.
 
     A y[i-1] = (A - S + C) y[i] - C y[i+1] with A = f[i-1], C = f[i+1]
     (canonical) or p0, p2 (generalized), and S = (h^2/12)(u[i-1] + 10 u[i] +
     u[i+1]) from the weight u = (tau - U)/g of :func:`_weight_basis`. ``work``
-    holds f and S (p0, p2 and S), then ``rest``, ``tail`` >= n doubles, whose
-    first n hold u while the arrays are formed. The mismatch's product and the
+    holds f and S (p0, p2 and S), then ``rest``, ``tail`` doubles, whose
+    first n a row (``tail`` >= R n) hold u while the arrays are formed. ``tau``, a column
+    of the levels of R energies that share ``coeffs``' basis (c = 0), gives
+    (R, n - 2) arrays, one row per level, in the same ufunc calls; without it
+    the arrays are 1-d, at ``coeffs.tau``. The mismatch's product and the
     eigenfunction's sweeps both take their arrays here.
     """
     n = grid.n_points
     h = grid.step
-    rows = 2 if scheme is Scheme.CANONICAL else 3
-    space = work.take(rows * n + tail)
-    rest = space[rows * n :]
-    u = rest[:n]
+    rows = 1 if tau is None else tau.shape[0]
+    shape, inner = ((n,), (n - 2,)) if tau is None else ((rows, n), (rows, n - 2))
+    count = 2 if scheme is Scheme.CANONICAL else 3
+    space = work.take(count * rows * n + tail)
+    rest = space[count * rows * n :]
+    u = rest[: rows * n].reshape(shape)
     basis = _weight_basis(coeffs, grid, scheme)
-    _weight(coeffs.tau, *basis[:2], u)
+    _weight(coeffs.tau if tau is None else tau, *basis[:2], u)
     if scheme is Scheme.CANONICAL:
-        f, s = space[:n], space[n : 2 * n - 2]
+        f, s = space[: rows * n].reshape(shape), space[rows * n : rows * (2 * n - 2)].reshape(inner)
         _canonical_factors(u, h, f)
-        lower, upper = f[:-2], f[2:]
+        lower, upper = f[..., :-2], f[..., 2:]
     else:
-        lower, upper, s = (space[i * n : (i + 1) * n - 2] for i in range(3))
-        _generalized_arrays(*basis[2:], u[:-2], u[2:], h, (lower, upper), s)
+        lower, upper, s = (space[i * rows * n : rows * (i * n + n - 2)].reshape(inner) for i in range(3))
+        _generalized_arrays(*basis[2:], u[..., :-2], u[..., 2:], h, (lower, upper), s)
     _three_point_sum(u, h, s)
     return lower, upper, s, rest
 
@@ -595,16 +610,118 @@ def _trial_setup(eta: float, config: PhysicalConfig, settings: SolverSettings):
 
 def _evaluate_trial(eta: float, config: PhysicalConfig, settings: SolverSettings, work=None):
     """(delta, match_index, grid) for one trial energy, in ``work``; delta None if no island."""
-    coeffs, grid = _trial_setup(eta, config, settings)
-    m = _match_index(coeffs, grid, settings.min_island_nodes)
-    if m is None:
-        return None, None, grid
-    try:
-        delta_val = _mismatch_at_match(coeffs, grid, m, settings.scheme, work)
-    except NonFiniteValue as exc:
-        exc.eta = eta
-        raise
-    return delta_val, m, grid
+    (outcome,) = _evaluate_block([eta], config, settings, settings, work)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _trial_doubles(n: int, scheme: Scheme, rows: int = 1, k: int | None = None) -> int:
+    """Workspace doubles of ``rows`` swept trials on n nodes as one block: step arrays and product.
+
+    ``k`` is the most factors of a row's product, n - 2 when None (a lone
+    trial's product is sized before its match node is known).
+    """
+    return (2 if scheme is Scheme.CANONICAL else 3) * rows * n + product_space(n - 2 if k is None else k, rows)
+
+
+def _row_factors(n: int, m) -> int:
+    """The most factors of a row's two products on n nodes at match node m: 0 without an island."""
+    return 0 if m is None else max(n - 2 - m, m - 1)
+
+
+def _block_budget(coeffs: CoefficientSet, settings: SolverSettings, work: Workspace) -> int:
+    """Doubles a block may take: those of one trial of ``settings`` at ``coeffs``.
+
+    0 for the 1/r^(D-2) potential at D >= 4 (c > 0), whose weight's fields
+    hold the energy, so each energy is a block of its own. Otherwise
+    ``work`` grows to that trial's doubles at once: the production trials
+    that follow reuse the block's buffer instead of replacing it.
+    """
+    if coeffs.c_const != 0.0:
+        return 0
+    budget = _trial_doubles(int(settings._extent(coeffs.turning_scale)[1]), settings.scheme)
+    work.take(budget)
+    return budget
+
+
+def _block_samples(rows, scheme: Scheme, work: Workspace):
+    """(left, right) match samples of each row (eta, coeffs, grid, m), the rows sharing one grid, c = 0.
+
+    One (R, n) array each of A, C and S with the levels as a column, and one
+    transfer product per direction for all rows (:func:`numerov.match_samples`
+    with a row axis), in ``work``.
+    """
+    _, coeffs, grid, _ = rows[0]
+    n = grid.n_points
+    tau = np.array([[row[1].tau] for row in rows])
+    widest = max(_row_factors(n, row[3]) for row in rows)
+    lower, upper, s, space = _step_arrays(coeffs, grid, scheme, work, product_space(widest, len(rows)), tau)
+    left, right = match_samples(lower, upper, s, np.array([row[3] for row in rows]), *_seeds(grid.step),
+                                space)
+    return zip(left.tolist(), right.tolist())
+
+
+def _evaluate_block(etas, config: PhysicalConfig, settings: SolverSettings, steer: SolverSettings,
+                    work=None) -> list:
+    """The outcome of each energy of a prefix of ``etas``, evaluated under ``steer`` as one block.
+
+    An outcome is :func:`_evaluate_trial`'s (delta, match_index, grid), or
+    the package error that trial raises, for the caller to raise when it
+    reaches that energy. The prefix holds one energy or more that share the
+    first one's grid, as many as fit in :func:`_block_budget` at
+    ``settings``, each row counted at the most factors of any row's product;
+    an energy whose grid differs, or whose setup fails, ends it. Two energies
+    or more with an island take :func:`_block_samples`; each of them is
+    bit for bit its lone trial, which a lone energy runs, and so does every
+    energy of a block that raised.
+    """
+    work = work or Workspace()
+    rows, cap, widest = [], 1, 0
+    for eta in etas:
+        try:
+            coeffs, grid = _trial_setup(eta, config, steer)
+            if rows and grid != rows[0][2]:
+                break
+            m = _match_index(coeffs, grid, steer.min_island_nodes)
+        except (ValueError, ArithmeticError) as exc:
+            if rows:
+                break  # it starts the next block, which raises it
+            return [exc]
+        if len(etas) > 1:  # a lone energy needs no budget
+            n = grid.n_points
+            widest = max(widest, _row_factors(n, m))
+            if not rows:
+                budget = _block_budget(coeffs, settings, work)
+                cap = max(1, budget // _trial_doubles(n, steer.scheme, 1, widest))  # rows like the first
+            elif _trial_doubles(n, steer.scheme, len(rows) + 1, widest) > budget:
+                break  # a wider row that does not fit: it starts the next block
+        rows.append((eta, coeffs, grid, m))
+        if len(rows) == cap:
+            break
+    live = [row for row in rows if row[3] is not None]
+    samples = None
+    if len(live) > 1:
+        try:
+            samples = _block_samples(live, steer.scheme, work)
+        except (ValueError, ArithmeticError):
+            pass  # each row alone raises what its own trial does
+    outcomes = []
+    for eta, coeffs, grid, m in rows:
+        if m is None:
+            outcomes.append((None, None, grid))
+            continue
+        try:
+            delta = (_mismatch_at_match(coeffs, grid, m, steer.scheme, work) if samples is None
+                     else _log_derivative_gap(*next(samples), grid.step))
+        except NonFiniteValue as exc:
+            exc.eta = eta
+            outcomes.append(exc)
+        except (ValueError, ArithmeticError) as exc:
+            outcomes.append(exc)
+        else:
+            outcomes.append((delta, m, grid))
+    return outcomes
 
 
 def _scan_etas(window, n_points: int) -> np.ndarray:
@@ -668,19 +785,40 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
 
 def _scan_trials(config: PhysicalConfig, settings: SolverSettings, work: Workspace,
                  steer: SolverSettings):
-    """(eta, Delta, swept) at each scan energy in ascending order; Delta None without an island.
+    """(points, swept) of the scan energies in ascending order, points a list of (eta, Delta).
 
-    Lazy, ``_SCREEN_ROWS`` energies at a time: :func:`_screen_islands` settles
-    what it can of a block on the grids of ``settings``, and only the rest
-    (swept True) run :func:`_evaluate_trial`, under ``steer``. A
-    caller that stops early has screened at most one block past its stop.
+    Delta is None without an island. Lazy, ``_SCREEN_ROWS`` energies at a
+    time: :func:`_screen_islands` settles what it can of a block on the grids
+    of ``settings``, each run of settled energies comes as one item (swept
+    False), and the rest come one energy an item (swept True), evaluated by
+    :func:`_evaluate_block` under ``steer``, a block of rows a call. An
+    energy's error is raised when the scan reaches it. A caller that stops
+    early has screened at most one block past its stop, and evaluated at most
+    one block of rows less one.
     """
     etas = _scan_etas(settings.eta_window, settings.scan_points).tolist()
     for start in range(0, len(etas), _SCREEN_ROWS):
         block = etas[start : start + _SCREEN_ROWS]
-        for eta, settled in zip(block, _screen_islands(config, settings, block)):
-            yield (eta, None, False) if settled else (
-                eta, _evaluate_trial(eta, config, steer, work)[0], True)
+        settled = _screen_islands(config, settings, block)
+        opened = [eta for eta, done in zip(block, settled) if not done]
+        run, outcomes = [], []
+        for eta, done in zip(block, settled):
+            if done:
+                run.append((eta, None))
+                continue
+            if run:
+                yield run, False
+                run = []
+            if not outcomes:
+                outcomes = _evaluate_block(opened, config, settings, steer, work)
+                opened = opened[len(outcomes) :]
+                outcomes.reverse()
+            outcome = outcomes.pop()
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield [(eta, outcome[0])], True
+        if run:
+            yield run, False
 
 
 def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None):
@@ -696,7 +834,7 @@ def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None
     # large fails before the first trial
     for eta in settings.eta_window:
         _trial_setup(float(eta), config, settings)
-    return [(eta, delta) for eta, delta, _ in _scan_trials(config, settings, Workspace(), settings)]
+    return [point for points, _ in _scan_trials(config, settings, Workspace(), settings) for point in points]
 
 
 def _bisect_bracket(eta_lo, d_lo, eta_hi, d_hi, config, settings, work=None):
@@ -796,9 +934,13 @@ def _search(config: PhysicalConfig, settings: SolverSettings, steer: SolverSetti
     prev_eta = prev_delta = excited = None
     saw_island = saw_bracket = steered = False
     work = Workspace()
-    for eta, delta_val, swept in _scan_trials(config, settings, work, steer):
-        trace.append((eta, delta_val))
-        steered = steered or swept
+    for points, swept in _scan_trials(config, settings, work, steer):
+        trace.extend(points)
+        if not swept:
+            prev_eta = prev_delta = None
+            continue
+        ((eta, delta_val),) = points
+        steered = True
         if delta_val is None:
             prev_eta = prev_delta = None
             continue

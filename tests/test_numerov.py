@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -449,6 +450,127 @@ def test_one_workspace_serves_back_to_back_products():
             lower[::3] = 1e-60
         for args in _both_directions(lower, upper, s):
             assert _same_bits(_transfer_product(*args, space), _allocating_transfer_product(*args))
+
+
+# ---------------------------------------------------------------------------
+# the row axis: a block of products against each row's own product
+
+
+def _block(rows):
+    """(lower, upper, s, starts): row j's factors are its columns starts[j]:, NaN before them.
+
+    The columns before a row's start are never read, so their NaN stays quiet.
+    """
+    lengths = np.array([row[0].shape[0] for row in rows])
+    width = int(lengths.max()) + 3
+    block = np.full((3, len(rows), width), np.nan)
+    for j, row in enumerate(rows):
+        for out, values in zip(block[:, j], row):
+            out[width - values.shape[0] :] = values
+    return (*block, width - lengths)
+
+
+def _rows_are_their_own_products(rows, got):
+    return all(_same_bits(got[j], _transfer_product(*row)) and
+               _same_bits(got[j], _allocating_transfer_product(*row)) for j, row in enumerate(rows))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_row_axis_product_is_each_rows_own_product():
+    # ragged lengths 0..40, odd and even, in one block and in a space filled
+    # with NaN first: every row is reduced through the tree of its own product
+    rows = [_random_recurrence(count + 2, seed=1400 + count) for count in range(41)]
+    rows = rows[1::2] + rows[::2]  # the longest row is not the last, nor the first
+    lower, upper, s, starts = _block(rows)
+    space = np.full(product_space(40, len(rows)), np.nan)
+    got = _transfer_product(lower, upper, s, space, starts)
+    assert got.shape == (41, 4)
+    assert _rows_are_their_own_products(rows, got)
+    assert _same_bits(got[[row[0].shape[0] for row in rows].index(0)], (1.0, 0.0, 0.0, 1.0))
+
+
+def test_row_axis_product_of_lone_factors():
+    # a row of one factor is that factor, [[1 - g, -r], [g, r]], carried alone
+    # through the identity nodes of the levels above, beside longer rows and an empty one
+    rows = [_random_recurrence(3, seed=1450 + j) for j in range(3)]
+    rows += [tuple(x[:0] for x in rows[0]), _random_recurrence(6, seed=1453)]
+    lower, upper, s, starts = _block(rows)
+    got = _transfer_product(lower, upper, s, starts=starts)
+    assert _rows_are_their_own_products(rows, got)
+    (a, c, g), = zip(*rows[0])
+    assert _same_bits(got[0], (1.0 - g / a, -c / a, g / a, c / a))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # padding and overflowing rows stay quiet
+@pytest.mark.parametrize("divisor", [1e-60, 1e-200])
+def test_row_axis_product_forms_a_row_past_the_threshold_again_alone(divisor):
+    # A = 1e-60 at two places carries the row's unrenormalized product to
+    # about 1e120 while it stays finite; A = 1e-200 overflows it to inf. Either
+    # row is formed again alone by the renormalizing pass, beside finite rows
+    # of other lengths that the block keeps
+    rows = [_random_recurrence(count + 2, seed=1500 + count) for count in (7, 40, 12, 3)]
+    rows[1][0][[0, 20]] = divisor
+    plain = np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, c, g in zip(*rows[1]):
+            plain = plain @ np.array([[1.0 - g / a, -c / a], [g / a, c / a]])
+    peak = np.abs(plain).max()
+    assert not np.isfinite(peak) if divisor == 1e-200 else 1e100 < peak < math.inf
+    lower, upper, s, starts = _block(rows)
+    got = _transfer_product(lower, upper, s, starts=starts)
+    assert _rows_are_their_own_products(rows, got)
+    assert np.all(np.isfinite(got)) and np.abs(got[1]).max() <= 1.0
+
+
+def test_one_row_product_is_the_parents_result():
+    # digest of the 1-d product over lengths 0..40, both directions, some
+    # with A = 1e-60 every fifth place, as the product computed it before it
+    # took a row axis
+    digest = hashlib.sha256()
+    for count in range(41):
+        lower, upper, s = _random_recurrence(count + 2, seed=1500 + count)
+        if count % 4 == 3:
+            lower[::5] = 1e-60
+        for args in _both_directions(lower, upper, s):
+            digest.update(np.asarray(_transfer_product(*args), dtype=float).tobytes())
+    assert digest.hexdigest() == "c64de090ba77776a4fa3d200a0740dee22b29b64e50a0c30a567c3feca418ee4"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [40, 41])
+def test_row_axis_match_samples_are_each_rows_own(n):
+    # rows of one grid with match nodes from 2 to n - 3, one row past the
+    # threshold, in a space filled with NaN first
+    rows = [_random_recurrence(n, seed=1600 + j) for j in range(5)]
+    rows[3][0][::4] = 1e-60
+    lower, upper, s = (np.stack(arrays) for arrays in zip(*rows))
+    m = np.array([2, n - 3, n // 2, 17, 3])
+    inner, outer = (0.0, 0.3), (1.0, 1.2)
+    space = np.full(product_space(n - 2, len(rows)), np.nan)
+    left, right = match_samples(lower, upper, s, m, inner, outer, space)
+    assert left.shape == right.shape == (5, 3)
+    for j, row in enumerate(rows):
+        assert _same_bits((left[j], right[j]), match_samples(*row, int(m[j]), inner, outer))
+
+
+def test_row_axis_match_samples_raise_on_any_rows_vanishing_divisor():
+    rows = [_random_recurrence(30, seed=1700 + j) for j in range(3)]
+    lower, upper, s = (np.stack(arrays) for arrays in zip(*rows))
+    upper[1, 4] = 0.0  # C at node 5, below the row's match node
+    with pytest.raises(SingularCoefficient, match="C vanishes at node 5"):
+        match_samples(lower, upper, s, np.array([20, 10, 20]), (0.0, 1.0), (1.0, 1.0))
+
+
+def test_row_axis_match_samples_pass_a_zero_that_no_row_divides_by():
+    # C at node 26 lies above the first row's match node, where only A is a
+    # divisor: each row's own call passes it, and so does the block
+    rows = [_random_recurrence(30, seed=1700 + j) for j in range(3)]
+    rows[0][1][25] = 0.0
+    lower, upper, s = (np.stack(arrays) for arrays in zip(*rows))
+    m = np.array([20, 10, 20])
+    left, right = match_samples(lower, upper, s, m, (0.0, 1.0), (1.0, 1.0))
+    for j, row in enumerate(rows):
+        assert _same_bits((left[j], right[j]), match_samples(*row, int(m[j]), (0.0, 1.0), (1.0, 1.0)))
 
 
 @pytest.mark.parametrize("n", [40, 41])

@@ -28,7 +28,7 @@ from dirac_numerov import (
     solve_ground_state,
 )
 from dirac_numerov import coefficients, core, numerov, solver
-from dirac_numerov.errors import ConfigError, EtaOutOfRange, NonFiniteValue
+from dirac_numerov.errors import ConfigError, EtaOutOfRange, NonFiniteValue, SingularCoefficient
 from dirac_numerov.numerov import Scheme
 from dirac_numerov.solver import (
     _allowed_radius_bound,
@@ -493,9 +493,9 @@ def test_closed_form_island_allocates_no_grid_sized_array():
 
 
 def _per_energy_trials(config, settings, work, steer):
-    """The plain loop the screen replaces: one trial per scan energy, under ``steer``."""
+    """The plain loop the screen and the blocks replace: one lone trial per scan energy, under ``steer``."""
     for eta in _scan_etas(settings.eta_window, settings.scan_points).tolist():
-        yield eta, solver._evaluate_trial(eta, config, steer, work)[0], True
+        yield [(eta, solver._evaluate_trial(eta, config, steer, work)[0])], True
 
 
 def _outcome(result):
@@ -503,33 +503,172 @@ def _outcome(result):
             result.scan_trace)
 
 
+def _block_log(monkeypatch):
+    """(etas, outcomes, config, steer, budget) of every :func:`solver._evaluate_block` call of more than one energy."""
+    calls = []
+    evaluate = solver._evaluate_block
+
+    def logged(etas, config, settings, steer, work=None):
+        outcomes = evaluate(etas, config, settings, steer, work)
+        if len(etas) > 1 and not isinstance(outcomes[0], Exception):
+            coeffs, _ = solver._trial_setup(etas[0], config, steer)
+            budget = solver._block_budget(coeffs, settings, solver.Workspace())
+            calls.append((etas, list(outcomes), config, steer, budget))
+        return outcomes
+
+    monkeypatch.setattr(solver, "_evaluate_block", logged)
+    return calls
+
+
+def _next_row(etas, outcomes, config, steer):
+    """(grid, match node) of the energy after a block."""
+    coeffs, grid = solver._trial_setup(etas[len(outcomes)], config, steer)
+    return grid, solver._match_index(coeffs, grid, steer.min_island_nodes)
+
+
+def _fits(nodes, grid, steer, budget):
+    """Whether rows with these match nodes fit in ``budget`` doubles as one block."""
+    widest = max(solver._row_factors(grid.n_points, m) for m in nodes)
+    return solver._trial_doubles(grid.n_points, steer.scheme, len(nodes), widest) <= budget
+
+
+def _grid_switch(etas, outcomes, config, steer, budget):
+    # a block cut short by the next open energy's grid, inside a screen block
+    return len(outcomes) < len(etas) and _next_row(etas, outcomes, config, steer)[0] != outcomes[0][2]
+
+
+def _final_block(etas, outcomes, config, steer, budget):
+    # a screen block's last open energies, with room for another row like its first
+    nodes = [m for _, m, _ in outcomes]
+    return 1 < len(outcomes) == len(etas) and _fits(nodes + nodes[:1], outcomes[0][2], steer, budget)
+
+
+def _row_cap(etas, outcomes, config, steer, budget):
+    # a full block: the next row, on the same grid, would not fit beside its rows
+    if not 1 < len(outcomes) < len(etas):
+        return False
+    grid, m = _next_row(etas, outcomes, config, steer)
+    return grid == outcomes[0][2] and not _fits([m for _, m, _ in outcomes] + [m], grid, steer, budget)
+
+
 _IDENTITY_CASES = (
-    [(Ansatz.ONE_OVER_R, d, Scheme.CANONICAL, 2000) for d in range(3, 10)]
-    + [(Ansatz.GENERALIZED, d, Scheme.CANONICAL, 2000) for d in range(3, 11)]
-    + [(ansatz, 3, Scheme.GENERALIZED, 2000) for ansatz in Ansatz]
+    [(Ansatz.ONE_OVER_R, d, Scheme.CANONICAL, {}, None) for d in range(3, 10)]
+    + [(Ansatz.GENERALIZED, d, Scheme.CANONICAL, {}, None) for d in range(3, 11)]
+    + [(ansatz, 3, Scheme.GENERALIZED, {}, None) for ansatz in Ansatz]
     # one partial screen block, one full one and one energy more
-    + [(ansatz, d, Scheme.CANONICAL, points)
+    + [(ansatz, d, Scheme.CANONICAL, {"scan_points": points}, None)
        for points in (2, solver._SCREEN_ROWS, solver._SCREEN_ROWS + 1) for ansatz in Ansatz
        for d in (3, 5)]
+    # blocks of rows ended by a grid switch, by a screen block's end and by the row cap
+    + [(Ansatz.ONE_OVER_R, 9, Scheme.CANONICAL, {}, _grid_switch),
+       (Ansatz.ONE_OVER_R, 3, Scheme.CANONICAL, {"scan_points": 257, "eta_window": (0.5, 0.99997)},
+        _final_block),
+       (Ansatz.ONE_OVER_R, 3, Scheme.GENERALIZED, {"grid_delta": 5e-4}, _row_cap)]
 )
 
 
-@pytest.mark.parametrize("ansatz, d, scheme, points", _IDENTITY_CASES)
+@pytest.mark.parametrize("ansatz, d, scheme, settings_kw, block_case", _IDENTITY_CASES)
 def test_screened_scan_equals_the_per_energy_loop(monkeypatch, solve_cached, ansatz, d, scheme,
-                                                  points):
+                                                  settings_kw, block_case):
     # solve_ground_state and mismatch_scan against the same calls with the
-    # plain per-energy loop in place of the screened scan; a full-window
-    # mismatch_scan through real islands sweeps ~1,000 trials, so that one
-    # is compared on the island-free Gauss law only
+    # plain per-energy loop in place of the screened scan and its blocks of
+    # rows; a full-window mismatch_scan through real islands sweeps ~1,000
+    # trials, so that one is compared on the island-free Gauss law only
     config = PhysicalConfig(dimension=d, ansatz=ansatz)
-    settings = SolverSettings(scheme=scheme, scan_points=points)
-    screened = solve_cached(d, ansatz, scheme, **({} if points == 2000 else {"scan_points": points}))
-    compare_scan = points < 2000 or (ansatz is Ansatz.GENERALIZED and d >= 4)
+    settings = SolverSettings(scheme=scheme, **settings_kw)
+    if block_case is None:
+        screened = solve_cached(d, ansatz, scheme, **settings_kw)
+    else:
+        with monkeypatch.context() as patch:
+            blocks = _block_log(patch)
+            screened = solve_ground_state(config, settings)
+        assert any(block_case(*block) for block in blocks)
+    compare_scan = "scan_points" in settings_kw or (ansatz is Ansatz.GENERALIZED and d >= 4)
     scan = mismatch_scan(config, settings) if compare_scan else None
     monkeypatch.setattr(solver, "_scan_trials", _per_energy_trials)
     assert _outcome(screened) == _outcome(solve_ground_state(config, settings))
     if compare_scan:
         assert scan == mismatch_scan(config, settings)
+
+
+# ---------------------------------------------------------------------------
+# deferred errors: a row's error is raised when the scan reaches it
+
+
+def _fault_at(monkeypatch, config, eta, kind):
+    """Make the trial at ``eta`` raise ``kind`` wherever it is evaluated, alone or as a row.
+
+    ConfigError from its setup; SingularCoefficient from a C that vanishes at
+    node 4 of its step arrays; NonFiniteValue from an S of NaN. Returns the
+    list of energies where the fault fired.
+    """
+    fired = []
+    setup, steps = solver._trial_setup, solver._step_arrays
+    level = setup(eta, config, SolverSettings())[0].tau
+
+    def faulty_setup(e, config, settings):
+        if e == eta and kind is ConfigError:
+            fired.append(e)
+            raise ConfigError(f"no grid at eta = {e!r}")
+        return setup(e, config, settings)
+
+    def faulty_steps(coeffs, grid, scheme, work, tail, tau=None):
+        lower, upper, s, rest = steps(coeffs, grid, scheme, work, tail, tau)
+        hit = np.flatnonzero(np.atleast_1d(coeffs.tau if tau is None else tau[:, 0]) == level)
+        if hit.size:
+            fired.append(eta)
+            if kind is SingularCoefficient:
+                np.atleast_2d(upper)[hit, 3] = 0.0
+            elif kind is NonFiniteValue:
+                np.atleast_2d(s)[hit] = np.nan
+        return lower, upper, s, rest
+
+    monkeypatch.setattr(solver, "_trial_setup", faulty_setup)
+    monkeypatch.setattr(solver, "_step_arrays", faulty_steps)
+    return fired
+
+
+_STEERING = SolverSettings(grid_delta=solver._STEER_STEP)
+_FAULTS = (ConfigError, SingularCoefficient, NonFiniteValue)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a NaN row stays quiet
+@pytest.mark.parametrize("kind", _FAULTS)
+def test_a_row_that_raises_after_the_accepted_root_never_raises(monkeypatch, solve_cached, kind):
+    # the D = 3 scan's last block holds open energies past the bracket's
+    # upper end; the one right after it is evaluated, or its setup tried,
+    # and the search ends at the same root
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
+    expected = solve_cached(3, Ansatz.ONE_OVER_R)
+    etas = _scan_etas(_BASE.eta_window, _BASE.scan_points).tolist()
+    upper_end = expected.scan_trace[-2][0]
+    fired = _fault_at(monkeypatch, config, etas[etas.index(upper_end) + 1], kind)
+    assert _outcome(solve_ground_state(config)) == _outcome(expected)
+    assert fired
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", _FAULTS)
+def test_a_row_that_raises_before_the_root_raises_when_the_scan_reaches_it(monkeypatch,
+                                                                           solve_cached, kind):
+    # the third row of a block: the scan yields every energy before it, its
+    # own and its block's earlier rows among them, and then raises its error
+    config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
+    trace = solve_cached(3, Ansatz.ONE_OVER_R).scan_trace
+    swept = [eta for eta, delta in trace if delta is not None]
+    target = swept[12]
+    fired = _fault_at(monkeypatch, config, target, kind)
+    blocks = _block_log(monkeypatch)
+    seen = []
+    with pytest.raises(kind) as caught:
+        for points, _ in solver._scan_trials(config, _BASE, solver.Workspace(), _STEERING):
+            seen.extend(points)
+    assert fired
+    assert seen == trace[: [eta for eta, _ in trace].index(target)]
+    if kind is NonFiniteValue:
+        assert caught.value.eta == target
+    if kind is not ConfigError:  # a setup error ends the block before it
+        assert any(target in etas[1 : len(outcomes)] for etas, outcomes, *_ in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -969,8 +1108,14 @@ def _pole_trial(eta, config, settings, work=None):
     return (math.inf if eta == _POLE else 1.0 / (eta - _POLE)), 1, None
 
 
+def _pole_block(etas, config, settings, steer, work=None):
+    """The block seam's rows of :func:`_pole_trial`, one a call."""
+    return [_pole_trial(etas[0], config, steer, work)]
+
+
 def test_refinement_converges_onto_a_pole_that_the_search_rejects(monkeypatch):
     monkeypatch.setattr(solver, "_evaluate_trial", _pole_trial)
+    monkeypatch.setattr(solver, "_evaluate_block", _pole_block)
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
     settings = SolverSettings()
     lo, hi = _POLE - 3e-6, _POLE + 1e-6
@@ -1102,7 +1247,7 @@ def test_mismatch_scan_rejects_an_oversized_window_before_any_trial(monkeypatch)
     # at D = 3 the grid for eta = 1 - 1e-12 needs ~2e7 nodes; tau' grows with
     # eta, so checking the window's ends rejects it before the first trial
     calls = []
-    for name in ("_evaluate_trial", "_screen_islands"):
+    for name in ("_evaluate_trial", "_evaluate_block", "_screen_islands"):
         original = getattr(solver, name)
         monkeypatch.setattr(solver, name,
                             lambda *args, fn=original: calls.append(args) or fn(*args))

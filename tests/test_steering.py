@@ -82,18 +82,40 @@ def _spy(monkeypatch, name, calls):
     monkeypatch.setattr(solver, name, spy)
 
 
+def _spy_rows(monkeypatch, rows):
+    """Record (eta, steer, block size) of every row that the block seam evaluates."""
+    evaluate = solver._evaluate_block
+
+    def spy(etas, config, settings, steer, work=None):
+        outcomes = evaluate(etas, config, settings, steer, work)
+        rows.extend((eta, steer, len(outcomes)) for eta in etas[: len(outcomes)])
+        return outcomes
+
+    monkeypatch.setattr(solver, "_evaluate_block", spy)
+
+
 def test_a_found_solve_makes_two_trials_more_than_the_production_grid_search(monkeypatch,
                                                                              production_solve):
-    # the bracket's two ends, again on the production grid
+    # the bracket's two ends, again on the production grid. Every trial is a
+    # row of the block seam (a lone trial is a block of one); the steered
+    # scan's last block also evaluates rows past the bracket's upper end,
+    # fewer than a block holds, which the search never reaches
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
     production = production_solve(config, SolverSettings())
-    trials = []
-    _spy(monkeypatch, "_evaluate_trial", trials)
-    assert solve_ground_state(config).found
-    steered = len(trials)
+    rows = []
+    _spy_rows(monkeypatch, rows)
+    result = solve_ground_state(config)
+    assert result.found
+    upper_end = result.scan_trace[-2][0]
+    past = [eta for eta, steer, _ in rows if steer.grid_delta == solver._STEER_STEP and eta > upper_end]
+    cap = max(size for *_, size in rows)
+    steered = len(rows)
     monkeypatch.setattr(solver, "_STEER_STEP", 0.0)
+    rows.clear()
     assert _fields(solve_ground_state(config)) == _fields(production)
-    assert steered == len(trials) - steered + 2
+    assert {size for *_, size in rows} == {1}
+    assert steered - len(past) == len(rows) + 2
+    assert len(past) < cap
 
 
 def test_a_steering_grid_too_coarse_falls_back_to_the_production_grid(monkeypatch,
@@ -114,14 +136,16 @@ def test_a_steering_trial_that_raises_falls_back_to_the_production_grid(monkeypa
                                                                         production_solve):
     config = PhysicalConfig(dimension=3, ansatz=Ansatz.ONE_OVER_R)
     production = production_solve(config, SolverSettings())
-    evaluate = solver._evaluate_trial
+    evaluate = solver._evaluate_block
 
-    def fails_on_the_steering_grid(eta, config, settings, work=None):
-        if settings.grid_delta == solver._STEER_STEP:
-            raise NonFiniteValue("non-finite samples at the match node", eta=eta)
-        return evaluate(eta, config, settings, work)
+    def fails_on_the_steering_grid(etas, config, settings, steer, work=None):
+        outcomes = evaluate(etas, config, settings, steer, work)
+        if steer.grid_delta == solver._STEER_STEP:
+            return [NonFiniteValue("non-finite samples at the match node", eta=eta)
+                    for eta in etas[: len(outcomes)]]
+        return outcomes
 
-    monkeypatch.setattr(solver, "_evaluate_trial", fails_on_the_steering_grid)
+    monkeypatch.setattr(solver, "_evaluate_block", fails_on_the_steering_grid)
     result = solve_ground_state(config)
     assert _fields(result) == _fields(production)
     assert result.scan_trace == production.scan_trace
@@ -131,7 +155,7 @@ def test_the_gauss_law_certification_runs_no_steering_trial(monkeypatch):
     # every energy is settled by the screen, so there is nothing to steer
     # and no second screen
     trials, screens = [], []
-    _spy(monkeypatch, "_evaluate_trial", trials)
+    _spy(monkeypatch, "_evaluate_block", trials)
     _spy(monkeypatch, "_screen_islands", screens)
     configs = [PhysicalConfig(dimension=d, ansatz=Ansatz.GENERALIZED) for d in range(4, 11)]
     steered = [_fields(solve_ground_state(config)) for config in configs]
