@@ -96,8 +96,8 @@ def k_value(config: PhysicalConfig) -> float:
     return magnitude if config.k_sign is KSign.PLUS else -magnitude
 
 
-def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
-    """(lam, A, tau', tau, c, lam^(D-3)) of one trial energy, as Python floats.
+def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta):
+    """(lam, A, tau', tau, c, lam^(D-3)) of trial energies, elementwise in ``eta``.
 
     The 1/r^(D-2) potential has A = 2^(D-3) xi, tau' = A lam^((D-4)/2),
     tau = eta tau' and c = K lam^((4-D)/2); the 1/r potential has A = xi,
@@ -105,21 +105,29 @@ def _energy_scalars(ansatz: Ansatz, d: int, kval: float, xi: float, eta: float):
     D = 3 the 1/r^(D-2) potential takes the 1/r scalars: its c enters the
     fields only times D - 3 = 0, and the integrating factor only through the
     constant factor sqrt(c + A), which log-derivatives and the unit
-    normalisation remove. A trial takes these once, into the record of
-    :func:`dimensionless_state`, and the solver's block screen once per energy,
-    not on arrays: numpy's array power differs from ``float ** float`` in the
-    last bit for about 5 % of scan energies on an AVX-512 host, and the screen
-    must see each trial's bits.
+    normalisation remove. ``eta`` is a float, for one trial's record
+    (:func:`dimensionless_state`), or a 1-d array, for the solver's screen of
+    a scan window; a value that holds no energy (A, the 1/r scalars' c and
+    lam^0, tau' and c at D = 4) stays a float. Every eta-dependent value is
+    formed from +, -, *, / and sqrt alone, which IEEE 754 rounds correctly
+    and CPython and numpy apply alike, so each entry of an array has its
+    float's bits on every host: lam^((D-4)/2) is lam^floor((D-4)/2) by
+    repeated products, times sqrt(lam) at odd D, and c divides K by it.
     """
+    sqrt = np.sqrt if isinstance(eta, np.ndarray) else math.sqrt
     lam = (1.0 - eta) * (1.0 + eta)
     if ansatz is Ansatz.ONE_OVER_R or d == 3:
-        sqrt_lam = math.sqrt(lam)
+        sqrt_lam = sqrt(lam)
         return lam, xi, xi / sqrt_lam, xi * eta / sqrt_lam, 0.0, 1.0
+    half = sqrt(lam) if d % 2 else 1.0  # lam^((D-4)/2), D >= 4
+    for _ in range((d - 4) // 2):
+        half = half * lam
+    lam_d3 = lam
+    for _ in range(d - 4):
+        lam_d3 = lam_d3 * lam
     a_const = 2.0 ** (d - 3) * xi
-    tau_prime = a_const * lam ** ((d - 4) / 2.0)
-    c_const = kval * lam ** ((4.0 - d) / 2.0)
-    lam_d3 = lam ** (d - 3)
-    return lam, a_const, tau_prime, eta * tau_prime, c_const, lam_d3
+    tau_prime = a_const * half
+    return lam, a_const, tau_prime, eta * tau_prime, kval / half, lam_d3
 
 
 def dimensionless_state(config: PhysicalConfig, eta: float, xi: float | None = None):

@@ -18,10 +18,10 @@ solver
    a polynomial whose negative leading part wins past a radius in closed form
    (:func:`_allowed_radius_bound`), so only the grid prefix below it is
    tested, about 1 % of the default grid at most. The scan takes this step
-   a block of ``_SCREEN_ROWS`` energies at a time (:func:`_screen_islands`),
-   in numpy but for each energy's scalars. Where c = 0 it settles every
+   for its whole window in one call (:func:`_screen_islands`), in numpy,
+   each energy's scalars included. Where c = 0 it settles every
    energy whose turning radii are not real. For the Gauss law at D >= 4 it
-   evaluates H for the block over common prefixes and settles every energy
+   evaluates H for runs of energies over common prefixes and settles every energy
    whose own prefix holds only the funnel: every energy of the default
    scans. The energies it leaves open run steps 1-3 as rows of blocks (3b),
 3. propagates from both ends to the island's outer turning node and forms
@@ -111,7 +111,6 @@ from .numerov import (
 
 
 _MAX_GRID_POINTS = 20_000_000
-_SCREEN_ROWS = 256  # scan energies screened at once
 _BLOCK_DOUBLES = 8192  # cap on rows x prefix of each array of the screen's H
 # ITP refinement (:func:`_bisect_bracket`): kappa1 times the initial bracket width, kappa2, n0
 _ITP_KAPPA1 = 0.05
@@ -307,7 +306,7 @@ def _allowed_radius_bound(d, kval, a, c, tau, lam):
 
     Takes the scalars of :func:`_trial_row`, c, tau and lam as floats or 1-d
     arrays (one entry per energy), R in their shape; numpy's array power runs
-    either way, so a trial and the block screen get the same bits. With e = D - 3,
+    either way, so a trial and the window screen get the same bits. With e = D - 3,
     P's leading part is -c rho^(3e) (rho^2/4 - rho/2 + K^2), and its factor is
     (1 - 1/(4K^2)) rho^2/4 + (rho/(4K) - K)^2 = (rho - 1)^2/4 + K^2 - 1/4, so the
     part is at most -max(L rho^(3e+2), M rho^(3e)), L = (c/4)(1 - 1/(4K^2)) and
@@ -735,13 +734,14 @@ def _scan_etas(window, n_points: int) -> np.ndarray:
     return etas
 
 
-def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> list:
-    """True for each energy of ``etas`` proven to have no interior island, as one block.
+def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> np.ndarray:
+    """True for each energy of ``etas`` proven to have no interior island, as one call.
 
     An energy left False goes to :func:`_evaluate_trial`, which decides it,
     and so does every energy whose grid would exceed ``_MAX_GRID_POINTS`` or
-    fall short of its extent (the trial raises there). The scalars come from
-    :func:`core._energy_scalars` one energy at a time; the rest is numpy.
+    fall short of its extent (the trial raises there). One
+    :func:`core._energy_scalars` call on the array gives every energy's
+    scalars, each bit for bit its trial's; the rest is numpy too.
 
     * Where c = 0 (the 1/r family, and the Gauss law at D = 3, whose
       scalars are the 1/r ones) an energy is settled exactly when its
@@ -756,15 +756,15 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
     """
     d = config.dimension
     kval = k_value(config)
-    xi = coupling_xi(config)
-    rows = np.array([_energy_scalars(config.ansatz, d, kval, xi, eta) for eta in etas])
-    _, a, tau_prime, tau, c, lam = rows.T
-    a = float(a[0])  # A holds no energy
+    etas = np.asarray(etas, dtype=float)
+    scalars = _energy_scalars(config.ansatz, d, kval, coupling_xi(config), etas)
+    a = scalars[1]  # A holds no energy
+    tau_prime, tau, c, lam = np.broadcast_arrays(*scalars[2:])
     b, n, need = (np.broadcast_to(x, tau.shape) for x in settings._extent(np.abs(tau_prime)))
     fits = (n <= _MAX_GRID_POINTS) & (b >= need)
-    if c[0] == 0.0:  # c = 0 at every energy or none
-        return (fits & (_coulomb_disc(tau, kval * kval - a * a) <= 0.0)).tolist()
-    settled = np.zeros(len(rows), dtype=bool)
+    if not c.any():  # c = 0 at every energy or none
+        return fits & (_coulomb_disc(tau, kval * kval - a * a) <= 0.0)
+    settled = np.zeros(tau.shape, dtype=bool)
     bound = _allowed_radius_bound(d, kval, a, c, tau, lam)
     tested = np.flatnonzero(fits)
     for run in np.split(tested, np.flatnonzero(np.diff(b[tested])) + 1) if tested.size else ():
@@ -780,45 +780,39 @@ def _screen_islands(config: PhysicalConfig, settings: SolverSettings, etas) -> l
             rises = (allowed[:, 1:] > allowed[:, :-1]).any(axis=1)
             settled[index] = ~(rises | allowed[np.arange(count), own - 1])
             run, stops = run[count:], stops[count:]
-    return settled.tolist()
+    return settled
 
 
 def _scan_trials(config: PhysicalConfig, settings: SolverSettings, work: Workspace,
                  steer: SolverSettings):
     """(points, swept) of the scan energies in ascending order, points a list of (eta, Delta).
 
-    Delta is None without an island. Lazy, ``_SCREEN_ROWS`` energies at a
-    time: :func:`_screen_islands` settles what it can of a block on the grids
-    of ``settings``, each run of settled energies comes as one item (swept
-    False), and the rest come one energy an item (swept True), evaluated by
+    Delta is None without an island. :func:`_screen_islands` settles what it
+    can of the whole window at once, on the grids of ``settings``; each run
+    of settled energies comes as one item (swept False), and the rest come
+    lazily, one energy an item (swept True), evaluated by
     :func:`_evaluate_block` under ``steer``, a block of rows a call. An
     energy's error is raised when the scan reaches it. A caller that stops
-    early has screened at most one block past its stop, and evaluated at most
-    one block of rows less one.
+    early has evaluated at most one block of rows less one past its stop.
     """
-    etas = _scan_etas(settings.eta_window, settings.scan_points).tolist()
-    for start in range(0, len(etas), _SCREEN_ROWS):
-        block = etas[start : start + _SCREEN_ROWS]
-        settled = _screen_islands(config, settings, block)
-        opened = [eta for eta, done in zip(block, settled) if not done]
-        run, outcomes = [], []
-        for eta, done in zip(block, settled):
-            if done:
-                run.append((eta, None))
-                continue
-            if run:
-                yield run, False
-                run = []
-            if not outcomes:
-                outcomes = _evaluate_block(opened, config, settings, steer, work)
-                opened = opened[len(outcomes) :]
-                outcomes.reverse()
-            outcome = outcomes.pop()
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield [(eta, outcome[0])], True
-        if run:
-            yield run, False
+    etas = _scan_etas(settings.eta_window, settings.scan_points)
+    opened_at = np.flatnonzero(~_screen_islands(config, settings, etas)).tolist()
+    etas = etas.tolist()
+    opened = [etas[i] for i in opened_at]
+    start = first = end = 0  # next scan index to yield; opened[first:end] is the block evaluated
+    for k, i in enumerate(opened_at):
+        if start < i:  # the run of settled energies before it
+            yield list(zip(etas[start:i], [None] * (i - start))), False
+        if k == end:
+            outcomes = _evaluate_block(opened[k:], config, settings, steer, work)
+            first, end = k, k + len(outcomes)
+        outcome = outcomes[k - first]
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield [(etas[i], outcome[0])], True
+        start = i + 1
+    if start < len(etas):
+        yield list(zip(etas[start:], [None] * (len(etas) - start))), False
 
 
 def mismatch_scan(config: PhysicalConfig, settings: SolverSettings | None = None):

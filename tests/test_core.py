@@ -57,7 +57,7 @@ def test_state_takes_the_configured_potential():
 @pytest.mark.parametrize("ell", [0, 1, 2])
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 0.99997, 1.0 - 1e-9, -0.7])
 def test_state_d4_gauss_law_takes_the_general_powers_exactly(eta, ell):
-    # lam^0 = 1 and lam^1 = lam exactly (C99 Annex F), so D = 4 needs no branch of its own
+    # lam^0 and lam^1 take no product and no root, so tau' = A, c = K and lam^(D-3) = lam exactly
     state = dimensionless_state(PhysicalConfig(dimension=4, ell=ell, ansatz=Ansatz.GENERALIZED), eta)
     assert state.tau_prime == state.a_const
     assert state.c_const == state.k_value

@@ -143,11 +143,9 @@ CRITERION_4_VARIANTS = {
 
 
 def _screened(config, settings):
-    """(eta, settled) of every scan energy, screened in the scan's blocks."""
+    """(eta, settled) of every scan energy, screened in one call as the scan does."""
     etas = _scan_etas(settings.eta_window, settings.scan_points).tolist()
-    for start in range(0, len(etas), solver._SCREEN_ROWS):
-        block = etas[start : start + solver._SCREEN_ROWS]
-        yield from zip(block, _screen_islands(config, settings, block))
+    return zip(etas, _screen_islands(config, settings, etas))
 
 
 @pytest.mark.parametrize("d", range(3, 11))
@@ -415,7 +413,7 @@ def test_screen_settles_a_row_only_on_a_funnel_within_its_own_prefix(monkeypatch
         return flags
 
     monkeypatch.setattr(solver, "_gauss_allowed", made_up)
-    assert _screen_islands(config, settings, etas) == [True, False, False, True]
+    assert _screen_islands(config, settings, etas).tolist() == [True, False, False, True]
 
 
 _CLOSED_FORM_CASES = [(d, Ansatz.ONE_OVER_R) for d in range(3, 10)] + [(3, Ansatz.GENERALIZED)]
@@ -533,12 +531,12 @@ def _fits(nodes, grid, steer, budget):
 
 
 def _grid_switch(etas, outcomes, config, steer, budget):
-    # a block cut short by the next open energy's grid, inside a screen block
+    # a block cut short by the next open energy's grid, inside the window
     return len(outcomes) < len(etas) and _next_row(etas, outcomes, config, steer)[0] != outcomes[0][2]
 
 
 def _final_block(etas, outcomes, config, steer, budget):
-    # a screen block's last open energies, with room for another row like its first
+    # the window's last open energies, with room for another row like its first
     nodes = [m for _, m, _ in outcomes]
     return 1 < len(outcomes) == len(etas) and _fits(nodes + nodes[:1], outcomes[0][2], steer, budget)
 
@@ -555,11 +553,11 @@ _IDENTITY_CASES = (
     [(Ansatz.ONE_OVER_R, d, Scheme.CANONICAL, {}, None) for d in range(3, 10)]
     + [(Ansatz.GENERALIZED, d, Scheme.CANONICAL, {}, None) for d in range(3, 11)]
     + [(ansatz, 3, Scheme.GENERALIZED, {}, None) for ansatz in Ansatz]
-    # one partial screen block, one full one and one energy more
+    # windows of 2, 256 and 257 energies
     + [(ansatz, d, Scheme.CANONICAL, {"scan_points": points}, None)
-       for points in (2, solver._SCREEN_ROWS, solver._SCREEN_ROWS + 1) for ansatz in Ansatz
+       for points in (2, 256, 257) for ansatz in Ansatz
        for d in (3, 5)]
-    # blocks of rows ended by a grid switch, by a screen block's end and by the row cap
+    # blocks of rows ended by a grid switch, by the window's end and by the row cap
     + [(Ansatz.ONE_OVER_R, 9, Scheme.CANONICAL, {}, _grid_switch),
        (Ansatz.ONE_OVER_R, 3, Scheme.CANONICAL, {"scan_points": 257, "eta_window": (0.5, 0.99997)},
         _final_block),
@@ -726,6 +724,43 @@ def test_a_trial_computes_its_scalars_once(monkeypatch):
                                          SolverSettings())
         assert (m is not None) == swept
         assert len(calls) == 1, (d, ansatz)
+
+
+def test_energy_scalars_of_an_array_equal_those_of_each_float_bit_for_bit():
+    # the screen's one array call and each trial's float call: every scan
+    # energy of criterion 4's variants, energies at and below zero, and
+    # |eta| -> 1, where lam^(D-3) must stay quiet
+    extra = [-1.0 + 2.0**-53, -0.999999, -0.5, -1e-300, 0.0, 1e-300, 1.0 - 2.0**-53]
+    etas = np.unique(np.concatenate(
+        [_scan_etas(s.eta_window, s.scan_points) for s in CRITERION_4_VARIANTS.values()] + [extra]))
+    compared = 0
+    for d in range(3, 13):
+        for ell in range(3):
+            for ansatz in Ansatz:
+                config = PhysicalConfig(dimension=d, ell=ell, ansatz=ansatz)
+                args = (ansatz, d, k_value(config), coefficients.coupling_xi(config))
+                columns = np.broadcast_arrays(*core._energy_scalars(*args, etas))
+                rows = np.array([core._energy_scalars(*args, eta) for eta in etas.tolist()])
+                for column, row in zip(columns, rows.T):
+                    assert np.array_equal(column.view(np.int64), row.view(np.int64)), (d, ell, ansatz)
+                compared += len(etas)
+    assert compared >= 60 * 8_000
+
+
+@pytest.mark.parametrize("d, ansatz", [(3, Ansatz.ONE_OVER_R), (5, Ansatz.GENERALIZED)])
+def test_a_search_pass_screens_its_window_in_one_call(monkeypatch, d, ansatz):
+    # one _screen_islands call and one _energy_scalars call on the whole
+    # window's array a pass: no per-energy loop in the screen
+    screens, arrays = [], []
+    screen = solver._screen_islands
+    scalars = solver._energy_scalars
+    monkeypatch.setattr(solver, "_screen_islands", lambda *args: screens.append(args) or screen(*args))
+    monkeypatch.setattr(solver, "_energy_scalars", lambda *args: arrays.append(args[-1]) or scalars(*args))
+    settings = SolverSettings()
+    solver._search(PhysicalConfig(dimension=d, ansatz=ansatz), settings,
+                   replace(settings, grid_delta=solver._STEER_STEP))
+    assert len(screens) == len(arrays) == 1
+    assert np.array_equal(arrays[0], _scan_etas(settings.eta_window, settings.scan_points))
 
 
 def _composed_weight(fields, tau, scheme):

@@ -53,7 +53,7 @@ _CASES = (
 def test_steered_search_equals_the_production_grid_search(solve_cached, production_solve, ansatz, d,
                                                           ell, scheme, settings_kw):
     # Table 1 under both schemes, the Gauss law at D = 3..10, l = 1 and 2,
-    # partial and full screen blocks, an excited window, a window ending
+    # short and long scans, an excited window, a window ending
     # below the root, and grids finer than and as coarse as the steering grid
     config = PhysicalConfig(dimension=d, ell=ell, ansatz=ansatz)
     settings = SolverSettings(scheme=scheme, **settings_kw)
